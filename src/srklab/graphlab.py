@@ -11,14 +11,13 @@ procedures use adjacency bitmasks (python ints) instead.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .gf import BudgetError, Matrix, rank
+from .gf import BudgetError, Matrix, field_make, rank
 from .space import SrkCode, SrkParams, vector_from_index
 from . import counting
 
@@ -55,10 +54,14 @@ class GraphStats:
                 "Delta": self.Delta, "eps_star": eps}
 
 
+def _digit_dtype(q: int):
+    """Smallest unsigned dtype holding every field index of GF(q)."""
+    return np.uint8 if q <= 256 else np.uint16
+
+
 @lru_cache(maxsize=None)
 def _block_rank_table(ni: int, mi: int, p: int, e: int):
     """ranks[idx] for every block matrix, idx = canonical digit index."""
-    from .gf import field_make
     F = field_make(p, e)
     size = F.q ** (ni * mi)
     if size > MAX_BLOCK_SPACE:
@@ -80,10 +83,13 @@ class SpaceTables:
         q = F.q
         self.q = q
         self.L = params.total_dim
+        self.dtype = _digit_dtype(q)
         self.sub_table = np.array(
-            [[F.sub(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+            [[F.sub(a, b) for b in range(q)] for a in range(q)],
+            dtype=self.dtype)
         self.add_table = np.array(
-            [[F.add(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+            [[F.add(a, b) for b in range(q)] for a in range(q)],
+            dtype=self.dtype)
         self.blocks = []
         off = 0
         for ni, mi in params.block_shapes():
@@ -116,19 +122,13 @@ def _all_digits(params: SrkParams, max_vertices: int) -> np.ndarray:
     V = params.size()
     if V > max_vertices:
         raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
-    q = params.q
-    L = params.total_dim
-    digits = np.empty((V, L), dtype=np.uint8)
-    idx = np.arange(V, dtype=np.int64)
-    for pos in range(L - 1, -1, -1):
-        digits[:, pos] = idx % q
-        idx //= q
-    return digits
+    return _block_digits(params.q, params.total_dim)
 
 
 def _block_digits(q: int, ln: int) -> np.ndarray:
+    """(q^ln, ln) base-q digit rows of 0..q^ln-1, most significant first."""
     size = q ** ln
-    digits = np.empty((size, ln), dtype=np.uint8)
+    digits = np.empty((size, ln), dtype=_digit_dtype(q))
     idx = np.arange(size, dtype=np.int64)
     for pos in range(ln - 1, -1, -1):
         digits[:, pos] = idx % q
@@ -160,8 +160,10 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
             rec(bi + 1, prefix + tuple(digs[idx]), rem - int(ranks[idx]))
 
     rec(0, (), k)
-    out = np.array(rows, dtype=np.uint8)
-    assert out.shape[0] == vol, "ball enumeration disagrees with volume"
+    out = np.array(rows, dtype=tab.dtype)
+    if out.shape[0] != vol:
+        raise ArithmeticError(
+            f"ball enumeration gives {out.shape[0]} vectors, volume is {vol}")
     if not include_zero:
         out = out[1:]  # zero vector is the first row in canonical order
     return out
@@ -231,83 +233,285 @@ def _bits(mask: int):
 
 
 class SolverBudgetError(BudgetError):
-    """The exact solver exceeded its node budget; no answer is reported."""
+    """The exact solver exceeded its node budget; no answer is reported.
+    ``nodes``, ``lb`` and ``ub`` record where the search stopped: it had
+    an independent set of size lb and a proof that alpha <= ub."""
+
+    def __init__(self, message: str, nodes=None, lb=None, ub=None):
+        super().__init__(message)
+        self.nodes, self.lb, self.ub = nodes, lb, ub
 
 
 DEFAULT_MAX_NODES = 2_000_000
 
 
-def _max_clique(n: int, nbr, max_nodes: int = DEFAULT_MAX_NODES) -> tuple:
-    """Exact maximum clique (Tomita-style branch and bound with greedy
-    coloring bounds); deterministic under the fixed vertex order.  Raises
-    SolverBudgetError after max_nodes search nodes rather than returning
-    an unproven answer."""
-    best_size = 0
-    best_set = 0
+@dataclass(frozen=True)
+class MisResult:
+    """Exact independence number with a witness code of that size.
 
-    # greedy seed: scan ascending, keep mutually adjacent vertices
-    seed = 0
-    seed_size = 0
-    cand = (1 << n) - 1
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        seed |= 1 << v
-        seed_size += 1
-        cand &= nbr[v]
-    best_size, best_set = seed_size, seed
+    ``nodes`` counts the search nodes charged to the budget (the root is
+    node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
+    seed codes; the clique-coclique and colouring bounds), so ``lb == ub``
+    means the answer needed no branching.  Unpacks as ``alpha, witness``."""
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-    nodes = 0
+    alpha: int
+    witness: SrkCode
+    nodes: int
+    lb: int
+    ub: int
 
-    def expand(r_size: int, r_set: int, P: int):
-        nonlocal best_size, best_set, nodes
-        nodes += 1
-        if nodes > max_nodes:
+    def __iter__(self):
+        return iter((self.alpha, self.witness))
+
+
+def _colour(P: int, nbr):
+    """Greedy colouring of P in ascending vertex order: parallel lists of
+    vertices and their (non-decreasing) colour numbers."""
+    order, colours = [], []
+    colour = 0
+    while P:
+        colour += 1
+        avail = P
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            order.append(v)
+            colours.append(colour)
+            P ^= low
+            avail &= ~nbr[v] & ~low
+    return order, colours
+
+
+class _Search:
+    """One exact MIS run: a single node budget over every sub-search, the
+    best independent set so far (size lb) and the proven bound ub."""
+
+    def __init__(self, max_nodes: int, num_vertices: int):
+        self.max_nodes = max_nodes
+        self.nodes = 0
+        self.lb = 0
+        self.best = 0   # vertex bitmask of an independent set of size lb
+        self.ub = num_vertices
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
             raise SolverBudgetError(
-                f"exceeded {max_nodes} branch-and-bound nodes")
-        if P == 0:
-            if r_size > best_size:
-                best_size, best_set = r_size, r_set
-            return
-        # greedy coloring of P in ascending vertex order
-        order = []
-        colors = []
-        rest = P
-        color = 0
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                rest ^= 1 << v
-                avail &= ~(1 << v)
-                avail &= ~nbr[v]
-        for idx in range(len(order) - 1, -1, -1):
-            if r_size + colors[idx] <= best_size:
-                return
-            v = order[idx]
-            expand(r_size + 1, r_set | (1 << v), P & nbr[v])
-            P &= ~(1 << v)
+                f"exceeded {self.max_nodes} branch-and-bound nodes",
+                nodes=self.nodes, lb=self.lb, ub=self.ub)
 
-    expand(0, 0, (1 << n) - 1)
-    return best_size, best_set
+    def offer(self, size: int, bits: int):
+        if size > self.lb:
+            self.lb, self.best = size, bits
+
+    def clique(self, nbr, verts, base_size: int, base_bits: int):
+        """Colouring branch and bound (Tomita's MCQ, explicit stack) for
+        cliques of ``nbr`` that extend the independent set ``base_bits``;
+        local vertex i is vertex ``verts[i]`` of the graph.  Records every
+        improvement on lb and returns early once lb reaches ub."""
+        best = self.lb - base_size
+        target = self.ub - base_size
+        frames = []
+        r_size, r_set, P = 0, 0, (1 << len(nbr)) - 1
+        while True:
+            self.tick()
+            if P:
+                order, colours = _colour(P, nbr)
+                frames.append([r_size, r_set, P, order, colours,
+                               len(order) - 1])
+            elif r_size > best:
+                best = r_size
+                self.offer(base_size + best, base_bits | _index_bits(
+                    verts[i] for i in _bits(r_set)))
+                if best >= target:
+                    return
+            while frames:
+                f = frames[-1]
+                i = f[5]
+                if i < 0 or f[0] + f[4][i] <= best:
+                    frames.pop()
+                    continue
+                v = f[3][i]
+                f[5] = i - 1
+                r_size, r_set, P = f[0] + 1, f[1] | (1 << v), f[2] & nbr[v]
+                f[2] &= ~(1 << v)
+                break
+            else:
+                return
+
+
+def _mask_matrix(masks) -> np.ndarray:
+    """(V, V) boolean adjacency matrix of the bitmask rows."""
+    V = len(masks)
+    nbytes = (V + 7) // 8
+    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(V, nbytes)
+    return np.unpackbits(rows, axis=1, count=V, bitorder="little").astype(bool)
+
+
+def _row_masks(mat: np.ndarray) -> list:
+    """Bitmask ints of the rows of a boolean matrix."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _anticode(params: SrkParams, k: int) -> list:
+    """Canonical indices of a sum-rank anticode of diameter k: every vector
+    supported on a fixed set of min(k, sum n_i) rows, taken from the
+    widest blocks.  Any two of its vectors differ on those rows only, so
+    they are at distance <= k: a clique of the power graph."""
+    q, L = params.q, params.total_dim
+    offsets = np.cumsum([0] + [ni * mi for ni, mi in params.block_shapes()]
+                        ).tolist()
+    positions = []
+    left = k
+    for i in sorted(range(params.t), key=lambda i: -params.m[i]):
+        rows = min(left, params.n[i])
+        left -= rows
+        positions.extend(range(offsets[i], offsets[i] + rows * params.m[i]))
+    idx = np.zeros(1, dtype=np.int64)
+    for pos in positions:
+        idx = (idx[:, None] + np.arange(q, dtype=np.int64)
+               * q ** (L - 1 - pos)).ravel()
+    return idx.tolist()
+
+
+def gabidulin_indices(params: SrkParams, d: int):
+    """Canonical indices of the Gabidulin code of minimum rank distance d
+    in a single n x m block (n <= m) over a prime field GF(q), or None
+    where it does not apply (several blocks, q not prime, d > n).
+
+    Codewords are (f(g_1), ..., f(g_n)) for the q-linearized polynomials
+    f = sum_{i < n-d+1} a_i x^(q^i) over GF(q^m), evaluated at g_j =
+    alpha^j; entry j becomes row j through its coefficient vector.  It
+    has q^(m(n-d+1)) words, the Singleton-type maximum (an MRD code)."""
+    if params.t != 1 or params.field.e != 1 or d < 1:
+        return None
+    (n, m), = params.block_shapes()
+    dim = n - d + 1
+    if dim < 1:
+        return None
+    q = params.q
+    E = field_make(q, m)
+
+    def frobenius(a):
+        r = 1
+        for _ in range(q):
+            r = E.mul(r, a)
+        return r
+
+    # frob[j][i] = g_j^(q^i), with g_j = alpha^j encoded as q^j
+    frob = []
+    for j in range(n):
+        row = [q ** j]
+        for _ in range(dim - 1):
+            row.append(frobenius(row[-1]))
+        frob.append(row)
+    weight = [q ** (n * m - 1 - pos) for pos in range(n * m)]
+    out = []
+    for coeffs in product(range(E.q), repeat=dim):
+        idx = 0
+        for j in range(n):
+            c = 0
+            for a, g in zip(coeffs, frob[j]):
+                c = E.add(c, E.mul(a, g))
+            for col in range(m):
+                idx += (c % q) * weight[j * m + col]
+                c //= q
+        out.append(idx)
+    return out
+
+
+def _profile_classes(params: SrkParams, V: int) -> np.ndarray:
+    """Orbit label of every vertex under the block maps X_i -> A_i X_i B_i
+    and the permutations of equal-shape blocks, which all fix 0: its rank
+    profile, sorted within each group of equal-shape blocks.  Labels are
+    numbered in ascending (weight, profile) order."""
+    tab = _tables(params)
+    digits = _all_digits(params, V)
+    R = np.stack([ranks[digits[:, off:off + ln].astype(np.int64) @ radix]
+                  for off, ln, radix, ranks in tab.blocks], axis=1)
+    groups = {}
+    for i, shape in enumerate(params.block_shapes()):
+        groups.setdefault(shape, []).append(i)
+    key = np.concatenate([R.sum(axis=1, keepdims=True)]
+                         + [np.sort(R[:, g], axis=1) for g in groups.values()],
+                         axis=1)
+    return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+
+
+def _index_bits(indices) -> int:
+    """Bitmask of a collection of vertex indices."""
+    bits = 0
+    for v in indices:
+        bits |= 1 << v
+    return bits
 
 
 def max_independent_set(spec: PowerGraphSpec,
                         max_vertices: int = DEFAULT_MAX_VERTICES,
-                        max_nodes: int = DEFAULT_MAX_NODES) -> tuple:
+                        max_nodes: int = DEFAULT_MAX_NODES) -> MisResult:
     """Exact independence number of the power graph together with a
-    witness code of minimum distance >= k+1."""
-    params = spec.params
+    witness code of minimum distance >= k+1.
+
+    The graph is a Cayley graph, so some maximum independent set holds
+    vertex 0, and the maps fixing 0 (``_profile_classes``) move any
+    non-neighbour of 0 onto the representative of its class.  Hence
+    alpha = max over classes c of 2 + omega(non-neighbours of 0 and of
+    rep(c) in classes >= c), each found by a colouring branch and bound
+    in the complement graph.  The search starts from the lex-greedy code
+    and, for one block over a prime field, the Gabidulin code; it stops
+    as soon as lb meets ub = min(|V| // |anticode| (clique-coclique bound
+    of a vertex-transitive graph), the colouring bounds of the classes).
+    All sub-searches share one budget of ``max_nodes`` nodes."""
+    params, k = spec.params, spec.k
     masks = adjacency_masks(spec, max_vertices)
     V = len(masks)
-    full = (1 << V) - 1
-    comp = [full & ~masks[v] & ~(1 << v) for v in range(V)]
-    size, mis_set = _max_clique(V, comp, max_nodes)
-    words = tuple(vector_from_index(params, v) for v in _bits(mis_set))
-    return size, SrkCode(params, words)
+    search = _Search(max_nodes, V)
+    search.tick()   # the root, before any bound is consulted
+
+    anticode = _anticode(params, k)
+    clique = _index_bits(anticode)
+    if any((masks[v] | 1 << v) & clique != clique for v in anticode):
+        raise ArithmeticError("anticode is not a clique")
+    search.ub = V // len(anticode)
+    greedy = _greedy_independent(masks, range(V))
+    search.offer(greedy.bit_count(), greedy)
+    seed = gabidulin_indices(params, k + 1)
+    if seed is not None:
+        seed_bits = _index_bits(seed)
+        if any(masks[v] & seed_bits for v in seed):
+            raise ArithmeticError("Gabidulin code is not an independent set")
+        search.offer(len(seed), seed_bits)
+
+    subs = []
+    if search.lb < search.ub:
+        comp = ~_mask_matrix(masks)
+        np.fill_diagonal(comp, False)
+        label = _profile_classes(params, V)
+        outside = np.flatnonzero(comp[0])
+        for c in np.unique(label[outside]):
+            later = outside[label[outside] >= c]
+            rep = later[label[later] == c][0]
+            cand = later[comp[rep, later]]
+            sub = comp[np.ix_(cand, cand)]
+            order = np.argsort(-sub.sum(axis=1), kind="stable")
+            nbr = _row_masks(sub[np.ix_(order, order)])
+            colours = _colour((1 << len(nbr)) - 1, nbr)[1]
+            bound = 2 + (colours[-1] if colours else 0)
+            subs.append((bound, int(rep), cand[order].tolist(), nbr))
+        search.ub = min(search.ub, max((b for b, *_ in subs), default=1))
+    start_lb, start_ub = search.lb, search.ub
+    for j, (bound, rep, verts, nbr) in enumerate(subs):
+        search.ub = min(search.ub,
+                        max([search.lb] + [b for b, *_ in subs[j:]]))
+        if search.lb >= search.ub:
+            break
+        if bound > search.lb:
+            search.clique(nbr, verts, 2, 1 | 1 << rep)
+    words = tuple(vector_from_index(params, v) for v in _bits(search.best))
+    return MisResult(search.lb, SrkCode(params, words), search.nodes,
+                     start_lb, start_ub)
 
 
 def _vertex_order(spec: PowerGraphSpec, V: int, tab: SpaceTables,
@@ -384,7 +588,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     L = params.total_dim
     q = params.q
     for _ in range(sample_size):
-        x, y, z = (rng.integers(0, q, size=L).astype(np.uint8)
+        x, y, z = (rng.integers(0, q, size=L).astype(tab.dtype)
                    for _ in range(3))
         dxy = tab.weights_of(tab.sub_table[x[None, :], y])[0]
         xs = tab.add_table[x, z]

@@ -323,6 +323,14 @@ def code_to_json(code: SrkCode) -> dict:
     }
 
 
+def _field_entries(ent, q: int) -> tuple:
+    """Entries of one block read from a code file, each an int in [0, q)."""
+    for x in ent:
+        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
+            raise ValueError(f"field entry {x!r} is not an integer in [0, {q})")
+    return tuple(ent)
+
+
 def code_from_json(data: dict) -> SrkCode:
     fld = field_make(data["p"], data["e"])
     if fld.q != data["q"]:
@@ -330,7 +338,7 @@ def code_from_json(data: dict) -> SrkCode:
     params = SrkParams(fld, tuple(data["n"]), tuple(data["m"]))
     words = []
     for w in data["words"]:
-        blocks = tuple(Matrix(ni, mi, tuple(ent), fld)
+        blocks = tuple(Matrix(ni, mi, _field_entries(ent, fld.q), fld)
                        for (ni, mi), ent in zip(params.block_shapes(), w))
         words.append(SrkVector(params, blocks))
     return SrkCode(params, tuple(words))

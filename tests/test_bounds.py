@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import srklab
 from srklab.bounds import (NOT_COMPUTED, aks_alpha_lower, bound_report,
                            gv_exact_ratio, gv_lower, improved_gv_value)
 from srklab.space import make_params
@@ -113,3 +118,29 @@ def test_bound_report_serialization():
     js = rep.to_json()
     assert js["gv_exact_ratio"] == [2, 1]
     assert js["triangle_free"] is True
+
+
+_OPTIMIZED_SCRIPT = """
+import sys
+from srklab import bounds, counting, graphlab, make_params
+assert False, "asserts must be stripped"
+rep = bounds.bound_report(make_params(2, (2,), (2,)), 2)
+print(sys.flags.optimize, rep.exact_alpha, rep.D, rep.T)
+volume = counting.ball_volume
+counting.ball_volume = lambda params, k: volume(params, k) + 1
+try:
+    graphlab.ball_digits(graphlab.PowerGraphSpec(make_params(2, (2,), (2,)), 1))
+except ArithmeticError:
+    print("volume check raised")
+"""
+
+
+def test_bound_report_under_python_O():
+    src = str(pathlib.Path(srklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["1 4 9 18", "volume check raised"]

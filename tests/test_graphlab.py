@@ -1,14 +1,17 @@
+import json
 import math
+import pathlib
 from itertools import combinations
 
 import pytest
 
 from srklab.gf import BudgetError
-from srklab.graphlab import (PowerGraphSpec, SolverBudgetError, exact_T,
+from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
+                             adjacency_masks, exact_T, gabidulin_indices,
                              graph_stats, greedy_gv_code, greedy_partition,
                              max_independent_set, verify_cayley)
-from srklab.space import (enumerate_space, make_params, min_distance,
-                          srk_distance, srk_weight)
+from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
+                          srk_distance, srk_weight, vector_from_index)
 from srklab import counting
 
 
@@ -203,3 +206,79 @@ def test_verify_cayley():
     rep2 = verify_cayley(PowerGraphSpec(make_params(3, (1, 2), (2, 2)), 2),
                          sample_size=16, seed=7)
     assert rep2["ok"]
+
+
+def test_gf257_stats_use_wide_digits():
+    stats = graph_stats(PowerGraphSpec(make_params(257, (1, 1), (1, 1)), 1))
+    assert (stats.num_vertices, stats.D, stats.T) == (257 ** 2, 512, 65280)
+
+
+@pytest.mark.parametrize("q,n,m,k,alpha", [
+    (2, (3,), (3,), 1, 64),          # MRD size, met by the anticode bound
+    (3, (1,) * 5, (1,) * 5, 2, 18),  # A_3(5, 3)
+])
+def test_mis_closes_formerly_budget_stopped_rows(q, n, m, k, alpha):
+    result = max_independent_set(PowerGraphSpec(make_params(q, n, m), k),
+                                 max_nodes=200_000)
+    assert result.alpha == alpha
+    assert result.lb <= alpha <= result.ub
+    assert len(result.witness) == alpha
+    assert min_distance(result.witness) >= k + 1
+
+
+def test_mis_result_unpacks_and_reports_the_search():
+    result = max_independent_set(PowerGraphSpec(make_params(2, (3,), (3,)), 1))
+    size, code = result
+    assert (size, code) == (result.alpha, result.witness)
+    # the Gabidulin seed meets the clique-coclique bound 512 / 8
+    assert (result.nodes, result.lb, result.ub) == (1, 64, 64)
+
+
+def test_solver_budget_error_carries_bounds():
+    spec = PowerGraphSpec(make_params(3, (1,) * 5, (1,) * 5), 2)
+    with pytest.raises(SolverBudgetError) as info:
+        max_independent_set(spec, max_nodes=100)
+    exc = info.value
+    assert str(exc) == "exceeded 100 branch-and-bound nodes"
+    assert exc.nodes == 101
+    assert 9 <= exc.lb <= 18 <= exc.ub <= 27
+
+
+@pytest.mark.parametrize("q,n,m,d", [
+    (2, 3, 3, 2), (2, 2, 3, 2), (3, 2, 2, 2), (2, 3, 3, 3)])
+def test_gabidulin_seed_is_an_independent_set(q, n, m, d):
+    params = make_params(q, (n,), (m,))
+    indices = gabidulin_indices(params, d)
+    assert len(set(indices)) == len(indices) == q ** (m * (n - d + 1))
+    masks = adjacency_masks(PowerGraphSpec(params, d - 1))
+    bits = sum(1 << v for v in indices)
+    assert all(masks[v] & bits == 0 for v in indices)
+    code = SrkCode(params, tuple(vector_from_index(params, v)
+                                 for v in indices))
+    assert min_distance(code) >= d
+
+
+def test_gabidulin_seed_scope():
+    assert gabidulin_indices(make_params(2, (1, 1), (2, 2)), 2) is None
+    assert gabidulin_indices(make_params(4, (2,), (2,)), 2) is None
+    assert gabidulin_indices(make_params(2, (2,), (2,)), 3) is None
+
+
+def _reference_sweep_rows():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "perfbench" / "reference" / "sweep.json")
+    rows = json.loads(path.read_text())["rows"]
+    return [(r["q"], tuple(int(x) for x in r["n"].split("|")),
+             tuple(int(x) for x in r["m"].split("|")), r["d"], r["alpha"])
+            for r in rows if r["V"] <= 256 and isinstance(r["alpha"], int)]
+
+
+@pytest.mark.parametrize("q,n,m,d,alpha", _reference_sweep_rows())
+def test_mis_matches_reference_sweep(q, n, m, d, alpha):
+    params = make_params(q, n, m)
+    size, code = max_independent_set(PowerGraphSpec(params, d - 1),
+                                     max_nodes=200_000)
+    assert size == alpha
+    assert len(code) == size
+    if size >= 2:
+        assert min_distance(code) >= d

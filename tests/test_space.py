@@ -160,5 +160,17 @@ def test_code_json_round_trip():
     assert [w.index() for w in back.words] == sorted(w.index() for w in words)
 
 
+def test_code_json_rejects_entries_outside_the_field():
+    data = {"q": 2, "p": 2, "e": 1, "n": [1], "m": [2], "words": [[[7, 3]]]}
+    with pytest.raises(ValueError):
+        code_from_json(data)
+    for bad in (1.0, "1", True, -1):
+        data["words"] = [[[0, bad]]]
+        with pytest.raises(ValueError):
+            code_from_json(data)
+    data["words"] = [[[0, 1]]]
+    assert code_from_json(data).words[0].serialize() == (0, 1)
+
+
 def test_polynomial_basis():
     assert polynomial_basis(2, 3) == [1, 2, 4]
