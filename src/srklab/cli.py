@@ -148,7 +148,17 @@ def _sweep_from_config(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
-        budgets.update(cfg.get("budgets", {}))
+        given = cfg.get("budgets", {})
+        if not isinstance(given, dict):
+            raise ValueError(f"budgets must be an object, got {given!r}")
+        for key, value in given.items():
+            if key not in budgets:
+                raise ValueError(f"unknown budget {key!r}; "
+                                 f"choose from {sorted(budgets)}")
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"budget {key!r} is {value!r}, "
+                                 "not an integer")
+            budgets[key] = value
         instances = []
         for inst in cfg["instances"]:
             params = make_params(inst["q"], inst["n"], inst["m"])
@@ -262,8 +272,9 @@ def cmd_ramsey(args) -> int:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return COMPUTE_ERROR
     payload = result.to_json() if isinstance(result, ramsey.DerivedBound) else result
-    if isinstance(result, ramsey.DerivedBound):
-        assert ramsey.reevaluate(result), "derivation replay mismatch"
+    if isinstance(result, ramsey.DerivedBound) and not ramsey.reevaluate(result):
+        print("error: derivation replay mismatch", file=sys.stderr)
+        return COMPUTE_ERROR
     print(json.dumps(payload, sort_keys=True, default=str))
     return 0
 

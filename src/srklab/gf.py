@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 MAX_FIELD_SIZE = 1 << 16
 # Full q x q tables only while they stay small; beyond this, element ops
 # go through polynomial arithmetic (still exact, just slower).
@@ -216,15 +218,56 @@ class FieldSpec:
         prod = _poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p)
         return self._encode(prod + [0] * self.e)
 
-    def _build_tables(self):
+    def _pow_raw(self, a: int, n: int) -> int:
+        r = 1
+        while n:
+            if n & 1:
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
+            n >>= 1
+        return r
+
+    def _primitive_element(self) -> int:
+        """Smallest generator of the multiplicative group (order q-1)."""
         q = self.q
-        self._add = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
-        self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self._inv = inv
+        factors = _prime_factors(q - 1)
+        for g in range(1, q):
+            if all(self._pow_raw(g, (q - 1) // r) != 1 for r in factors):
+                return g
+        raise FieldError(f"GF({q}) has no primitive element")
+
+    def coefficients(self, a) -> list:
+        """Base-p coefficient arrays of an index array, low degree first."""
+        p = self.p
+        return [a // p ** j % p for j in range(self.e)]
+
+    def _build_tables(self):
+        """Full tables: add coefficient-wise, mul through discrete logs
+        to a primitive element g (q-1 calls of ``_mul_raw``)."""
+        q, p = self.q, self.p
+        a = np.arange(q, dtype=np.int64)
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for j, c in enumerate(self.coefficients(a)):
+            add += (c[:, None] + c[None, :]) % p * p ** j
+            neg += (-c) % p * p ** j
+        g = self._primitive_element()
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._mul_raw(exp[-1], g))
+        exp = np.array(exp, dtype=np.int64)
+        if not np.array_equal(np.sort(exp), np.arange(1, q)):
+            raise ArithmeticError(f"{g} does not generate GF({q})^*")
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = np.zeros((q, q), dtype=np.int64)
+        mul[1:, 1:] = exp[(log[1:, None] + log[None, 1:]) % (q - 1)]
+        inv = np.zeros(q, dtype=np.int64)
+        inv[1:] = exp[-log[1:] % (q - 1)]
+        self._add = add.tolist()
+        self._mul = mul.tolist()
+        self._neg = neg.tolist()
+        self._inv = inv.tolist()
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
@@ -400,6 +443,37 @@ def rank(M: Matrix) -> int:
         if rk == nrows:
             break
     return rk
+
+
+def rank_stack(A, F: FieldSpec):
+    """Ranks of a stack of matrices: A is an (N, rows, cols) array of
+    field indices, reduced by Gaussian elimination run across the whole
+    stack with the field tables as arrays.  Returns an (N,) uint8 array."""
+    A = np.array(A)
+    N, nrows, ncols = A.shape
+    if min(nrows, ncols) <= 1:
+        return A.any(axis=(1, 2)).astype(np.uint8)
+    if F._mul is None:
+        raise FieldError(f"GF({F.q}) has no tables for batched rank")
+    add, mul = np.array(F._add), np.array(F._mul)
+    neg, inv = np.array(F._neg), np.array(F._inv)
+    ranks = np.zeros(N, dtype=np.uint8)
+    row = np.arange(nrows)
+    for col in range(ncols):
+        cand = (A[:, :, col] != 0) & (row >= ranks[:, None])
+        sel = np.flatnonzero(cand.any(axis=1))
+        r, piv = ranks[sel], cand[sel].argmax(axis=1)
+        prow = A[sel, piv]
+        A[sel, piv] = A[sel, r]
+        A[sel, r] = prow
+        scale = neg[inv[prow[:, col]]]
+        for i in range(nrows):
+            below = i > r
+            s, pr = sel[below], prow[below]
+            factor = mul[A[s, i, col], scale[below]]
+            A[s, i] = add[A[s, i], mul[factor[:, None], pr]]
+        ranks[sel] += 1
+    return ranks
 
 
 def col_space_intersection_dim(X: Matrix, Y: Matrix) -> int:

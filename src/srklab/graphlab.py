@@ -6,6 +6,17 @@ Vertices are identified with canonical vector indices.  All heavy loops
 run over numpy digit tables with per-block rank lookup tables, so no
 explicit edge list is ever built; the MIS solver and the greedy
 procedures use adjacency bitmasks (python ints) instead.
+
+- The rank table of a block shape comes from one Gaussian elimination run
+  across the stack of all its matrices (``gf.rank_stack``).
+- Field addition and subtraction act on the base-p coefficients of the
+  digits (XOR for p = 2), so no q x q table is built and the graph layer
+  works for every field up to GF(2^16).
+- ``ball_digits`` builds the ball block by block with numpy index
+  arithmetic, in canonical order.
+- ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
+  of the maps fixing 0, the orbits the MIS search branches on; a second
+  member of each orbit is counted as a check.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import BudgetError, Matrix, field_make, rank
+from .gf import BudgetError, field_make, rank_stack
 from .space import SrkCode, SrkParams, vector_from_index
 from . import counting
 
@@ -66,16 +77,23 @@ def _block_rank_table(ni: int, mi: int, p: int, e: int):
     size = F.q ** (ni * mi)
     if size > MAX_BLOCK_SPACE:
         raise BudgetError(f"block space of size {size} too large to tabulate")
-    ranks = np.empty(size, dtype=np.uint8)
-    i = 0
-    for ent in product(range(F.q), repeat=ni * mi):
-        ranks[i] = rank(Matrix(ni, mi, ent, F))
-        i += 1
-    return ranks
+    return rank_stack(_block_digits(F.q, ni * mi).reshape(size, ni, mi), F)
+
+
+def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x - y) mod p for unsigned arrays with entries in [0, p)."""
+    return np.where(x < y, x + (p - y), x - y)
+
+
+def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x + y) mod p for unsigned arrays with entries in [0, p)."""
+    return np.where(x < p - y, x + y, x - (p - y))
 
 
 class SpaceTables:
-    """Shared numpy lookup tables for one parameter set."""
+    """Shared numpy lookup tables for one parameter set: the rank table of
+    each block shape.  Field addition and subtraction need no table, since
+    both act on the base-p coefficients of the field indices one by one."""
 
     def __init__(self, params: SrkParams):
         self.params = params
@@ -84,12 +102,6 @@ class SpaceTables:
         self.q = q
         self.L = params.total_dim
         self.dtype = _digit_dtype(q)
-        self.sub_table = np.array(
-            [[F.sub(a, b) for b in range(q)] for a in range(q)],
-            dtype=self.dtype)
-        self.add_table = np.array(
-            [[F.add(a, b) for b in range(q)] for a in range(q)],
-            dtype=self.dtype)
         self.blocks = []
         off = 0
         for ni, mi in params.block_shapes():
@@ -108,8 +120,24 @@ class SpaceTables:
             w += ranks[idx]
         return w
 
-    def diff(self, digits: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.sub_table[digits, v]
+    def _coefficientwise(self, a, b, op) -> np.ndarray:
+        F = self.params.field
+        if F.p == 2:
+            return a ^ b
+        if F.e == 1:
+            return op(a, b, F.p)
+        out = 0
+        for j, (x, y) in enumerate(zip(F.coefficients(a), F.coefficients(b))):
+            out = out + op(x, y, F.p) * F.p ** j
+        return out
+
+    def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entry-wise a - b of digit arrays (broadcasting)."""
+        return self._coefficientwise(a, b, _sub_mod)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entry-wise a + b of digit arrays (broadcasting)."""
+        return self._coefficientwise(a, b, _add_mod)
 
 
 @lru_cache(maxsize=32)
@@ -145,22 +173,26 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
         raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
     tab = _tables(params)
     q = tab.q
-    per_block = []
+    # Rows as per-block matrix indices, one block at a time: each partial
+    # row is followed by every block matrix of rank <= the weight it has
+    # left, in ascending index order, which keeps the rows in canonical
+    # order.
+    left = np.array([k], dtype=np.int64)
+    picks = []
     for off, ln, radix, ranks in tab.blocks:
-        per_block.append((ln, _block_digits(q, ln), ranks))
-    rows = []
-    t = len(per_block)
-
-    def rec(bi: int, prefix: tuple, rem: int):
-        if bi == t:
-            rows.append(prefix)
-            return
-        ln, digs, ranks = per_block[bi]
-        for idx in np.nonzero(ranks <= rem)[0]:
-            rec(bi + 1, prefix + tuple(digs[idx]), rem - int(ranks[idx]))
-
-    rec(0, (), k)
-    out = np.array(rows, dtype=tab.dtype)
+        allowed = [np.flatnonzero(ranks <= r) for r in range(k + 1)]
+        start = np.cumsum([0] + [len(a) for a in allowed])
+        counts = np.diff(start)[left]
+        parent = np.repeat(np.arange(len(left)), counts)
+        pos = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts,
+                                                  counts)
+        idx = np.concatenate(allowed)[start[left[parent]] + pos]
+        picks = [pick[parent] for pick in picks] + [idx]
+        left = left[parent] - ranks[idx]
+    out = np.empty((len(left), tab.L), dtype=tab.dtype)
+    for (off, ln, radix, ranks), idx in zip(tab.blocks, picks):
+        for j in range(ln):
+            out[:, off + j] = idx // q ** (ln - 1 - j) % q
     if out.shape[0] != vol:
         raise ArithmeticError(
             f"ball enumeration gives {out.shape[0]} vectors, volume is {vol}")
@@ -172,17 +204,36 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     """Edges inside the neighborhood of 0: unordered pairs {X, Y} of
     distinct nonzero ball elements with srk(X - Y) <= k.  Valid for every
-    vertex by transitivity."""
+    vertex by transitivity.
+
+    The maps fixing 0 (``_profile_classes``) preserve the metric and the
+    ball B*, and are transitive on each orbit, so the count c(X) of X's
+    neighbours in B* is constant on an orbit and
+    T = 1/2 * sum over orbits of |orbit| * c(rep): one pass over B* per
+    orbit.  As a certificate, c is also computed on a second member of
+    each orbit that has one; a disagreement or an odd sum raises
+    ArithmeticError."""
     tab = _tables(spec.params)
     rows = ball_digits(spec, max_ball, include_zero=False)
     k = spec.k
-    S = rows.shape[0]
+
+    def close(i: int) -> int:
+        w = tab.weights_of(tab.diff(rows, rows[i]))
+        return int(np.count_nonzero(w <= k)) - 1   # not rows[i] itself
+
+    label = _profile_classes(spec.params, rows)
+    _, first, size = np.unique(label, return_index=True, return_counts=True)
+    last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
     total = 0
-    for i in range(S - 1):
-        d = tab.sub_table[rows[i + 1:], rows[i]]
-        w = tab.weights_of(d)
-        total += int(np.count_nonzero(w <= k))
-    return total
+    for i, j, n in zip(first.tolist(), last.tolist(), size.tolist()):
+        c = close(i)
+        if j != i and (cj := close(j)) != c:
+            raise ArithmeticError(f"rows {i} and {j} of one orbit have {c} "
+                                  f"and {cj} neighbours in the ball")
+        total += n * c
+    if total % 2:
+        raise ArithmeticError(f"odd neighbour sum {total} over the ball")
+    return total // 2
 
 
 def graph_stats(spec: PowerGraphSpec,
@@ -199,21 +250,23 @@ def graph_stats(spec: PowerGraphSpec,
     return GraphStats(V, D, T, Delta, eps)
 
 
+@lru_cache(maxsize=1)
 def adjacency_masks(spec: PowerGraphSpec,
-                    max_vertices: int = DEFAULT_MAX_VERTICES):
-    """Per-vertex neighbor bitmasks over the whole (budgeted) space."""
+                    max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
+    """Per-vertex neighbor bitmasks over the whole (budgeted) space.  The
+    latest spec's masks are kept, so the greedy code, the partition and
+    the MIS of one spec share one build."""
     params, k = spec.params, spec.k
     tab = _tables(params)
     digits = _all_digits(params, max_vertices)
     V = digits.shape[0]
     masks = []
     for v in range(V):
-        d = tab.sub_table[digits, digits[v]]
-        w = tab.weights_of(d)
+        w = tab.weights_of(tab.diff(digits, digits[v]))
         adj = (w >= 1) & (w <= k)
         packed = np.packbits(adj, bitorder="little")
         masks.append(int.from_bytes(packed.tobytes(), "little"))
-    return masks
+    return tuple(masks)
 
 
 def _greedy_independent(masks, order) -> int:
@@ -422,13 +475,12 @@ def gabidulin_indices(params: SrkParams, d: int):
     return out
 
 
-def _profile_classes(params: SrkParams, V: int) -> np.ndarray:
-    """Orbit label of every vertex under the block maps X_i -> A_i X_i B_i
-    and the permutations of equal-shape blocks, which all fix 0: its rank
-    profile, sorted within each group of equal-shape blocks.  Labels are
-    numbered in ascending (weight, profile) order."""
+def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
+    """Orbit label of every row of a digit array under the block maps
+    X_i -> A_i X_i B_i and the permutations of equal-shape blocks, which
+    all fix 0: its rank profile, sorted within each group of equal-shape
+    blocks.  Labels are numbered in ascending (weight, profile) order."""
     tab = _tables(params)
-    digits = _all_digits(params, V)
     R = np.stack([ranks[digits[:, off:off + ln].astype(np.int64) @ radix]
                   for off, ln, radix, ranks in tab.blocks], axis=1)
     groups = {}
@@ -488,7 +540,7 @@ def max_independent_set(spec: PowerGraphSpec,
     if search.lb < search.ub:
         comp = ~_mask_matrix(masks)
         np.fill_diagonal(comp, False)
-        label = _profile_classes(params, V)
+        label = _profile_classes(params, _all_digits(params, V))
         outside = np.flatnonzero(comp[0])
         for c in np.unique(label[outside]):
             later = outside[label[outside] >= c]
@@ -578,8 +630,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     if V <= max_vertices:
         digits = _all_digits(params, max_vertices)
         for v in range(V):
-            d = tab.sub_table[digits, digits[v]]
-            w = tab.weights_of(d)
+            w = tab.weights_of(tab.diff(digits, digits[v]))
             deg = int(np.count_nonzero((w >= 1) & (w <= k)))
             report["degrees_checked"] += 1
             if deg != D:
@@ -590,10 +641,9 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     for _ in range(sample_size):
         x, y, z = (rng.integers(0, q, size=L).astype(tab.dtype)
                    for _ in range(3))
-        dxy = tab.weights_of(tab.sub_table[x[None, :], y])[0]
-        xs = tab.add_table[x, z]
-        ys = tab.add_table[y, z]
-        dxyz = tab.weights_of(tab.sub_table[xs[None, :], ys])[0]
+        dxy = tab.weights_of(tab.diff(x[None, :], y))[0]
+        xs, ys = tab.add(x, z), tab.add(y, z)
+        dxyz = tab.weights_of(tab.diff(xs[None, :], ys))[0]
         adj_before = 1 <= dxy <= k
         adj_after = 1 <= dxyz <= k
         report["translations_checked"] += 1

@@ -32,8 +32,13 @@ class RamseyTable:
         entries = {}
         sources = {}
         for ent in data["entries"]:
-            key = (int(ent["k"]), int(ent["r"]), int(ent["s"]))
-            lo, hi = int(ent["lo"]), int(ent["hi"])
+            for name in ("k", "r", "s", "lo", "hi"):
+                x = ent[name]
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ValueError(
+                        f"table entry field {name!r} is {x!r}, not an integer")
+            key = (ent["k"], ent["r"], ent["s"])
+            lo, hi = ent["lo"], ent["hi"]
             if lo > hi:
                 raise ValueError(f"table entry {key} has lo > hi")
             if not (key[0] >= 3 and key[1] > key[2] >= 1):

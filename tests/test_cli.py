@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import srklab
 from srklab.cli import main
 from srklab.space import load_code, min_distance
 
@@ -198,3 +203,53 @@ def test_ramsey_zero_rate_check(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "ok"
     assert payload["exact_A"] == 8
+
+
+@pytest.mark.parametrize("budgets", [
+    {"max_nodez": 10}, {"max_nodes": 1.5}, {"max_ball": "20000"},
+    {"max_vertices": True}, [["max_nodes", 10]]])
+def test_report_bad_budget_is_usage_error(capsys, tmp_path, budgets):
+    cfg = {"instances": [{"q": 2, "n": [1], "m": [1], "d": [2]}],
+           "budgets": budgets}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, "report", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert "bad sweep config" in err
+
+
+def test_report_known_budget_is_used(capsys, tmp_path):
+    cfg = {"instances": [{"q": 2, "n": [1, 2], "m": [2, 2], "d": [2]}],
+           "budgets": {"max_nodes": 0}}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, _ = run(capsys, "report", "--config", str(cfg_path),
+                     "--format", "json")
+    assert rc == 0
+    assert json.loads(out)[0]["alpha"] == "not computed"
+
+
+_REPLAY_SCRIPT = """
+import sys
+from srklab import cli, ramsey
+assert False, "asserts must be stripped"
+ramsey.reevaluate = lambda derived: False
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_ramsey_replay_mismatch_is_compute_error_under_python_O(tmp_path):
+    table_path = _write_table(tmp_path)
+    chain = {"chain": "hamming", "k": 3, "a": 2, "b": 1, "N": 3, "d": 2}
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    src = str(pathlib.Path(srklab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _REPLAY_SCRIPT, "ramsey",
+         str(chain_path), str(table_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "derivation replay mismatch" in proc.stderr

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from srklab.gf import (BudgetError, FieldError, Matrix, col_space_intersection_dim,
                        enumerate_matrices, field_make, field_from_order,
-                       factor_prime_power, rank, row_space_intersection_dim)
+                       factor_prime_power, rank, rank_stack,
+                       row_space_intersection_dim)
 
 
 def test_prime_field_modulus():
@@ -112,3 +114,37 @@ def test_enumerate_matrices_counts_and_order():
 def test_enumerate_budget():
     with pytest.raises(BudgetError):
         list(enumerate_matrices(4, 4, field_make(3), budget=1000))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81,
+                               121, 128, 256])
+def test_vectorised_tables_match_raw_arithmetic(q):
+    F = field_from_order(q)
+    els = range(q)
+    assert F._add == [[F._add_raw(a, b) for b in els] for a in els]
+    assert F._mul == [[F._mul_raw(a, b) for b in els] for a in els]
+    assert all(F._add_raw(a, F.neg(a)) == 0 for a in els)
+    assert all(F._mul_raw(a, F.inv(a)) == 1 for a in els if a)
+
+
+def test_large_fields_build_quickly_without_full_tables():
+    F = field_make(2, 10)
+    assert F._mul is not None and F.mul(F.inv(3), 3) == 1
+    big = field_make(2, 12)
+    assert big._mul is None
+    assert big.mul(big.inv(5), 5) == 1
+
+
+def test_rank_stack_matches_scalar_rank():
+    rng = np.random.default_rng(3)
+    for q, rows, cols in [(3, 4, 4), (4, 3, 5), (9, 3, 3), (5, 1, 4),
+                          (7, 4, 1), (2, 5, 3)]:
+        F = field_from_order(q)
+        A = rng.integers(0, q, size=(300, rows, cols))
+        A[:40] = 0
+        A[40:80, 1:] = A[40:80, :1]      # rank <= 1
+        got = rank_stack(A, F)
+        assert got.dtype == np.uint8
+        want = [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
+                for a in A]
+        assert got.tolist() == want

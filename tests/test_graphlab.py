@@ -3,16 +3,18 @@ import math
 import pathlib
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from srklab.gf import BudgetError
+from srklab.gf import (BudgetError, enumerate_matrices, field_from_order,
+                       rank)
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
                              adjacency_masks, exact_T, gabidulin_indices,
                              graph_stats, greedy_gv_code, greedy_partition,
                              max_independent_set, verify_cayley)
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight, vector_from_index)
-from srklab import counting
+from srklab import bounds, counting, graphlab
 
 
 # -- independent oracles ----------------------------------------------------
@@ -282,3 +284,150 @@ def test_mis_matches_reference_sweep(q, n, m, d, alpha):
     assert len(code) == size
     if size >= 2:
         assert min_distance(code) >= d
+
+
+# -- orbit-reduced T, batched rank tables, table-free field arithmetic -----
+
+def _pairwise_T(spec):
+    """The O(S^2) count of T over the nonzero ball, with its own q x q
+    subtraction table."""
+    F = spec.params.field
+    tab = graphlab._tables(spec.params)
+    sub = np.array([[F.sub(a, b) for b in range(F.q)] for a in range(F.q)])
+    rows = graphlab.ball_digits(spec, include_zero=False)
+    total = 0
+    for i in range(rows.shape[0] - 1):
+        w = tab.weights_of(sub[rows[i + 1:], rows[i]])
+        total += int(np.count_nonzero(w <= spec.k))
+    return total
+
+
+def _recursive_ball(spec):
+    """Ball rows by recursion over the blocks, in canonical order."""
+    tab = graphlab._tables(spec.params)
+    per_block = [(graphlab._block_digits(tab.q, ln), ranks)
+                 for off, ln, radix, ranks in tab.blocks]
+    rows = []
+
+    def rec(bi, prefix, rem):
+        if bi == len(per_block):
+            rows.append(prefix)
+            return
+        digs, ranks = per_block[bi]
+        for idx in np.nonzero(ranks <= rem)[0]:
+            rec(bi + 1, prefix + tuple(digs[idx]), rem - int(ranks[idx]))
+
+    rec(0, (), spec.k)
+    return np.array(rows, dtype=tab.dtype)
+
+
+ORBIT_CASES = [
+    (4, (2,), (2,), 1), (4, (1, 1), (2, 2), 1), (4, (1, 2), (2, 2), 2),
+    (8, (1, 1), (2, 2), 1), (8, (1, 1, 1), (1, 1, 1), 2),
+    (9, (2,), (2,), 1), (9, (1, 1), (1, 2), 1), (9, (1, 1, 1), (1, 1, 1), 2),
+    (2, (2, 2), (2, 2), 1), (2, (2, 2), (2, 3), 2), (2, (2, 2, 1), (2, 2, 2), 2),
+    (3, (1, 1, 1, 1), (2, 2, 1, 1), 2), (2, (1,) * 8, (1,) * 8, 3),
+]
+
+
+@pytest.mark.parametrize("q,n,m,k", ORBIT_CASES)
+def test_orbit_T_matches_pairwise_count(q, n, m, k):
+    spec = PowerGraphSpec(make_params(q, n, m), k)
+    assert exact_T(spec) == _pairwise_T(spec)
+
+
+@pytest.mark.parametrize("q,n,m,k", ORBIT_CASES)
+def test_vectorised_ball_equals_recursive_ball(q, n, m, k):
+    spec = PowerGraphSpec(make_params(q, n, m), k)
+    ball = graphlab.ball_digits(spec)
+    ref = _recursive_ball(spec)
+    assert ball.dtype == ref.dtype
+    assert np.array_equal(ball, ref)
+    assert not ball[0].any()
+
+
+def _reference_stats_items():
+    path = (pathlib.Path(__file__).resolve().parent.parent
+            / "perfbench" / "reference" / "stats.json")
+    items = json.loads(path.read_text())["items"]
+    out = []
+    for name, ref in items.items():
+        if not name.startswith("graph-stats "):
+            continue
+        args = dict(part.split("=") for part in name.split()[1:])
+        out.append((int(args["q"]),
+                    tuple(int(x) for x in args["n"].split(",")),
+                    tuple(int(x) for x in args["m"].split(",")),
+                    int(args["k"]), ref["T"]))
+    return out
+
+
+def test_reference_stats_cover_thirteen_graphs():
+    assert len(_reference_stats_items()) == 13
+
+
+@pytest.mark.parametrize("q,n,m,k,T", _reference_stats_items())
+def test_orbit_T_matches_reference_stats(q, n, m, k, T):
+    assert exact_T(PowerGraphSpec(make_params(q, n, m), k)) == T
+
+
+def test_orbit_T_certificate_catches_a_broken_orbit(monkeypatch):
+    spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 2)
+    real = graphlab._profile_classes
+
+    def merged(params, digits):
+        # one label for every row: the rows are not one orbit
+        return np.zeros(len(real(params, digits)), dtype=np.int64)
+
+    monkeypatch.setattr(graphlab, "_profile_classes", merged)
+    with pytest.raises(ArithmeticError):
+        exact_T(spec)
+
+
+def _small_shapes(q):
+    return [(n, m) for n in range(1, 13) for m in range(1, 13)
+            if q ** (n * m) <= 4096]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_batched_rank_table_matches_scalar_rank(q):
+    F = field_from_order(q)
+    for n, m in _small_shapes(q):
+        table = graphlab._block_rank_table(n, m, F.p, F.e)
+        scalar = [rank(M) for M in enumerate_matrices(n, m, F)]
+        assert table.tolist() == scalar, (q, n, m)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 257])
+def test_table_free_add_and_diff_match_the_field(q):
+    F = field_from_order(q)
+    tab = graphlab._tables(make_params(q, (1,), (1,)))
+    a = np.arange(q, dtype=tab.dtype)
+    diff = tab.diff(a[:, None], a[None, :])
+    add = tab.add(a[:, None], a[None, :])
+    assert diff.dtype == add.dtype == tab.dtype
+    assert diff.tolist() == [[F.sub(x, y) for y in range(q)] for x in range(q)]
+    assert add.tolist() == [[F.add(x, y) for y in range(q)] for x in range(q)]
+
+
+def test_gf4096_hamming_stats_need_no_field_tables():
+    stats = graph_stats(PowerGraphSpec(make_params(4096, (1, 1), (1, 1)), 1))
+    assert stats.num_vertices == 4096 ** 2 and stats.D == 2 * 4095
+    assert stats.T == 2 * 4095 * 4094 // 2
+    assert field_from_order(4096)._mul is None
+
+
+@pytest.mark.parametrize("q", [65521, 65536])
+def test_largest_fields_hamming_T(q):
+    spec = PowerGraphSpec(make_params(q, (1, 1), (1, 1)), 1)
+    assert exact_T(spec, max_ball=2 * q) == (q - 1) * (q - 2)
+
+
+def test_adjacency_masks_built_once_per_spec():
+    spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
+    adjacency_masks.cache_clear()
+    masks = adjacency_masks(spec, 4096)
+    assert isinstance(masks, tuple)
+    bounds.bound_report(spec.params, 2)
+    info = adjacency_masks.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

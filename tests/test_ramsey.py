@@ -170,3 +170,12 @@ def test_zero_rate_instance_exact_alpha():
     assert rep["distance_was_fractional"]
     assert rep["distance_ceiled"] == 2
     assert rep["exact_A"] == 8  # even-weight code is optimal at d = 2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lo", 6.7), ("hi", 6.0), ("k", "3"), ("r", True), ("s", None)])
+def test_table_rejects_non_integer_fields(field, value):
+    entry = {"k": 3, "r": 2, "s": 1, "lo": 6, "hi": 6}
+    entry[field] = value
+    with pytest.raises(ValueError, match=field):
+        RamseyTable.from_json({"entries": [entry]})
