@@ -148,3 +148,33 @@ def test_rank_stack_matches_scalar_rank():
         want = [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
                 for a in A]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("rows,cols", [(4, 4), (4, 8)])
+def test_rank_stack_matches_scalar_rank_on_marsaglia_shapes(q, rows, cols):
+    """The 4x4 and 4x8 stacks of the Marsaglia suite, which are too large
+    for the exhaustive block-table test, with low-rank members mixed in."""
+    rng = np.random.default_rng(17 + q + cols)
+    F = field_from_order(q)
+    A = rng.integers(0, q, size=(600, rows, cols))
+    A[:20] = 0
+    A[100:250, 2:] = A[100:250, :2]             # rank <= 2
+    A[250:350, 1:] = A[250:350, :1]             # rank <= 1
+    A[350:450, :, 3:] = A[350:450, :, 2:3]      # columns 2.. repeat
+    got = rank_stack(A, F)
+    want = [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
+            for a in A]
+    assert got.tolist() == want
+    assert set(want) == set(range(5))
+
+
+def test_from_rows_rejects_extension_field_entries_outside_the_field():
+    F4 = field_make(2, 2)
+    for bad in ([[5, 1], [1, 1]], [[4, 0], [0, 0]], [[-1, 0], [0, 1]]):
+        with pytest.raises(FieldError):
+            Matrix.from_rows(bad, F4)
+    assert Matrix.from_rows([[3, 1], [2, 0]], F4).entries == (3, 1, 2, 0)
+    # prime fields keep reducing mod p
+    assert Matrix.from_rows([[5, -1], [3, 4]], field_make(3)).entries == (
+        2, 2, 0, 1)

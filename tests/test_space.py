@@ -1,14 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srklab.counting import weight_enumerator
 from srklab.gf import Matrix, field_make
 from srklab.space import (HammingVector, SrkCode, SrkVector, code_from_json,
                           code_to_json, enumerate_space, enumerate_sphere,
                           f_map, make_params, min_distance, polynomial_basis,
-                          srk_distance, srk_weight, vector_from_index,
-                          wt_preservation_check)
+                          srk_distance, srk_weight, vector_from_digits,
+                          vector_from_index, wt_preservation_check)
 
 
 def _vec(params, *block_rows):
@@ -54,6 +55,35 @@ def test_srk_distance_is_metric_exhaustive():
             for z in elems:
                 assert d <= srk_distance(x, z) + srk_distance(z, y)
 
+
+# extension fields with mixed block shapes, including equal-shape blocks
+EXTENSION_PARAMS = [make_params(4, (1, 2), (3, 2)),
+                    make_params(4, (2, 2), (2, 2)),
+                    make_params(8, (2, 1), (2, 3)),
+                    make_params(9, (1, 1, 2), (1, 2, 2))]
+
+
+@st.composite
+def _extension_triples(draw):
+    params = draw(st.sampled_from(EXTENSION_PARAMS))
+    digits = st.lists(st.integers(0, params.q - 1),
+                      min_size=params.total_dim, max_size=params.total_dim)
+    x, y, z = (vector_from_digits(params, draw(digits)) for _ in range(3))
+    if draw(st.booleans()):
+        y = x
+    return x, y, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extension_triples())
+def test_srk_distance_axioms_over_extension_fields(xyz):
+    x, y, z = xyz
+    d = srk_distance(x, y)
+    assert 0 <= d <= x.params.max_weight
+    assert (d == 0) == (x == y)
+    assert d == srk_distance(y, x)
+    assert d <= srk_distance(x, z) + srk_distance(z, y)
+    assert srk_distance(x.sub(z), y.sub(z)) == d
 
 def test_enumerate_sphere_counts():
     p = make_params(2, (2,), (2,))
