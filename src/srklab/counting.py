@@ -123,9 +123,9 @@ def Q_closed(i: int, j: int, c: int, n: int, q: int) -> int:
         raise ValueError("c must not exceed j")
     if not (0 <= c and j <= n and 0 <= i <= n):
         raise ValueError("arguments out of range")
-    out = (q ** ((i - c) * (j - c))
-           * gaussian_binomial(i, c, q)
-           * gaussian_binomial(n - i, j - c, q))
+    if c > i:
+        return 0  # no c-dim subspace of an i-dim column space
+    out = subspace_intersection_count(n, i, j, c, q)
     for ell in range(j):
         out *= q ** n - q ** ell
     return out

@@ -168,6 +168,17 @@ def _smallest_irreducible(p: int, e: int):
     raise FieldError(f"no irreducible polynomial found for GF({p}^{e})")
 
 
+def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x - y) mod p for arrays with entries in [0, p); unsigned dtypes
+    are fine, since only the branch without wrap-around is kept."""
+    return np.where(x < y, x + (p - y), x - y)
+
+
+def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x + y) mod p for arrays with entries in [0, p)."""
+    return np.where(x < p - y, x + y, x - (p - y))
+
+
 class FieldSpec:
     """GF(p^e) with deterministic modulus and table-driven arithmetic."""
 
@@ -240,6 +251,26 @@ class FieldSpec:
         """Base-p coefficient arrays of an index array, low degree first."""
         p = self.p
         return [a // p ** j % p for j in range(self.e)]
+
+    def _coefficientwise(self, a, b, op) -> np.ndarray:
+        if self.p == 2:
+            return a ^ b
+        if self.e == 1:
+            return op(a, b, self.p)
+        out = 0
+        for j, (x, y) in enumerate(zip(self.coefficients(a),
+                                       self.coefficients(b))):
+            out = out + op(x, y, self.p) * self.p ** j
+        return out
+
+    def sub_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entry-wise a - b of index arrays (broadcasting), computed on the
+        base-p coefficients, so no q x q table is needed."""
+        return self._coefficientwise(a, b, _sub_mod)
+
+    def add_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entry-wise a + b of index arrays (broadcasting)."""
+        return self._coefficientwise(a, b, _add_mod)
 
     def _build_tables(self):
         """Full tables: add coefficient-wise, mul through discrete logs

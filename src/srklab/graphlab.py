@@ -80,16 +80,6 @@ def _block_rank_table(ni: int, mi: int, p: int, e: int):
     return rank_stack(_block_digits(F.q, ni * mi).reshape(size, ni, mi), F)
 
 
-def _sub_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """(x - y) mod p for unsigned arrays with entries in [0, p)."""
-    return np.where(x < y, x + (p - y), x - y)
-
-
-def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """(x + y) mod p for unsigned arrays with entries in [0, p)."""
-    return np.where(x < p - y, x + y, x - (p - y))
-
-
 class SpaceTables:
     """Shared numpy lookup tables for one parameter set: the rank table of
     each block shape.  Field addition and subtraction need no table, since
@@ -120,24 +110,13 @@ class SpaceTables:
             w += ranks[idx]
         return w
 
-    def _coefficientwise(self, a, b, op) -> np.ndarray:
-        F = self.params.field
-        if F.p == 2:
-            return a ^ b
-        if F.e == 1:
-            return op(a, b, F.p)
-        out = 0
-        for j, (x, y) in enumerate(zip(F.coefficients(a), F.coefficients(b))):
-            out = out + op(x, y, F.p) * F.p ** j
-        return out
-
     def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Entry-wise a - b of digit arrays (broadcasting)."""
-        return self._coefficientwise(a, b, _sub_mod)
+        return self.params.field.sub_array(a, b)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Entry-wise a + b of digit arrays (broadcasting)."""
-        return self._coefficientwise(a, b, _add_mod)
+        return self.params.field.add_array(a, b)
 
 
 @lru_cache(maxsize=32)

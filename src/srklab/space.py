@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .gf import (BudgetError, FieldSpec, Matrix, ShapeError, field_make,
                  rank, DEFAULT_ENUM_BUDGET)
 
@@ -296,18 +298,69 @@ class SrkCode:
         return len(self.words)
 
 
+# Most pairs held at once by min_distance; bounds its pair arrays' memory.
+_PAIR_CHUNK = 1 << 16
+
+
+def _pair_chunks(N: int):
+    """Index arrays (i, j) of the pairs i < j of N items, row by row, at
+    most _PAIR_CHUNK pairs at a time."""
+    rows = np.arange(N, dtype=np.int64)
+    start = rows * (2 * N - rows - 1) // 2  # pairs before row i
+    total = N * (N - 1) // 2
+    for s in range(0, total, _PAIR_CHUNK):
+        k = np.arange(s, min(s + _PAIR_CHUNK, total), dtype=np.int64)
+        i = np.searchsorted(start, k, side="right") - 1
+        yield i, k - start[i] + i + 1
+
+
 def min_distance(code: SrkCode) -> int:
+    """Smallest sum-rank distance between two words of the code.
+
+    The block differences of all pairs are taken on a digit array of the
+    words, and each distinct difference of a block is ranked once with the
+    scalar `rank` (memo local to this call); a pair's distance is the sum
+    of its blocks' ranks.  The rank tables of the graph layer are not used,
+    since they build the adjacency whose codes this certifies."""
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    best = None
-    ws = code.words
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            d = srk_distance(ws[i], ws[j])
-            if best is None or d < best:
-                best = d
-                if best == 1:
-                    return 1
+    params = code.params
+    if any(w.params != params for w in code.words):
+        raise ShapeError("vectors from different spaces")
+    F, q = params.field, params.q
+    digits = np.array([w.serialize() for w in code.words],
+                      dtype=np.min_scalar_type(q - 1))
+    blocks = []
+    off = 0
+    for ni, mi in params.block_shapes():
+        ln = ni * mi
+        radix = (q ** np.arange(ln - 1, -1, -1, dtype=np.int64)
+                 if q ** ln < 1 << 63 else None)
+        blocks.append((ni, mi, digits[:, off:off + ln], radix, {}))
+        off += ln
+    best = params.max_weight
+    for i, j in _pair_chunks(len(code)):
+        dist = np.zeros(len(i), dtype=np.int64)
+        for ni, mi, X, radix, memo in blocks:
+            diff = F.sub_array(X[i], X[j])
+            if radix is not None:
+                _, first, inv = np.unique(diff.astype(np.int64) @ radix,
+                                          return_index=True,
+                                          return_inverse=True)
+            else:
+                _, first, inv = np.unique(diff, axis=0, return_index=True,
+                                          return_inverse=True)
+            ranks = np.empty(len(first), dtype=np.int64)
+            for u, row in enumerate(diff[first].tolist()):
+                key = tuple(row)
+                r = memo.get(key)
+                if r is None:
+                    r = memo[key] = rank(Matrix(ni, mi, key, F))
+                ranks[u] = r
+            dist += ranks[inv.ravel()]
+        best = min(best, int(dist.min()))
+        if best == 1:
+            return 1
     return best
 
 

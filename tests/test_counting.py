@@ -140,6 +140,28 @@ def test_Q_sum_identity():
                             == square_rank_count(n, j, q))
 
 
+def _Q_closed_formula(i, j, c, n, q):
+    """The product formula Q_closed used before it shared
+    subspace_intersection_count: q^((i-c)(j-c)) [i c]_q [n-i j-c]_q
+    prod_{l<j} (q^n - q^l)."""
+    out = (q ** ((i - c) * (j - c)) * gaussian_binomial(i, c, q)
+           * gaussian_binomial(n - i, j - c, q))
+    for ell in range(j):
+        out *= q ** n - q ** ell
+    return out
+
+
+def test_Q_closed_equals_the_product_formula():
+    for q in (2, 3):
+        for n in range(1, 7):
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    for c in range(j + 1):
+                        assert (Q_closed(i, j, c, n, q)
+                                == _Q_closed_formula(i, j, c, n, q))
+    assert Q_closed(1, 3, 2, 4, 2) == 0  # c > i
+
+
 def test_subspace_intersection_examples():
     assert subspace_intersection_count(2, 1, 1, 1, 2) == 1
     assert subspace_intersection_count(2, 1, 1, 0, 2) == 2

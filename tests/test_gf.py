@@ -178,3 +178,27 @@ def test_from_rows_rejects_extension_field_entries_outside_the_field():
     # prime fields keep reducing mod p
     assert Matrix.from_rows([[5, -1], [3, 4]], field_make(3)).entries == (
         2, 2, 0, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 257, 4096])
+def test_array_sub_and_add_match_scalar_ops(q):
+    F = field_from_order(q)
+    if q <= 16:
+        a, b = (x.ravel() for x in np.meshgrid(range(q), range(q)))
+    else:
+        rng = np.random.default_rng(q)
+        a, b = rng.integers(0, q, size=(2, 3000))
+        edges = [0, 1, F.p - 1, q - 1]
+        a = np.concatenate([a, np.repeat(edges, 4)])
+        b = np.concatenate([b, np.tile(edges, 4)])
+    for dtype in (np.min_scalar_type(q - 1), np.int64):
+        x, y = a.astype(dtype), b.astype(dtype)
+        diff, total = F.sub_array(x, y), F.add_array(x, y)
+        assert diff.dtype == total.dtype == dtype
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert diff.tolist() == [F.sub(s, t) for s, t in pairs]
+        assert total.tolist() == [F.add(s, t) for s, t in pairs]
+    # broadcasting a row against a stack, as the graph layer does
+    x = a[:8].astype(np.int64)
+    assert F.sub_array(x[None, :], x[:, None]).tolist() == [
+        [F.sub(s, t) for s in x.tolist()] for t in x.tolist()]

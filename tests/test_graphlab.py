@@ -210,6 +210,21 @@ def test_verify_cayley():
     assert rep2["ok"]
 
 
+@pytest.mark.parametrize("q,n,m", [(4, (2,), (2,)), (4, (1, 1), (1, 2)),
+                                   (8, (1,), (2,)), (8, (1, 1), (1, 1)),
+                                   (9, (1,), (2,)), (9, (1, 1), (1, 2))])
+def test_verify_cayley_over_extension_fields(q, n, m):
+    params = make_params(q, n, m)
+    for k in range(1, params.max_weight + 1):
+        rep = verify_cayley(PowerGraphSpec(params, k), sample_size=32, seed=k)
+        assert rep["degree_violations"] == []
+        assert rep["translation_violations"] == []
+        assert rep["ok"]
+        assert rep["degrees_checked"] == params.size()
+        assert rep["translations_checked"] == 32
+        assert rep["expected_degree"] == counting.degree_D(params, k)
+
+
 def test_gf257_stats_use_wide_digits():
     stats = graph_stats(PowerGraphSpec(make_params(257, (1, 1), (1, 1)), 1))
     assert (stats.num_vertices, stats.D, stats.T) == (257 ** 2, 512, 65280)

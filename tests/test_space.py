@@ -1,10 +1,13 @@
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from srklab.counting import weight_enumerator
-from srklab.gf import Matrix, field_make
+from srklab import space
+from srklab.gf import Matrix, ShapeError, field_make
 from srklab.space import (HammingVector, SrkCode, SrkVector, code_from_json,
                           code_to_json, enumerate_space, enumerate_sphere,
                           f_map, make_params, min_distance, polynomial_basis,
@@ -177,6 +180,134 @@ def test_min_distance_examples():
     assert min_distance(two) == srk_weight(x)
     with pytest.raises(ValueError):
         min_distance(SrkCode(p, (x,)))
+
+
+# -- min_distance against a pairwise oracle ----------------------------------
+
+def _pairwise_min_distance(code):
+    """Oracle: the smallest srk_distance over every pair of words."""
+    return min(srk_distance(x, y) for x, y in combinations(code.words, 2))
+
+
+def _distinct_block_differences(code):
+    return sum(len({x.blocks[b].sub(y.blocks[b]).entries
+                    for x, y in combinations(code.words, 2)})
+               for b in range(code.params.t))
+
+
+def _random_code(params, size, seed):
+    """Seeded random code; most blocks are drawn from a pool of three, so
+    block differences repeat across pairs."""
+    rng = np.random.default_rng(seed)
+    shapes = params.block_shapes()
+    pools = [rng.integers(0, params.q, size=(3, ni * mi)) for ni, mi in shapes]
+    words = {}
+    while len(words) < size:
+        digits = []
+        for pool in pools:
+            row = (pool[rng.integers(3)] if rng.random() < 0.7
+                   else rng.integers(0, params.q, size=pool.shape[1]))
+            digits.extend(row.tolist())
+        words.setdefault(tuple(digits), vector_from_digits(params, digits))
+    return SrkCode(params, tuple(words.values()))
+
+
+MIN_DISTANCE_PARAMS = [make_params(2, (2, 1), (2, 3)),
+                       make_params(2, (1, 1, 1, 1), (1, 1, 1, 1)),
+                       make_params(3, (1, 2), (2, 2)),
+                       *EXTENSION_PARAMS]
+
+
+@pytest.mark.parametrize("params", MIN_DISTANCE_PARAMS,
+                         ids=lambda p: p.describe())
+@pytest.mark.parametrize("seed", range(4))
+def test_min_distance_equals_pairwise_oracle(params, seed):
+    size = min(2 + 9 * seed, params.size())
+    code = _random_code(params, size, seed)
+    assert min_distance(code) == _pairwise_min_distance(code)
+
+
+def test_min_distance_on_a_field_without_tables():
+    params = make_params(4096, (1, 2), (1, 2))
+    assert params.field._mul is None
+    for seed in range(3):
+        code = _random_code(params, 12, seed)
+        assert min_distance(code) == _pairwise_min_distance(code)
+
+
+def test_min_distance_without_an_int64_block_key():
+    # q^(nm) >= 2^63: block differences are compared as rows
+    params = make_params(2, (1, 8), (1, 8))
+    code = _random_code(params, 10, 5)
+    assert min_distance(code) == _pairwise_min_distance(code)
+    # in an 8x9 GF(2) block, a difference supported on the first eight
+    # entries would wrap to the zero difference's key modulo 2^64; the
+    # first pair has the zero difference there, so a wrapped key would
+    # give the pairs with that difference rank 0 and distance 0
+    params = make_params(2, (8, 1), (9, 1))
+    zero = [0] * 73
+    code = SrkCode(params, (vector_from_digits(params, zero),
+                            vector_from_digits(params, zero[:-1] + [1]),
+                            vector_from_digits(params, [1] * 8 + zero[8:])))
+    assert min_distance(code) == _pairwise_min_distance(code) == 1
+
+
+def test_min_distance_ranks_each_distinct_block_difference_once(monkeypatch):
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return rank(M)
+
+    rank = space.rank
+    monkeypatch.setattr(space, "rank", counted)
+    for params in MIN_DISTANCE_PARAMS:
+        # distance >= 2, so no chunk stops early at distance 1
+        kept = []
+        for w in _random_code(params, min(40, params.size()), 11).words:
+            if all(srk_distance(w, v) >= 2 for v in kept):
+                kept.append(w)
+        code = SrkCode(params, tuple(kept))
+        expected = _distinct_block_differences(code)
+        d = _pairwise_min_distance(code)
+        assert len(code) > 7 and d >= 2
+        for chunk in (space._PAIR_CHUNK, 7):
+            monkeypatch.setattr(space, "_PAIR_CHUNK", chunk)
+            calls.clear()
+            assert min_distance(code) == d
+            assert len(calls) == expected
+
+
+def test_min_distance_pair_chunks_cover_every_pair_once(monkeypatch):
+    monkeypatch.setattr(space, "_PAIR_CHUNK", 4)
+    for N in (2, 3, 7, 10):
+        pairs = [(int(i), int(j)) for I, J in space._pair_chunks(N)
+                 for i, j in zip(I, J)]
+        assert pairs == list(combinations(range(N), 2))
+        assert all(len(I) <= 4 for I, _ in space._pair_chunks(N))
+
+
+def test_min_distance_stops_at_one(monkeypatch):
+    p = make_params(3, (1, 1, 1), (1, 1, 1))
+    whole = SrkCode(p, tuple(enumerate_space(p)))
+    assert _distinct_block_differences(whole) == 9
+    calls = []
+    rank = space.rank
+    monkeypatch.setattr(space, "rank", lambda M: calls.append(M) or rank(M))
+    monkeypatch.setattr(space, "_PAIR_CHUNK", 2)
+    assert min_distance(whole) == 1
+    # the first chunk, (000, 001) and (000, 002), already has distance 1:
+    # it ranks 0 in the first two blocks and 2, 1 in the third
+    assert len(calls) == 4
+
+
+def test_min_distance_rejects_a_word_from_another_space():
+    p = make_params(2, (1, 1), (2, 1))
+    x = vector_from_index(p, 1)
+    for other in (make_params(2, (1, 1), (1, 2)), make_params(3, (1, 1), (2, 1))):
+        code = SrkCode(p, (SrkVector.zero(p), x, vector_from_index(other, 2)))
+        with pytest.raises(ShapeError):
+            min_distance(code)
 
 
 def test_code_json_round_trip():
