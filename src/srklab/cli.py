@@ -141,6 +141,30 @@ def cmd_gv(args) -> int:
     return 0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_instance(inst, default_d):
+    """(params, distances) of one sweep-config instance; ValueError unless
+    q is an int, n and m are lists of ints and d is "all" or a list of
+    ints >= 1 (bools are not ints here)."""
+    if not isinstance(inst, dict):
+        raise ValueError(f"instance {inst!r} is not an object")
+    q = inst["q"]
+    if not _is_int(q):
+        raise ValueError(f"q is {q!r}, not an integer")
+    for key in ("n", "m"):
+        dims = inst[key]
+        if not isinstance(dims, list) or not all(map(_is_int, dims)):
+            raise ValueError(f"{key} is {dims!r}, not a list of integers")
+    ds = inst.get("d", default_d)
+    if ds != "all" and not (isinstance(ds, list) and all(
+            _is_int(d) and d >= 1 for d in ds)):
+        raise ValueError(f"d is {ds!r}, not 'all' or a list of integers >= 1")
+    return make_params(q, inst["n"], inst["m"]), ds
+
+
 def _sweep_from_config(args):
     budgets = {"max_vertices": args.max_vertices, "max_ball": args.max_ball,
                "max_nodes": args.max_nodes}
@@ -148,6 +172,8 @@ def _sweep_from_config(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config must be an object, got {cfg!r}")
         given = cfg.get("budgets", {})
         if not isinstance(given, dict):
             raise ValueError(f"budgets must be an object, got {given!r}")
@@ -155,15 +181,16 @@ def _sweep_from_config(args):
             if key not in budgets:
                 raise ValueError(f"unknown budget {key!r}; "
                                  f"choose from {sorted(budgets)}")
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"budget {key!r} is {value!r}, "
                                  "not an integer")
             budgets[key] = value
-        instances = []
-        for inst in cfg["instances"]:
-            params = make_params(inst["q"], inst["n"], inst["m"])
-            ds = inst.get("d", cfg.get("d", "all"))
-            instances.append((params, ds))
+        if not isinstance(cfg["instances"], list):
+            raise ValueError("instances must be a list, "
+                             f"got {cfg['instances']!r}")
+        default_d = cfg.get("d", "all")
+        instances = [_config_instance(inst, default_d)
+                     for inst in cfg["instances"]]
     else:
         instances = [(p, "all") for p in verify.default_sweep()]
         # keep the default sweep's exact-alpha attempts bounded
@@ -172,7 +199,7 @@ def _sweep_from_config(args):
         if ds == "all":
             ds = list(range(2, params.max_weight + 2))
         for d in ds:
-            rows.append((params, int(d)))
+            rows.append((params, d))
     return rows, budgets
 
 

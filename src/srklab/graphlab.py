@@ -30,10 +30,13 @@ import numpy as np
 
 from .gf import BudgetError, field_make, rank_stack
 from .space import SrkCode, SrkParams, vector_from_index
-from . import counting
+from . import counting, scheme
 
 DEFAULT_MAX_VERTICES = 4096
 DEFAULT_MAX_BALL = 20000
+# Difference rows weighed at once when building adjacency rows; larger
+# chunks buy little speed for much more memory.
+_ROW_CHUNK = 1 << 15
 # Full enumeration of a single block's matrix space; blocks beyond this
 # size make even ball-only statistics infeasible here.
 MAX_BLOCK_SPACE = 1 << 20
@@ -221,6 +224,9 @@ def graph_stats(spec: PowerGraphSpec,
     V = counting.space_size(params)
     D = counting.degree_D(params, k)
     T = exact_T(spec, max_ball)
+    if (spectral := scheme.spectral_T(params, k)) != T:
+        raise ArithmeticError(f"ball count T = {T} differs from the "
+                              f"spectral T = {spectral}")
     delta3 = T * V
     if delta3 % 3 != 0:
         raise ArithmeticError("T*|V| not divisible by 3; transitivity broken")
@@ -235,17 +241,24 @@ def adjacency_masks(spec: PowerGraphSpec,
     """Per-vertex neighbor bitmasks over the whole (budgeted) space.  The
     latest spec's masks are kept, so the greedy code, the partition and
     the MIS of one spec share one build."""
-    params, k = spec.params, spec.k
-    tab = _tables(params)
-    digits = _all_digits(params, max_vertices)
-    V = digits.shape[0]
     masks = []
-    for v in range(V):
-        w = tab.weights_of(tab.diff(digits, digits[v]))
-        adj = (w >= 1) & (w <= k)
-        packed = np.packbits(adj, bitorder="little")
-        masks.append(int.from_bytes(packed.tobytes(), "little"))
+    for adj in _adjacency_rows(spec, _all_digits(spec.params, max_vertices)):
+        masks.extend(_row_masks(adj))
     return tuple(masks)
+
+
+def _adjacency_rows(spec: PowerGraphSpec, digits: np.ndarray):
+    """Boolean adjacency rows of the vertices in order, a chunk of
+    vertices at a time with at most ``_ROW_CHUNK`` difference rows each:
+    row v of a chunk holds 1 <= srk(u - v) <= k for every vertex u."""
+    tab = _tables(spec.params)
+    V, L = digits.shape
+    step = max(1, _ROW_CHUNK // V)
+    for start in range(0, V, step):
+        block = digits[start:start + step]
+        diff = tab.diff(digits[None, :, :], block[:, None, :])
+        w = tab.weights_of(diff.reshape(-1, L)).reshape(len(block), V)
+        yield (w >= 1) & (w <= spec.k)
 
 
 def _greedy_independent(masks, order) -> int:
@@ -267,11 +280,14 @@ def _bits(mask: int):
 class SolverBudgetError(BudgetError):
     """The exact solver exceeded its node budget; no answer is reported.
     ``nodes``, ``lb`` and ``ub`` record where the search stopped: it had
-    an independent set of size lb and a proof that alpha <= ub."""
+    an independent set of size lb and a proof that alpha <= ub, which
+    ``ub_source`` names ("anticode", "lp" or "colouring")."""
 
-    def __init__(self, message: str, nodes=None, lb=None, ub=None):
+    def __init__(self, message: str, nodes=None, lb=None, ub=None,
+                 ub_source=None):
         super().__init__(message)
         self.nodes, self.lb, self.ub = nodes, lb, ub
+        self.ub_source = ub_source
 
 
 DEFAULT_MAX_NODES = 2_000_000
@@ -283,14 +299,17 @@ class MisResult:
 
     ``nodes`` counts the search nodes charged to the budget (the root is
     node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
-    seed codes; the clique-coclique and colouring bounds), so ``lb == ub``
-    means the answer needed no branching.  Unpacks as ``alpha, witness``."""
+    seed codes; the clique-coclique, Delsarte LP and colouring bounds), so
+    ``lb == ub`` means the answer needed no branching; ``ub_source`` names
+    the bound that gave ub ("anticode", "lp" or "colouring").  Unpacks as
+    ``alpha, witness``."""
 
     alpha: int
     witness: SrkCode
     nodes: int
     lb: int
     ub: int
+    ub_source: str
 
     def __iter__(self):
         return iter((self.alpha, self.witness))
@@ -316,7 +335,8 @@ def _colour(P: int, nbr):
 
 class _Search:
     """One exact MIS run: a single node budget over every sub-search, the
-    best independent set so far (size lb) and the proven bound ub."""
+    best independent set so far (size lb) and the proven bound ub, with
+    the name of the bound that gave it."""
 
     def __init__(self, max_nodes: int, num_vertices: int):
         self.max_nodes = max_nodes
@@ -324,13 +344,20 @@ class _Search:
         self.lb = 0
         self.best = 0   # vertex bitmask of an independent set of size lb
         self.ub = num_vertices
+        self.ub_source = None
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise SolverBudgetError(
                 f"exceeded {self.max_nodes} branch-and-bound nodes",
-                nodes=self.nodes, lb=self.lb, ub=self.ub)
+                nodes=self.nodes, lb=self.lb, ub=self.ub,
+                ub_source=self.ub_source)
+
+    def bound(self, ub: int, source: str):
+        """Take a proven upper bound if it is below ub."""
+        if ub < self.ub:
+            self.ub, self.ub_source = ub, source
 
     def offer(self, size: int, bits: int):
         if size > self.lb:
@@ -493,8 +520,9 @@ def max_independent_set(spec: PowerGraphSpec,
     in the complement graph.  The search starts from the lex-greedy code
     and, for one block over a prime field, the Gabidulin code; it stops
     as soon as lb meets ub = min(|V| // |anticode| (clique-coclique bound
-    of a vertex-transitive graph), the colouring bounds of the classes).
-    All sub-searches share one budget of ``max_nodes`` nodes."""
+    of a vertex-transitive graph), the Delsarte LP bound with its dual
+    re-checked (``scheme.delsarte_lp``), the colouring bounds of the
+    classes).  All sub-searches share one budget of ``max_nodes`` nodes."""
     params, k = spec.params, spec.k
     masks = adjacency_masks(spec, max_vertices)
     V = len(masks)
@@ -505,7 +533,7 @@ def max_independent_set(spec: PowerGraphSpec,
     clique = _index_bits(anticode)
     if any((masks[v] | 1 << v) & clique != clique for v in anticode):
         raise ArithmeticError("anticode is not a clique")
-    search.ub = V // len(anticode)
+    search.bound(V // len(anticode), "anticode")
     greedy = _greedy_independent(masks, range(V))
     search.offer(greedy.bit_count(), greedy)
     seed = gabidulin_indices(params, k + 1)
@@ -514,6 +542,8 @@ def max_independent_set(spec: PowerGraphSpec,
         if any(masks[v] & seed_bits for v in seed):
             raise ArithmeticError("Gabidulin code is not an independent set")
         search.offer(len(seed), seed_bits)
+    if search.lb < search.ub:
+        search.bound(math.floor(scheme.delsarte_lp(params, k + 1).value), "lp")
 
     subs = []
     if search.lb < search.ub:
@@ -531,18 +561,17 @@ def max_independent_set(spec: PowerGraphSpec,
             colours = _colour((1 << len(nbr)) - 1, nbr)[1]
             bound = 2 + (colours[-1] if colours else 0)
             subs.append((bound, int(rep), cand[order].tolist(), nbr))
-        search.ub = min(search.ub, max((b for b, *_ in subs), default=1))
-    start_lb, start_ub = search.lb, search.ub
+        search.bound(max((b for b, *_ in subs), default=1), "colouring")
+    start = search.lb, search.ub, search.ub_source
     for j, (bound, rep, verts, nbr) in enumerate(subs):
-        search.ub = min(search.ub,
-                        max([search.lb] + [b for b, *_ in subs[j:]]))
+        search.bound(max([search.lb] + [b for b, *_ in subs[j:]]),
+                     "colouring")
         if search.lb >= search.ub:
             break
         if bound > search.lb:
             search.clique(nbr, verts, 2, 1 | 1 << rep)
     words = tuple(vector_from_index(params, v) for v in _bits(search.best))
-    return MisResult(search.lb, SrkCode(params, words), search.nodes,
-                     start_lb, start_ub)
+    return MisResult(search.lb, SrkCode(params, words), search.nodes, *start)
 
 
 def _vertex_order(spec: PowerGraphSpec, V: int, tab: SpaceTables,
@@ -607,13 +636,13 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
               "degrees_checked": 0, "translations_checked": 0}
     V = params.size()
     if V <= max_vertices:
-        digits = _all_digits(params, max_vertices)
-        for v in range(V):
-            w = tab.weights_of(tab.diff(digits, digits[v]))
-            deg = int(np.count_nonzero((w >= 1) & (w <= k)))
-            report["degrees_checked"] += 1
-            if deg != D:
-                report["degree_violations"].append({"vertex": v, "degree": deg})
+        degrees = np.concatenate([
+            adj.sum(axis=1)
+            for adj in _adjacency_rows(spec, _all_digits(params, max_vertices))])
+        report["degrees_checked"] = len(degrees)
+        report["degree_violations"] = [
+            {"vertex": v, "degree": int(degrees[v])}
+            for v in np.flatnonzero(degrees != D).tolist()]
     rng = np.random.default_rng(seed)
     L = params.total_dim
     q = params.q

@@ -253,3 +253,53 @@ def test_ramsey_replay_mismatch_is_compute_error_under_python_O(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1 and proc.stdout == ""
     assert "derivation replay mismatch" in proc.stderr
+
+
+@pytest.mark.parametrize("inst", [
+    {"q": 2, "n": [1, 1], "m": [1, 1], "d": [2.7]},
+    {"q": 2, "n": [1, 1], "m": [1, 1], "d": [True]},
+    {"q": 2, "n": "12", "m": [1, 2]},
+    {"q": 2, "n": [1, 1], "m": [1, 1], "d": [0]},
+    {"q": 2, "n": [1, 1], "m": [1, 1], "d": 3},
+    {"q": 2.0, "n": [1], "m": [1]},
+    {"q": True, "n": [1], "m": [1]},
+    {"q": 2, "n": [True], "m": [1]},
+    {"q": 2, "n": [1], "m": [1.0]},
+    {"q": 2, "n": [1], "m": [1], "d": "some"},
+    {"q": 6, "n": [1], "m": [1]},
+    {"q": 2, "n": [], "m": []},
+    [2, [1], [1]],
+])
+def test_report_bad_instance_is_usage_error(capsys, tmp_path, inst):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [inst]}))
+    rc, out, err = run(capsys, "report", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert "bad sweep config" in err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"instances": {"q": 2, "n": [1], "m": [1]}},
+    {"instances": "all"},
+    [{"q": 2, "n": [1], "m": [1]}],
+    {"d": [0], "instances": [{"q": 2, "n": [1], "m": [1]}]},
+])
+def test_report_bad_config_shape_is_usage_error(capsys, tmp_path, cfg):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, err = run(capsys, "report", "--config", str(cfg_path))
+    assert rc == 2 and out == ""
+    assert "bad sweep config" in err
+
+
+def test_report_config_d_all_and_top_level_d(capsys, tmp_path):
+    cfg = {"d": [3], "instances": [{"q": 2, "n": [1, 1, 1], "m": [1, 1, 1]},
+                                   {"q": 2, "n": [1, 1], "m": [1, 1],
+                                    "d": "all"}]}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc, out, _ = run(capsys, "report", "--config", str(cfg_path))
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["n"], r["d"]) for r in rows] == [
+        ("1|1|1", "3"), ("1|1", "2"), ("1|1", "3")]

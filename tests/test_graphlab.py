@@ -446,3 +446,66 @@ def test_adjacency_masks_built_once_per_spec():
     bounds.bound_report(spec.params, 2)
     info = adjacency_masks.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+# -- batched adjacency rows --------------------------------------------------
+
+def _per_vertex_masks(spec):
+    """Neighbour bitmasks one vertex at a time: u is a neighbour of v iff
+    1 <= srk(u - v) <= k."""
+    tab = graphlab._tables(spec.params)
+    digits = graphlab._all_digits(spec.params, spec.params.size())
+    masks = []
+    for v in range(digits.shape[0]):
+        w = tab.weights_of(tab.diff(digits, digits[v]))
+        adj = (w >= 1) & (w <= spec.k)
+        masks.append(sum(1 << int(u) for u in np.flatnonzero(adj)))
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("q,n,m", [
+    (2, (2,), (3,)), (2, (1, 2), (2, 2)), (3, (2,), (2,)),
+    (3, (1, 1, 1), (1, 1, 2)), (4, (1,), (3,)), (4, (1, 1), (1, 2)),
+    (9, (1,), (2,)), (9, (1, 1), (1, 1))])
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
+                                                         m, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
+    params = make_params(q, n, m)
+    for k in range(1, params.max_weight + 1):
+        spec = PowerGraphSpec(params, k)
+        adjacency_masks.cache_clear()
+        assert adjacency_masks(spec, 4096) == _per_vertex_masks(spec)
+        rep = verify_cayley(spec, sample_size=0)
+        assert rep["degrees_checked"] == params.size()
+        assert rep["ok"]
+    adjacency_masks.cache_clear()
+
+
+def test_adjacency_chunks_stay_within_the_row_budget():
+    params = make_params(3, (1,) * 6, (1,) * 6)   # 729 vertices, 44 a chunk
+    digits = graphlab._all_digits(params, 729)
+    spec = PowerGraphSpec(params, 2)
+    shapes = [adj.shape for adj in graphlab._adjacency_rows(spec, digits)]
+    assert len(shapes) == 17 and sum(r for r, _ in shapes) == 729
+    assert all(r * c <= graphlab._ROW_CHUNK for r, c in shapes)
+
+
+def test_verify_cayley_reports_a_wrong_degree(monkeypatch):
+    spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
+    real = graphlab._adjacency_rows
+
+    def one_edge_short(spec, digits):
+        for i, adj in enumerate(real(spec, digits)):
+            if i == 0:
+                adj = adj.copy()
+                adj[3, np.flatnonzero(adj[3])[0]] = False
+            yield adj
+
+    monkeypatch.setattr(graphlab, "_adjacency_rows", one_edge_short)
+    rep = verify_cayley(spec, sample_size=0)
+    assert not rep["ok"]
+    assert rep["degree_violations"] == [{"vertex": 3,
+                                         "degree": rep["expected_degree"] - 1}]
+    assert rep["degrees_checked"] == 64
