@@ -111,7 +111,9 @@ def bound_report(params: SrkParams, d: int, *,
                  improved_eps=None,
                  order_policy: str = "lex") -> BoundReport:
     """Evaluate every bound whose budget allows; sub-bounds that do not
-    fit are recorded as 'not computed' rather than failing the report."""
+    fit are recorded as 'not computed' rather than failing the report.
+    Only sizes are reported: the greedy code and partition are counted on
+    bitmasks (``graphlab.greedy_counts``), and no codeword is built."""
     if d < 1:
         raise ValueError("distance must be at least 1")
     V = counting.space_size(params)
@@ -142,11 +144,9 @@ def bound_report(params: SrkParams, d: int, *,
         rep.notes.append(f"graph stats skipped: {exc}")
 
     try:
-        greedy = graphlab.greedy_gv_code(spec, max_vertices, order_policy)
-        rep.greedy_code_size = len(greedy)
-        classes = graphlab.greedy_partition(spec, max_vertices, order_policy)
-        rep.num_classes = len(classes)
-        rep.avg_class_size = V / len(classes)
+        rep.greedy_code_size, rep.num_classes = graphlab.greedy_counts(
+            spec, max_vertices, order_policy)
+        rep.avg_class_size = V / rep.num_classes
     except BudgetError as exc:
         rep.notes.append(f"greedy procedures skipped: {exc}")
 

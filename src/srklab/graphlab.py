@@ -34,8 +34,9 @@ from . import counting, scheme
 
 DEFAULT_MAX_VERTICES = 4096
 DEFAULT_MAX_BALL = 20000
-# Difference rows weighed at once when building adjacency rows; larger
-# chunks buy little speed for much more memory.
+# Difference rows weighed, or translated ball rows formed, at once when
+# building adjacency rows; larger chunks buy little speed for much more
+# memory.
 _ROW_CHUNK = 1 << 15
 # Full enumeration of a single block's matrix space; blocks beyond this
 # size make even ball-only statistics infeasible here.
@@ -235,22 +236,57 @@ def graph_stats(spec: PowerGraphSpec,
     return GraphStats(V, D, T, Delta, eps)
 
 
-@lru_cache(maxsize=1)
 def adjacency_masks(spec: PowerGraphSpec,
                     max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
     """Per-vertex neighbor bitmasks over the whole (budgeted) space.  The
-    latest spec's masks are kept, so the greedy code, the partition and
-    the MIS of one spec share one build."""
+    latest spec's masks are kept, whatever budget admitted them, so the
+    greedy procedures and the MIS of one spec share one build
+    (``adjacency_masks.cache_clear()`` and ``.cache_info()`` act on it)."""
+    _all_digits(spec.params, max_vertices)   # the budget check
+    return _translated_masks(spec)
+
+
+@lru_cache(maxsize=1)
+def _translated_masks(spec: PowerGraphSpec) -> tuple:
+    """The graph is a Cayley graph, so the neighbours of v are v + B*, B*
+    the nonzero ball of radius k: each row is a translate of the ball, and
+    no difference is ranked.  As a check, each row must have exactly |B*|
+    bits and no loop; a wrong sum or index encoding breaks one of these
+    and raises ArithmeticError."""
+    params = spec.params
+    digits = _all_digits(params, params.size())
+    V, L = digits.shape
+    ball = ball_digits(spec, V, include_zero=False)   # |B*| < |V|
+    D = len(ball)
+    radix = np.array([params.q ** (L - 1 - i) for i in range(L)],
+                     dtype=np.int64)
+    step = max(1, _ROW_CHUNK // D)
     masks = []
-    for adj in _adjacency_rows(spec, _all_digits(spec.params, max_vertices)):
+    for start in range(0, V, step):
+        block = digits[start:start + step]
+        nbr = params.field.add_array(block[:, None, :], ball[None, :, :])
+        rows = np.arange(len(block))
+        adj = np.zeros((len(block), V), dtype=bool)
+        adj[rows[:, None], nbr.astype(np.int64) @ radix] = True
+        if (np.count_nonzero(adj) != len(block) * D
+                or adj[rows, start + rows].any()):
+            raise ArithmeticError(
+                f"a translate of the ball at vertices {start}.."
+                f"{start + len(block) - 1} does not have {D} neighbours")
         masks.extend(_row_masks(adj))
     return tuple(masks)
+
+
+adjacency_masks.cache_clear = _translated_masks.cache_clear
+adjacency_masks.cache_info = _translated_masks.cache_info
 
 
 def _adjacency_rows(spec: PowerGraphSpec, digits: np.ndarray):
     """Boolean adjacency rows of the vertices in order, a chunk of
     vertices at a time with at most ``_ROW_CHUNK`` difference rows each:
-    row v of a chunk holds 1 <= srk(u - v) <= k for every vertex u."""
+    row v of a chunk holds 1 <= srk(u - v) <= k for every vertex u.  The
+    distance path: ``verify_cayley`` sweeps degrees on it as a check of
+    the graph that does not read the translated masks."""
     tab = _tables(spec.params)
     V, L = digits.shape
     step = max(1, _ROW_CHUNK // V)
@@ -574,13 +610,17 @@ def max_independent_set(spec: PowerGraphSpec,
     return MisResult(search.lb, SrkCode(params, words), search.nodes, *start)
 
 
-def _vertex_order(spec: PowerGraphSpec, V: int, tab: SpaceTables,
-                  digits: np.ndarray, order_policy: str):
+def _greedy_order(spec: PowerGraphSpec, max_vertices: int,
+                  order_policy: str):
+    """The adjacency masks and the vertex order the greedy procedures
+    scan: ascending index ("lex") or ascending weight, then index."""
+    masks = adjacency_masks(spec, max_vertices)
+    V = len(masks)
     if order_policy == "lex":
-        return range(V)
+        return masks, range(V)
     if order_policy == "weight-then-lex":
-        w = tab.weights_of(digits)
-        return sorted(range(V), key=lambda v: (int(w[v]), v))
+        w = _tables(spec.params).weights_of(_all_digits(spec.params, V))
+        return masks, np.argsort(w, kind="stable").tolist()
     raise ValueError(f"unknown order policy {order_policy!r}")
 
 
@@ -590,26 +630,15 @@ def greedy_gv_code(spec: PowerGraphSpec,
     """Sphere-covering witness: keep a vertex iff it is at distance > k
     from everything kept so far.  Size >= ceil(|V| / ball_volume)."""
     params = spec.params
-    masks = adjacency_masks(spec, max_vertices)
-    tab = _tables(params)
-    digits = _all_digits(params, max_vertices)
-    order = _vertex_order(spec, len(masks), tab, digits, order_policy)
-    kept = _greedy_independent(masks, order)
+    kept = _greedy_independent(*_greedy_order(spec, max_vertices,
+                                              order_policy))
     words = tuple(vector_from_index(params, v) for v in _bits(kept))
     return SrkCode(params, words)
 
 
-def greedy_partition(spec: PowerGraphSpec,
-                     max_vertices: int = DEFAULT_MAX_VERTICES,
-                     order_policy: str = "lex"):
-    """Greedy coloring: partition of the space into codes of minimum
-    distance >= k+1 (singletons allowed); at most D+1 classes."""
-    params = spec.params
-    masks = adjacency_masks(spec, max_vertices)
-    tab = _tables(params)
-    digits = _all_digits(params, max_vertices)
-    V = len(masks)
-    order = _vertex_order(spec, V, tab, digits, order_policy)
+def _greedy_classes(masks, order) -> list:
+    """First-fit colouring as class bitmasks: each vertex, in ``order``,
+    joins the first class holding none of its neighbours."""
     class_bits = []
     for v in order:
         m = masks[v]
@@ -619,9 +648,32 @@ def greedy_partition(spec: PowerGraphSpec,
                 break
         else:
             class_bits.append(1 << v)
+    return class_bits
+
+
+def greedy_partition(spec: PowerGraphSpec,
+                     max_vertices: int = DEFAULT_MAX_VERTICES,
+                     order_policy: str = "lex"):
+    """Greedy coloring: partition of the space into codes of minimum
+    distance >= k+1 (singletons allowed); at most D+1 classes."""
+    params = spec.params
+    classes = _greedy_classes(*_greedy_order(spec, max_vertices,
+                                             order_policy))
     return [SrkCode(params, tuple(vector_from_index(params, v)
                                   for v in _bits(bits)))
-            for bits in class_bits]
+            for bits in classes]
+
+
+def greedy_counts(spec: PowerGraphSpec,
+                  max_vertices: int = DEFAULT_MAX_VERTICES,
+                  order_policy: str = "lex") -> tuple:
+    """``(len(greedy_gv_code(...)), len(greedy_partition(...)))`` from one
+    colouring pass, with no vectors built.  Class 0 of a first-fit
+    colouring is the greedy independent set in the same order: a vertex
+    joins it iff none of its neighbours did before it."""
+    classes = _greedy_classes(*_greedy_order(spec, max_vertices,
+                                             order_policy))
+    return classes[0].bit_count(), len(classes)
 
 
 def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,

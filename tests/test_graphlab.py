@@ -6,14 +6,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from srklab.gf import (BudgetError, enumerate_matrices, field_from_order,
-                       rank)
+from srklab.gf import (BudgetError, FieldSpec, enumerate_matrices,
+                       field_from_order, rank)
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
                              adjacency_masks, exact_T, gabidulin_indices,
-                             graph_stats, greedy_gv_code, greedy_partition,
-                             max_independent_set, verify_cayley)
+                             graph_stats, greedy_counts, greedy_gv_code,
+                             greedy_partition, max_independent_set,
+                             verify_cayley)
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight, vector_from_index)
+from srklab.verify import default_sweep
 from srklab import bounds, counting, graphlab
 
 
@@ -445,18 +447,30 @@ def test_adjacency_masks_built_once_per_spec():
     assert isinstance(masks, tuple)
     bounds.bound_report(spec.params, 2)
     info = adjacency_masks.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
+    spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
+    adjacency_masks.cache_clear()
+    masks = adjacency_masks(spec, 4096)
+    assert adjacency_masks(spec) is masks
+    assert adjacency_masks(spec, max_vertices=64) is masks
+    info = adjacency_masks.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    with pytest.raises(BudgetError):   # a cached build does not lift it
+        adjacency_masks(spec, 63)
 
 
 # -- batched adjacency rows --------------------------------------------------
 
-def _per_vertex_masks(spec):
-    """Neighbour bitmasks one vertex at a time: u is a neighbour of v iff
-    1 <= srk(u - v) <= k."""
+def _per_vertex_masks(spec, vertices=None):
+    """Neighbour bitmasks one vertex at a time (of every vertex, or of
+    ``vertices``): u is a neighbour of v iff 1 <= srk(u - v) <= k."""
     tab = graphlab._tables(spec.params)
     digits = graphlab._all_digits(spec.params, spec.params.size())
     masks = []
-    for v in range(digits.shape[0]):
+    for v in range(digits.shape[0]) if vertices is None else vertices:
         w = tab.weights_of(tab.diff(digits, digits[v]))
         adj = (w >= 1) & (w <= spec.k)
         masks.append(sum(1 << int(u) for u in np.flatnonzero(adj)))
@@ -466,7 +480,8 @@ def _per_vertex_masks(spec):
 @pytest.mark.parametrize("q,n,m", [
     (2, (2,), (3,)), (2, (1, 2), (2, 2)), (3, (2,), (2,)),
     (3, (1, 1, 1), (1, 1, 2)), (4, (1,), (3,)), (4, (1, 1), (1, 2)),
-    (9, (1,), (2,)), (9, (1, 1), (1, 1))])
+    (9, (1,), (2,)), (9, (1, 1), (1, 1)), (8, (1, 1), (1, 2)),
+    (257, (1,), (1,))])
 @pytest.mark.parametrize("chunk", [None, 1, 100])
 def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
                                                          m, chunk):
@@ -481,6 +496,96 @@ def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
         assert rep["degrees_checked"] == params.size()
         assert rep["ok"]
     adjacency_masks.cache_clear()
+
+
+def test_translated_masks_match_the_distance_path_at_4096_vertices():
+    spec = PowerGraphSpec(make_params(2, (1,) * 12, (1,) * 12), 2)
+    adjacency_masks.cache_clear()
+    masks = adjacency_masks(spec)
+    assert len(masks) == 4096
+    sample = sorted(np.random.default_rng(7).choice(4096, 64, replace=False)
+                    .tolist())
+    assert [masks[v] for v in sample] == list(_per_vertex_masks(spec, sample))
+    adjacency_masks.cache_clear()
+
+
+def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
+    spec = PowerGraphSpec(make_params(3, (1,) * 6, (1,) * 6), 2)  # D = 72
+    real = FieldSpec.add_array
+    rows = []
+
+    def recording(self, a, b):
+        out = real(self, a, b)
+        rows.append(out.shape[:2])
+        return out
+
+    monkeypatch.setattr(FieldSpec, "add_array", recording)
+    for chunk in (graphlab._ROW_CHUNK, 100, 1):
+        monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
+        adjacency_masks.cache_clear()
+        adjacency_masks(spec)
+        assert sum(r for r, _ in rows) == 729
+        assert all(d == 72 for _, d in rows)
+        assert all(r * d <= max(chunk, d) for r, d in rows)
+        rows.clear()
+    adjacency_masks.cache_clear()
+
+
+@pytest.mark.parametrize("q,n,m,k,cols", [
+    (3, (1, 1, 1), (1, 1, 1), 1, slice(None)),
+    (2, (1,) * 4, (1,) * 4, 1, slice(None)),
+    (2, (2,), (3,), 2, slice(None)),
+    (2, (1,) * 4, (1,) * 4, 1, slice(-1, None))])
+def test_a_wrong_sum_breaks_the_translated_masks(monkeypatch, q, n, m, k,
+                                                 cols):
+    """1 + 1 miscomputed in the coordinates ``cols`` (as 0 over GF(3), as
+    1 over GF(2)) makes two translates of the ball collide or a vertex
+    its own neighbour; broken in the last coordinate of GF(2)^4 alone,
+    only the loop shows (v + e_4 = v, the other rows stay distinct)."""
+    real = FieldSpec.add_array
+
+    def broken(self, a, b):
+        out = real(self, a, b)
+        a, b = np.broadcast_arrays(a, b)
+        bad = np.zeros(out.shape, dtype=bool)
+        bad[..., cols] = (a == 1)[..., cols] & (b == 1)[..., cols]
+        out[bad] = 0 if self.q == 3 else 1
+        return out
+
+    monkeypatch.setattr(FieldSpec, "add_array", broken)
+    adjacency_masks.cache_clear()
+    with pytest.raises(ArithmeticError):
+        adjacency_masks(PowerGraphSpec(make_params(q, n, m), k))
+    adjacency_masks.cache_clear()
+
+
+def test_verify_cayley_does_not_read_the_adjacency_masks(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_cayley read the masks")
+
+    monkeypatch.setattr(graphlab, "adjacency_masks", refuse)
+    monkeypatch.setattr(graphlab, "_translated_masks", refuse)
+    rep = verify_cayley(PowerGraphSpec(make_params(3, (1, 1), (1, 2)), 1))
+    assert rep["ok"] and rep["degrees_checked"] == 27
+
+
+@pytest.mark.parametrize("policy", ["lex", "weight-then-lex"])
+def test_greedy_counts_equal_the_greedy_codes_on_the_sweep(policy):
+    specs = [PowerGraphSpec(p, d - 1) for p in default_sweep()
+             for d in range(2, p.max_weight + 2)]
+    assert len(specs) == 76
+    for spec in specs:
+        assert greedy_counts(spec, order_policy=policy) == (
+            len(greedy_gv_code(spec, order_policy=policy)),
+            len(greedy_partition(spec, order_policy=policy))), spec
+
+
+def test_greedy_counts_refuse_like_the_greedy_codes():
+    spec = PowerGraphSpec(make_params(2, (1, 1), (1, 2)), 1)
+    with pytest.raises(BudgetError):
+        greedy_counts(spec, max_vertices=4)
+    with pytest.raises(ValueError):
+        greedy_counts(spec, order_policy="random")
 
 
 def test_adjacency_chunks_stay_within_the_row_budget():
