@@ -480,34 +480,101 @@ def rank(M: Matrix) -> int:
     return rk
 
 
+def digit_dtype(q: int):
+    """Smallest unsigned dtype holding every field index of GF(q)."""
+    return np.uint8 if q <= 256 else np.uint16
+
+
+def digit_rows(q: int, length: int) -> np.ndarray:
+    """(q^length, length) base-q digit rows of 0..q^length-1, most
+    significant first: every vector of GF(q)^length, in index order."""
+    size = q ** length
+    digits = np.empty((size, length), dtype=digit_dtype(q))
+    idx = np.arange(size, dtype=np.int64)
+    for pos in range(length - 1, -1, -1):
+        digits[:, pos] = idx % q
+        idx //= q
+    return digits
+
+
+# Largest space GF(q)^k whose orthogonality table rank_stack builds, with
+# k = min(rows, cols): every tabulated block shape (q^(k*k) <= 2^20) and
+# the 4x4 GF(3) Marsaglia stacks (81) fit.
+MAX_ORTH_SPACE = 1 << 10
+# Kernel bitset words (and row digits) held at once by rank_stack, 2 MB
+# each: a stack is ranked in chunks, whatever q^k and its shape are.
+_KERNEL_WORDS = 1 << 18
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _orthogonality_table(p: int, e: int, k: int) -> np.ndarray:
+    """Row a is the set {b : a . b == 0} of GF(p^e)^k as a bitset of
+    uint64 words (bit b of the row), a and b indexed by their digit-row
+    codes; built from the field's mul and add tables, read-only."""
+    F = field_make(p, e)
+    dtype = digit_dtype(F.q)
+    add = np.array(F._add, dtype=dtype)
+    mul = np.array(F._mul, dtype=dtype)
+    vec = digit_rows(F.q, k)
+    dot = np.zeros((F.q ** k, F.q ** k), dtype=dtype)
+    for i in range(k):
+        dot = add[dot, mul[vec[:, i, None], vec[None, :, i]]]
+    words = -(-F.q ** k // 64)
+    bits = np.zeros((F.q ** k, 64 * words), dtype=bool)
+    bits[:, :F.q ** k] = dot == 0
+    table = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    table.flags.writeable = False
+    return table
+
+
 def rank_stack(A, F: FieldSpec):
     """Ranks of a stack of matrices: A is an (N, rows, cols) array of
-    field indices, reduced by Gaussian elimination run across the whole
-    stack with the field tables as arrays.  Returns an (N,) uint8 array."""
-    A = np.array(A)
+    field indices.  Returns an (N,) uint8 array.
+
+    The rank is counted from the kernel.  With k = min(rows, cols) (the
+    stack is transposed when cols > rows), each row is a vector of
+    GF(q)^k, and the kernel of a matrix is the AND of the rows of the
+    cached orthogonality table selected by its rows' codes, so
+    rank = k - log_q |kernel|.  As a certificate, each |kernel| must be
+    q^j with j <= k, else ArithmeticError.  An entry outside [0, q)
+    raises FieldError (its code would alias another vector), and
+    q^k > ``MAX_ORTH_SPACE`` raises BudgetError."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biu":
+        raise FieldError(f"field indices must be integers, not {A.dtype}")
     N, nrows, ncols = A.shape
+    q = F.q
+    if A.size and (A.min() < 0 or A.max() >= q):
+        raise FieldError(f"entry outside [0, {q}) for GF({q})")
     if min(nrows, ncols) <= 1:
         return A.any(axis=(1, 2)).astype(np.uint8)
-    if F._mul is None:
-        raise FieldError(f"GF({F.q}) has no tables for batched rank")
-    add, mul = np.array(F._add), np.array(F._mul)
-    neg, inv = np.array(F._neg), np.array(F._inv)
-    ranks = np.zeros(N, dtype=np.uint8)
-    row = np.arange(nrows)
-    for col in range(ncols):
-        cand = (A[:, :, col] != 0) & (row >= ranks[:, None])
-        sel = np.flatnonzero(cand.any(axis=1))
-        r, piv = ranks[sel], cand[sel].argmax(axis=1)
-        prow = A[sel, piv]
-        A[sel, piv] = A[sel, r]
-        A[sel, r] = prow
-        scale = neg[inv[prow[:, col]]]
-        for i in range(nrows):
-            below = i > r
-            s, pr = sel[below], prow[below]
-            factor = mul[A[s, i, col], scale[below]]
-            A[s, i] = add[A[s, i], mul[factor[:, None], pr]]
-        ranks[sel] += 1
+    if ncols > nrows:
+        A = A.transpose(0, 2, 1)
+        nrows, ncols = ncols, nrows
+    k = ncols
+    if q ** k > MAX_ORTH_SPACE:
+        raise BudgetError(f"GF({q})^{k} exceeds the orthogonality table "
+                          f"budget {MAX_ORTH_SPACE}")
+    orth = _orthogonality_table(F.p, F.e, k)
+    nullity = np.full(q ** k + 1, -1, dtype=np.int64)
+    nullity[q ** np.arange(k + 1)] = np.arange(k + 1)
+    radix = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    ranks = np.empty(N, dtype=np.uint8)
+    step = max(1, _KERNEL_WORDS // max(orth.shape[1], nrows * k))
+    for start in range(0, N, step):
+        code = A[start:start + step].astype(np.int64) @ radix
+        ker = orth[code[:, 0]]
+        for i in range(1, nrows):
+            np.bitwise_and(ker, orth[code[:, i]], out=ker)
+        size = _POPCOUNT8[ker.view(np.uint8)].sum(axis=1)
+        j = nullity[size]
+        if (j < 0).any():
+            bad = int(np.flatnonzero(j < 0)[0])
+            raise ArithmeticError(
+                f"matrix {start + bad} has a kernel of {size[bad]} vectors, "
+                f"not a power of {q}")
+        ranks[start:start + len(code)] = k - j
     return ranks
 
 

@@ -7,8 +7,8 @@ run over numpy digit tables with per-block rank lookup tables, so no
 explicit edge list is ever built; the MIS solver and the greedy
 procedures use adjacency bitmasks (python ints) instead.
 
-- The rank table of a block shape comes from one Gaussian elimination run
-  across the stack of all its matrices (``gf.rank_stack``).
+- The rank table of a block shape comes from one kernel count over the
+  stack of all its matrices (``gf.rank_stack``).
 - Field addition and subtraction act on the base-p coefficients of the
   digits (XOR for p = 2), so no q x q table is built and the graph layer
   works for every field up to GF(2^16).
@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import BudgetError, field_make, rank_stack
+from .gf import BudgetError, digit_dtype, digit_rows, field_make, rank_stack
 from .space import SrkCode, SrkParams, vector_from_index
 from . import counting, scheme
 
@@ -69,11 +69,6 @@ class GraphStats:
                 "Delta": self.Delta, "eps_star": eps}
 
 
-def _digit_dtype(q: int):
-    """Smallest unsigned dtype holding every field index of GF(q)."""
-    return np.uint8 if q <= 256 else np.uint16
-
-
 @lru_cache(maxsize=None)
 def _block_rank_table(ni: int, mi: int, p: int, e: int):
     """ranks[idx] for every block matrix, idx = canonical digit index."""
@@ -81,7 +76,7 @@ def _block_rank_table(ni: int, mi: int, p: int, e: int):
     size = F.q ** (ni * mi)
     if size > MAX_BLOCK_SPACE:
         raise BudgetError(f"block space of size {size} too large to tabulate")
-    return rank_stack(_block_digits(F.q, ni * mi).reshape(size, ni, mi), F)
+    return rank_stack(digit_rows(F.q, ni * mi).reshape(size, ni, mi), F)
 
 
 class SpaceTables:
@@ -95,7 +90,7 @@ class SpaceTables:
         q = F.q
         self.q = q
         self.L = params.total_dim
-        self.dtype = _digit_dtype(q)
+        self.dtype = digit_dtype(q)
         self.blocks = []
         off = 0
         for ni, mi in params.block_shapes():
@@ -133,27 +128,22 @@ def _all_digits(params: SrkParams, max_vertices: int) -> np.ndarray:
     V = params.size()
     if V > max_vertices:
         raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
-    return _block_digits(params.q, params.total_dim)
+    return digit_rows(params.q, params.total_dim)
 
 
-def _block_digits(q: int, ln: int) -> np.ndarray:
-    """(q^ln, ln) base-q digit rows of 0..q^ln-1, most significant first."""
-    size = q ** ln
-    digits = np.empty((size, ln), dtype=_digit_dtype(q))
-    idx = np.arange(size, dtype=np.int64)
-    for pos in range(ln - 1, -1, -1):
-        digits[:, pos] = idx % q
-        idx //= q
-    return digits
+def _ball_budget(spec: PowerGraphSpec, max_ball) -> int:
+    """The volume of the ball of radius k; BudgetError beyond max_ball."""
+    vol = counting.ball_volume(spec.params, spec.k)
+    if vol > max_ball:
+        raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
+    return vol
 
 
 def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
                 include_zero: bool = True) -> np.ndarray:
     """Digit rows of every vector with srk weight <= k, canonical order."""
     params, k = spec.params, spec.k
-    vol = counting.ball_volume(params, k)
-    if vol > max_ball:
-        raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
+    vol = _ball_budget(spec, max_ball)
     tab = _tables(params)
     q = tab.q
     # Rows as per-block matrix indices, one block at a time: each partial
@@ -184,6 +174,16 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
     return out
 
 
+@lru_cache(maxsize=1)
+def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
+    """B*, the nonzero ball of radius k, read-only: one build per spec
+    serves ``exact_T`` and the mask build, which check their own budgets
+    before they ask for it."""
+    ball = ball_digits(spec, math.inf, include_zero=False)
+    ball.flags.writeable = False
+    return ball
+
+
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     """Edges inside the neighborhood of 0: unordered pairs {X, Y} of
     distinct nonzero ball elements with srk(X - Y) <= k.  Valid for every
@@ -197,7 +197,8 @@ def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     each orbit that has one; a disagreement or an odd sum raises
     ArithmeticError."""
     tab = _tables(spec.params)
-    rows = ball_digits(spec, max_ball, include_zero=False)
+    _ball_budget(spec, max_ball)
+    rows = _nonzero_ball(spec)
     k = spec.k
 
     def close(i: int) -> int:
@@ -256,7 +257,7 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
     params = spec.params
     digits = _all_digits(params, params.size())
     V, L = digits.shape
-    ball = ball_digits(spec, V, include_zero=False)   # |B*| < |V|
+    ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
     D = len(ball)
     radix = np.array([params.q ** (L - 1 - i) for i in range(L)],
                      dtype=np.int64)

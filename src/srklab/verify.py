@@ -106,8 +106,8 @@ def suite_q_identity():
 
 
 # Random Marsaglia pairs are drawn and ranked this many at a time: enough
-# to amortise the per-column numpy passes of rank_stack, few enough that
-# the pass's peak memory stays near that of a pair-by-pair loop.
+# to amortise the per-row numpy passes of rank_stack, few enough that the
+# pass's peak memory stays near that of a pair-by-pair loop.
 MARSAGLIA_CHUNK = 1024
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from srklab import counting, gf
 from srklab.gf import (BudgetError, FieldError, Matrix, col_space_intersection_dim,
-                       enumerate_matrices, field_make, field_from_order,
-                       factor_prime_power, rank, rank_stack,
+                       digit_rows, enumerate_matrices, field_make,
+                       field_from_order, factor_prime_power, rank, rank_stack,
                        row_space_intersection_dim)
 
 
@@ -202,3 +203,117 @@ def test_array_sub_and_add_match_scalar_ops(q):
     x = a[:8].astype(np.int64)
     assert F.sub_array(x[None, :], x[:, None]).tolist() == [
         [F.sub(s, t) for s in x.tolist()] for t in x.tolist()]
+
+
+def _scalar_ranks(A, F):
+    rows, cols = A.shape[1:]
+    return [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
+            for a in A]
+
+
+def _low_rank_stack(F, rng, count, rows, cols):
+    """count members of each rank 0..min(rows, cols) (with high
+    probability): products U V of random rows x r and r x cols factors,
+    summed with the field tables."""
+    add, mul = np.array(F._add), np.array(F._mul)
+    out = []
+    for r in range(min(rows, cols) + 1):
+        U = rng.integers(0, F.q, size=(count, rows, r))
+        V = rng.integers(0, F.q, size=(count, r, cols))
+        C = np.zeros((count, rows, cols), dtype=np.int64)
+        for t in range(r):
+            C = add[C, mul[U[:, :, t, None], V[:, None, t, :]]]
+        out.append(C)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("q,shapes", [
+    (2, [(3, 7), (7, 3), (5, 9), (9, 5), (2, 10)]),
+    (3, [(2, 6), (6, 2), (4, 5), (5, 4)]),
+    (4, [(3, 5), (5, 3), (2, 7)]),
+    (5, [(3, 4), (4, 3), (2, 5)]),
+    (8, [(2, 3), (3, 2), (3, 4)]),
+    (9, [(2, 3), (3, 2), (3, 5)]),
+    (16, [(2, 3), (3, 2), (2, 2)]),
+])
+def test_rank_stack_wide_and_tall_match_scalar_rank(q, shapes):
+    """Wide stacks are ranked transposed (rows of length min(rows, cols));
+    every rank 0..min(rows, cols) occurs in each stack."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for rows, cols in shapes:
+        A = _low_rank_stack(F, rng, 25, rows, cols)
+        want = _scalar_ranks(A, F)
+        assert set(want) == set(range(min(rows, cols) + 1))
+        assert rank_stack(A, F).tolist() == want
+        assert rank_stack(A.transpose(0, 2, 1), F).tolist() == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+def test_rank_stack_on_every_block_shape_up_to_2_16(q):
+    """Every block shape with q^(rows*cols) <= 2^16 (GF(16) 2x2 included),
+    all of its matrices in index order as the rank tables stack them: the
+    rank histogram is the closed-form count, the transposed stack has the
+    same ranks, and a sample agrees with the scalar rank."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    shapes = [(n, m) for n in range(1, 17) for m in range(1, 17)
+              if q ** (n * m) <= 1 << 16]
+    for n, m in shapes:
+        A = digit_rows(q, n * m).reshape(-1, n, m)
+        got = rank_stack(A, F)
+        assert np.bincount(got, minlength=min(n, m) + 1).tolist() == [
+            counting.count_rank_matrices(n, m, r, q)
+            for r in range(min(n, m) + 1)]
+        assert np.array_equal(rank_stack(A.transpose(0, 2, 1), F), got)
+        sample = rng.choice(len(A), size=min(len(A), 64), replace=False)
+        assert got[sample].tolist() == _scalar_ranks(A[sample], F)
+
+
+def test_rank_stack_empty_stacks_and_index_dtypes():
+    F2, F9 = field_make(2), field_make(3, 2)
+    for shape in [(0, 3, 4), (0, 4, 3), (0, 1, 5), (0, 0, 0), (0, 10, 10)]:
+        got = rank_stack(np.zeros(shape, dtype=np.uint8), F2)
+        assert got.dtype == np.uint8 and got.shape == (0,)
+    assert rank_stack(np.zeros((3, 0, 4), dtype=np.int64), F2).tolist() == [
+        0, 0, 0]
+    rng = np.random.default_rng(5)
+    # GF(2) 10x10 has row codes up to 1023, beyond uint8
+    for F, rows, cols in [(F2, 10, 10), (F2, 10, 6), (F9, 3, 3)]:
+        A = _low_rank_stack(F, rng, 6, rows, cols)
+        want = _scalar_ranks(A, F)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            got = rank_stack(A.astype(dtype), F)
+            assert got.dtype == np.uint8 and got.tolist() == want
+
+
+def test_rank_stack_rejects_entries_outside_the_field():
+    """A 3 in GF(3) would give the row (0, 3) the code of (1, 0)."""
+    F3, F4 = field_make(3), field_make(2, 2)
+    for A, F in [([[[0, 3], [0, 0]]], F3), ([[[1, -1], [0, 1]]], F3),
+                 ([[[0, 0, 3]]], F3), ([[[4, 0], [0, 1]]], F4)]:
+        with pytest.raises(FieldError):
+            rank_stack(np.array(A), F)
+    with pytest.raises(FieldError):
+        rank_stack(np.ones((2, 2, 2)), F3)   # floats are not field indices
+
+
+def test_rank_stack_refuses_an_orthogonality_table_beyond_its_budget():
+    assert gf.MAX_ORTH_SPACE == 1 << 10
+    with pytest.raises(BudgetError):
+        rank_stack(np.zeros((1, 11, 11), dtype=np.uint8), field_make(2))
+    with pytest.raises(BudgetError):
+        rank_stack(np.zeros((1, 3, 2), dtype=np.uint8), field_make(2, 6))
+    # q^k = 2^10 is still tabulated
+    assert rank_stack(np.eye(10, dtype=np.uint8)[None], field_make(2)
+                      ).tolist() == [10]
+
+
+def test_rank_stack_certifies_every_kernel_size(monkeypatch):
+    """A corrupted orthogonality table gives a kernel whose size is no
+    power of q: ArithmeticError, not a rank."""
+    table = gf._orthogonality_table(3, 1, 2).copy()
+    table[0, 0] ^= np.uint64(1 << 4)    # the zero row loses one vector
+    monkeypatch.setattr(gf, "_orthogonality_table", lambda p, e, k: table)
+    with pytest.raises(ArithmeticError):
+        rank_stack(np.zeros((4, 2, 2), dtype=np.uint8), field_make(3))

@@ -16,7 +16,7 @@ from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight, vector_from_index)
 from srklab.verify import default_sweep
-from srklab import bounds, counting, graphlab
+from srklab import bounds, counting, gf, graphlab
 
 
 # -- independent oracles ----------------------------------------------------
@@ -322,7 +322,7 @@ def _pairwise_T(spec):
 def _recursive_ball(spec):
     """Ball rows by recursion over the blocks, in canonical order."""
     tab = graphlab._tables(spec.params)
-    per_block = [(graphlab._block_digits(tab.q, ln), ranks)
+    per_block = [(gf.digit_rows(tab.q, ln), ranks)
                  for off, ln, radix, ranks in tab.blocks]
     rows = []
 
@@ -460,6 +460,36 @@ def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
     assert (info.misses, info.hits) == (1, 2)
     with pytest.raises(BudgetError):   # a cached build does not lift it
         adjacency_masks(spec, 63)
+
+
+def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
+    """A report enumerates each spec's ball once, for exact_T and the mask
+    build alike; each still checks its own budget against the shared,
+    read-only build."""
+    built = []
+    original = graphlab.ball_digits
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(graphlab, "ball_digits", counted)
+    graphlab._nonzero_ball.cache_clear()
+    adjacency_masks.cache_clear()
+    specs = [PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1),
+             PowerGraphSpec(make_params(3, (2,), (2,)), 1)]
+    for spec in specs:
+        bounds.bound_report(spec.params, spec.k + 1)
+    assert built == specs
+    spec = specs[-1]
+    assert not graphlab._nonzero_ball(spec).flags.writeable
+    vol = counting.ball_volume(spec.params, spec.k)
+    with pytest.raises(BudgetError):
+        exact_T(spec, vol - 1)
+    with pytest.raises(BudgetError):
+        adjacency_masks(spec, spec.params.size() - 1)
+    assert exact_T(spec, vol) == graph_stats(spec).T
+    assert built == specs
 
 
 # -- batched adjacency rows --------------------------------------------------

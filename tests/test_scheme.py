@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import srklab
-from srklab import counting, graphlab, scheme
+from srklab import counting, gf, graphlab, scheme
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError, exact_T,
                              graph_stats, max_independent_set)
 from srklab.space import make_params
@@ -47,7 +47,7 @@ def test_eigenmatrix_equals_character_sums(q, n, m):
     """P_a(i) = sum over rank-a X of w^(tr(Y^T X)) for a fixed rank-i Y and
     w a primitive p-th root of unity, counted over the whole block."""
     F = make_params(q, (n,), (m,)).field
-    X = graphlab._block_digits(q, n * m).astype(np.int64)
+    X = gf.digit_rows(q, n * m).astype(np.int64)
     ranks = graphlab._block_rank_table(n, m, F.p, F.e)
     P = scheme.eigenmatrix(n, m, q)
     for i in range(n + 1):
