@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .gf import BudgetError, FieldError, factor_prime_power
@@ -57,9 +56,8 @@ def _add_params_args(sp, with_k=True):
 
 
 def _add_budget_args(sp):
-    env_mv = os.environ.get("SRK_MAX_VERTICES")
     sp.add_argument("--max-vertices", type=int,
-                    default=int(env_mv) if env_mv else graphlab.DEFAULT_MAX_VERTICES)
+                    default=graphlab.DEFAULT_MAX_VERTICES)
     sp.add_argument("--max-ball", type=int, default=graphlab.DEFAULT_MAX_BALL)
     sp.add_argument("--max-nodes", type=int, default=graphlab.DEFAULT_MAX_NODES)
 

@@ -179,6 +179,68 @@ def _add_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return np.where(x < p - y, x + y, x - (p - y))
 
 
+# -- the digit codec: Python ints least significant digit first (the
+# coefficients of a field element), numpy rows most significant digit
+# first (the canonical index of a vector) --
+
+
+def int_digits(value: int, base: int, length: int) -> list:
+    """The low ``length`` base-``base`` digits of value, least significant
+    first."""
+    out = []
+    for _ in range(length):
+        out.append(value % base)
+        value //= base
+    return out
+
+
+def digits_int(digits, base: int) -> int:
+    """Inverse of ``int_digits``: the integer whose base-``base`` digits,
+    least significant first, are ``digits``."""
+    value = 0
+    for d in reversed(digits):
+        value = value * base + d
+    return value
+
+
+def digit_dtype(q: int):
+    """Smallest unsigned dtype holding every field index of GF(q)."""
+    return np.uint8 if q <= 256 else np.uint16
+
+
+@lru_cache(maxsize=None)
+def _radix(q: int, length: int) -> np.ndarray:
+    """Place values q^(length-1), ..., q, 1 as int64, read-only."""
+    if q ** length > 1 << 63:
+        raise OverflowError(f"GF({q})^{length} has more than 2^63 vectors, "
+                            f"beyond an int64 index")
+    radix = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    radix.flags.writeable = False
+    return radix
+
+
+def digit_index(digits: np.ndarray, q: int) -> np.ndarray:
+    """Canonical indices of the rows (last axis) of a digit array: base q,
+    first digit most significant.  OverflowError when q^length > 2^63."""
+    return digits.astype(np.int64) @ _radix(q, digits.shape[-1])
+
+
+def index_digits(idx, q: int, length: int) -> np.ndarray:
+    """Inverse of ``digit_index``: the (..., length) digit rows of an
+    index array, in the smallest dtype holding GF(q)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    digits = np.empty(idx.shape + (length,), dtype=digit_dtype(q))
+    for pos, place in enumerate(_radix(q, length).tolist()):
+        digits[..., pos] = idx // place % q
+    return digits
+
+
+def digit_rows(q: int, length: int) -> np.ndarray:
+    """(q^length, length) digit rows of every vector of GF(q)^length, in
+    index order."""
+    return index_digits(np.arange(q ** length), q, length)
+
+
 class FieldSpec:
     """GF(p^e) with deterministic modulus and table-driven arithmetic."""
 
@@ -201,33 +263,19 @@ class FieldSpec:
         if q * q <= _TABLE_ENTRY_LIMIT:
             self._build_tables()
 
-    # element index <-> coefficient vector (low degree first, base p)
-
-    def _decode(self, a: int):
-        p, e = self.p, self.e
-        out = []
-        for _ in range(e):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def _encode(self, coeffs) -> int:
-        a = 0
-        for c in reversed(coeffs[: self.e]):
-            a = a * self.p + c
-        return a
-
     def _add_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
+        p, e = self.p, self.e
+        return digits_int([(x + y) % p for x, y in
+                           zip(int_digits(a, p, e), int_digits(b, p, e))], p)
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        prod = _poly_mulmod(self._decode(a), self._decode(b), self.modulus, self.p)
-        return self._encode(prod + [0] * self.e)
+        p, e = self.p, self.e
+        return digits_int(_poly_mulmod(int_digits(a, p, e), int_digits(b, p, e),
+                                       self.modulus, p), p)
 
     def _pow_raw(self, a: int, n: int) -> int:
         r = 1
@@ -310,7 +358,8 @@ class FieldSpec:
             return self._neg[a]
         if self.e == 1:
             return (-a) % self.p
-        return self._encode([(-c) % self.p for c in self._decode(a)])
+        return digits_int([(-c) % self.p for c in
+                           int_digits(a, self.p, self.e)], self.p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -480,23 +529,6 @@ def rank(M: Matrix) -> int:
     return rk
 
 
-def digit_dtype(q: int):
-    """Smallest unsigned dtype holding every field index of GF(q)."""
-    return np.uint8 if q <= 256 else np.uint16
-
-
-def digit_rows(q: int, length: int) -> np.ndarray:
-    """(q^length, length) base-q digit rows of 0..q^length-1, most
-    significant first: every vector of GF(q)^length, in index order."""
-    size = q ** length
-    digits = np.empty((size, length), dtype=digit_dtype(q))
-    idx = np.arange(size, dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        digits[:, pos] = idx % q
-        idx //= q
-    return digits
-
-
 # Largest space GF(q)^k whose orthogonality table rank_stack builds, with
 # k = min(rows, cols): every tabulated block shape (q^(k*k) <= 2^20) and
 # the 4x4 GF(3) Marsaglia stacks (81) fit.
@@ -559,11 +591,10 @@ def rank_stack(A, F: FieldSpec):
     orth = _orthogonality_table(F.p, F.e, k)
     nullity = np.full(q ** k + 1, -1, dtype=np.int64)
     nullity[q ** np.arange(k + 1)] = np.arange(k + 1)
-    radix = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     ranks = np.empty(N, dtype=np.uint8)
     step = max(1, _KERNEL_WORDS // max(orth.shape[1], nrows * k))
     for start in range(0, N, step):
-        code = A[start:start + step].astype(np.int64) @ radix
+        code = digit_index(A[start:start + step], q)
         ker = orth[code[:, 0]]
         for i in range(1, nrows):
             np.bitwise_and(ker, orth[code[:, i]], out=ker)

@@ -12,6 +12,9 @@ procedures use adjacency bitmasks (python ints) instead.
 - Field addition and subtraction act on the base-p coefficients of the
   digits (XOR for p = 2), so no q x q table is built and the graph layer
   works for every field up to GF(2^16).
+- Digit rows and vertex indices convert through the codec of ``gf``
+  (``digit_index``/``index_digits``, ``int_digits``/``digits_int``), the
+  one place that knows the canonical order.
 - ``ball_digits`` builds the ball block by block with numpy index
   arithmetic, in canonical order.
 - ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
@@ -28,7 +31,8 @@ from itertools import product
 
 import numpy as np
 
-from .gf import BudgetError, digit_dtype, digit_rows, field_make, rank_stack
+from .gf import (BudgetError, digit_dtype, digit_index, digit_rows,
+                 digits_int, field_make, index_digits, int_digits, rank_stack)
 from .space import SrkCode, SrkParams, vector_from_index
 from . import counting, scheme
 
@@ -85,37 +89,22 @@ class SpaceTables:
     both act on the base-p coefficients of the field indices one by one."""
 
     def __init__(self, params: SrkParams):
-        self.params = params
         F = params.field
-        q = F.q
-        self.q = q
-        self.L = params.total_dim
-        self.dtype = digit_dtype(q)
+        self.q = F.q
+        self.dtype = digit_dtype(F.q)
         self.blocks = []
         off = 0
         for ni, mi in params.block_shapes():
             ln = ni * mi
-            radix = np.array([q ** (ln - 1 - i) for i in range(ln)],
-                             dtype=np.int64)
-            ranks = _block_rank_table(ni, mi, F.p, F.e)
-            self.blocks.append((off, ln, radix, ranks))
+            self.blocks.append((off, ln, _block_rank_table(ni, mi, F.p, F.e)))
             off += ln
 
     def weights_of(self, digits: np.ndarray) -> np.ndarray:
         """Sum-rank weights of row vectors of a (N, L) digit array."""
         w = np.zeros(digits.shape[0], dtype=np.int64)
-        for off, ln, radix, ranks in self.blocks:
-            idx = digits[:, off:off + ln].astype(np.int64) @ radix
-            w += ranks[idx]
+        for off, ln, ranks in self.blocks:
+            w += ranks[digit_index(digits[:, off:off + ln], self.q)]
         return w
-
-    def diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entry-wise a - b of digit arrays (broadcasting)."""
-        return self.params.field.sub_array(a, b)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entry-wise a + b of digit arrays (broadcasting)."""
-        return self.params.field.add_array(a, b)
 
 
 @lru_cache(maxsize=32)
@@ -123,11 +112,17 @@ def _tables(params: SrkParams) -> SpaceTables:
     return SpaceTables(params)
 
 
-def _all_digits(params: SrkParams, max_vertices: int) -> np.ndarray:
-    """(V, L) digit table of the whole space in canonical order."""
+def _vertex_budget(params: SrkParams, max_vertices) -> int:
+    """|V|; BudgetError beyond max_vertices."""
     V = params.size()
     if V > max_vertices:
         raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
+    return V
+
+
+def _all_digits(params: SrkParams, max_vertices: int) -> np.ndarray:
+    """(V, L) digit table of the whole space in canonical order."""
+    _vertex_budget(params, max_vertices)
     return digit_rows(params.q, params.total_dim)
 
 
@@ -145,14 +140,13 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
     params, k = spec.params, spec.k
     vol = _ball_budget(spec, max_ball)
     tab = _tables(params)
-    q = tab.q
     # Rows as per-block matrix indices, one block at a time: each partial
     # row is followed by every block matrix of rank <= the weight it has
     # left, in ascending index order, which keeps the rows in canonical
     # order.
     left = np.array([k], dtype=np.int64)
     picks = []
-    for off, ln, radix, ranks in tab.blocks:
+    for off, ln, ranks in tab.blocks:
         allowed = [np.flatnonzero(ranks <= r) for r in range(k + 1)]
         start = np.cumsum([0] + [len(a) for a in allowed])
         counts = np.diff(start)[left]
@@ -162,10 +156,9 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
         idx = np.concatenate(allowed)[start[left[parent]] + pos]
         picks = [pick[parent] for pick in picks] + [idx]
         left = left[parent] - ranks[idx]
-    out = np.empty((len(left), tab.L), dtype=tab.dtype)
-    for (off, ln, radix, ranks), idx in zip(tab.blocks, picks):
-        for j in range(ln):
-            out[:, off + j] = idx // q ** (ln - 1 - j) % q
+    out = np.concatenate([index_digits(idx, tab.q, ln)
+                          for (off, ln, ranks), idx in zip(tab.blocks, picks)],
+                         axis=1)
     if out.shape[0] != vol:
         raise ArithmeticError(
             f"ball enumeration gives {out.shape[0]} vectors, volume is {vol}")
@@ -200,9 +193,10 @@ def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     _ball_budget(spec, max_ball)
     rows = _nonzero_ball(spec)
     k = spec.k
+    sub = spec.params.field.sub_array
 
     def close(i: int) -> int:
-        w = tab.weights_of(tab.diff(rows, rows[i]))
+        w = tab.weights_of(sub(rows, rows[i]))
         return int(np.count_nonzero(w <= k)) - 1   # not rows[i] itself
 
     label = _profile_classes(spec.params, rows)
@@ -243,7 +237,7 @@ def adjacency_masks(spec: PowerGraphSpec,
     latest spec's masks are kept, whatever budget admitted them, so the
     greedy procedures and the MIS of one spec share one build
     (``adjacency_masks.cache_clear()`` and ``.cache_info()`` act on it)."""
-    _all_digits(spec.params, max_vertices)   # the budget check
+    _vertex_budget(spec.params, max_vertices)
     return _translated_masks(spec)
 
 
@@ -256,11 +250,9 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
     and raises ArithmeticError."""
     params = spec.params
     digits = _all_digits(params, params.size())
-    V, L = digits.shape
+    V = len(digits)
     ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
     D = len(ball)
-    radix = np.array([params.q ** (L - 1 - i) for i in range(L)],
-                     dtype=np.int64)
     step = max(1, _ROW_CHUNK // D)
     masks = []
     for start in range(0, V, step):
@@ -268,7 +260,7 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
         nbr = params.field.add_array(block[:, None, :], ball[None, :, :])
         rows = np.arange(len(block))
         adj = np.zeros((len(block), V), dtype=bool)
-        adj[rows[:, None], nbr.astype(np.int64) @ radix] = True
+        adj[rows[:, None], digit_index(nbr, params.q)] = True
         if (np.count_nonzero(adj) != len(block) * D
                 or adj[rows, start + rows].any()):
             raise ArithmeticError(
@@ -293,7 +285,8 @@ def _adjacency_rows(spec: PowerGraphSpec, digits: np.ndarray):
     step = max(1, _ROW_CHUNK // V)
     for start in range(0, V, step):
         block = digits[start:start + step]
-        diff = tab.diff(digits[None, :, :], block[:, None, :])
+        diff = spec.params.field.sub_array(digits[None, :, :],
+                                           block[:, None, :])
         w = tab.weights_of(diff.reshape(-1, L)).reshape(len(block), V)
         yield (w >= 1) & (w <= spec.k)
 
@@ -456,7 +449,6 @@ def _anticode(params: SrkParams, k: int) -> list:
     supported on a fixed set of min(k, sum n_i) rows, taken from the
     widest blocks.  Any two of its vectors differ on those rows only, so
     they are at distance <= k: a clique of the power graph."""
-    q, L = params.q, params.total_dim
     offsets = np.cumsum([0] + [ni * mi for ni, mi in params.block_shapes()]
                         ).tolist()
     positions = []
@@ -465,11 +457,10 @@ def _anticode(params: SrkParams, k: int) -> list:
         rows = min(left, params.n[i])
         left -= rows
         positions.extend(range(offsets[i], offsets[i] + rows * params.m[i]))
-    idx = np.zeros(1, dtype=np.int64)
-    for pos in positions:
-        idx = (idx[:, None] + np.arange(q, dtype=np.int64)
-               * q ** (L - 1 - pos)).ravel()
-    return idx.tolist()
+    digits = np.zeros((params.q ** len(positions), params.total_dim),
+                      dtype=digit_dtype(params.q))
+    digits[:, positions] = digit_rows(params.q, len(positions))
+    return digit_index(digits, params.q).tolist()
 
 
 def gabidulin_indices(params: SrkParams, d: int):
@@ -503,18 +494,15 @@ def gabidulin_indices(params: SrkParams, d: int):
         for _ in range(dim - 1):
             row.append(frobenius(row[-1]))
         frob.append(row)
-    weight = [q ** (n * m - 1 - pos) for pos in range(n * m)]
     out = []
     for coeffs in product(range(E.q), repeat=dim):
-        idx = 0
+        digits = []   # row j holds the coefficients of f(g_j)
         for j in range(n):
             c = 0
             for a, g in zip(coeffs, frob[j]):
                 c = E.add(c, E.mul(a, g))
-            for col in range(m):
-                idx += (c % q) * weight[j * m + col]
-                c //= q
-        out.append(idx)
+            digits += int_digits(c, q, m)
+        out.append(digits_int(digits[::-1], q))
     return out
 
 
@@ -524,8 +512,8 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     all fix 0: its rank profile, sorted within each group of equal-shape
     blocks.  Labels are numbered in ascending (weight, profile) order."""
     tab = _tables(params)
-    R = np.stack([ranks[digits[:, off:off + ln].astype(np.int64) @ radix]
-                  for off, ln, radix, ranks in tab.blocks], axis=1)
+    R = np.stack([ranks[digit_index(digits[:, off:off + ln], tab.q)]
+                  for off, ln, ranks in tab.blocks], axis=1)
     groups = {}
     for i, shape in enumerate(params.block_shapes()):
         groups.setdefault(shape, []).append(i)
@@ -533,6 +521,12 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
                          + [np.sort(R[:, g], axis=1) for g in groups.values()],
                          axis=1)
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+
+
+def _code(params: SrkParams, bits: int) -> SrkCode:
+    """The code whose words are the vertices of a bitmask."""
+    return SrkCode(params, tuple(vector_from_index(params, v)
+                                 for v in _bits(bits)))
 
 
 def _index_bits(indices) -> int:
@@ -607,8 +601,8 @@ def max_independent_set(spec: PowerGraphSpec,
             break
         if bound > search.lb:
             search.clique(nbr, verts, 2, 1 | 1 << rep)
-    words = tuple(vector_from_index(params, v) for v in _bits(search.best))
-    return MisResult(search.lb, SrkCode(params, words), search.nodes, *start)
+    return MisResult(search.lb, _code(params, search.best), search.nodes,
+                     *start)
 
 
 def _greedy_order(spec: PowerGraphSpec, max_vertices: int,
@@ -630,11 +624,9 @@ def greedy_gv_code(spec: PowerGraphSpec,
                    order_policy: str = "lex") -> SrkCode:
     """Sphere-covering witness: keep a vertex iff it is at distance > k
     from everything kept so far.  Size >= ceil(|V| / ball_volume)."""
-    params = spec.params
     kept = _greedy_independent(*_greedy_order(spec, max_vertices,
                                               order_policy))
-    words = tuple(vector_from_index(params, v) for v in _bits(kept))
-    return SrkCode(params, words)
+    return _code(spec.params, kept)
 
 
 def _greedy_classes(masks, order) -> list:
@@ -657,12 +649,9 @@ def greedy_partition(spec: PowerGraphSpec,
                      order_policy: str = "lex"):
     """Greedy coloring: partition of the space into codes of minimum
     distance >= k+1 (singletons allowed); at most D+1 classes."""
-    params = spec.params
     classes = _greedy_classes(*_greedy_order(spec, max_vertices,
                                              order_policy))
-    return [SrkCode(params, tuple(vector_from_index(params, v)
-                                  for v in _bits(bits)))
-            for bits in classes]
+    return [_code(spec.params, bits) for bits in classes]
 
 
 def greedy_counts(spec: PowerGraphSpec,
@@ -683,6 +672,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     translation-invariance checks of adjacency."""
     params, k = spec.params, spec.k
     tab = _tables(params)
+    F = params.field
     D = counting.degree_D(params, k)
     report = {"params": params.describe(), "k": k, "expected_degree": D,
               "degree_violations": [], "translation_violations": [],
@@ -702,9 +692,9 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     for _ in range(sample_size):
         x, y, z = (rng.integers(0, q, size=L).astype(tab.dtype)
                    for _ in range(3))
-        dxy = tab.weights_of(tab.diff(x[None, :], y))[0]
-        xs, ys = tab.add(x, z), tab.add(y, z)
-        dxyz = tab.weights_of(tab.diff(xs[None, :], ys))[0]
+        dxy = tab.weights_of(F.sub_array(x[None, :], y))[0]
+        xs, ys = F.add_array(x, z), F.add_array(y, z)
+        dxyz = tab.weights_of(F.sub_array(xs[None, :], ys))[0]
         adj_before = 1 <= dxy <= k
         adj_after = 1 <= dxyz <= k
         report["translations_checked"] += 1

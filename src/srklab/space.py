@@ -3,7 +3,10 @@ enumeration, codes, and the bridge map into Hamming space over GF(q^m).
 
 Canonical serialization order of a vector: blocks in order, entries
 row-major, field indices; the induced integer index (first entry most
-significant, base q) drives every deterministic greedy procedure.
+significant, base q) drives every deterministic greedy procedure.  The
+index and the base-q coefficients of GF(q^m) elements are read and
+written only through the digit codec of ``gf`` (``int_digits``/
+``digits_int`` on ints, ``digit_index``/``index_digits`` on numpy rows).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from itertools import product
 
 import numpy as np
 
-from .gf import (BudgetError, FieldSpec, Matrix, ShapeError, field_make,
-                 rank, DEFAULT_ENUM_BUDGET)
+from .gf import (BudgetError, FieldSpec, Matrix, ShapeError, digit_dtype,
+                 digit_index, digits_int, field_make, int_digits, rank,
+                 DEFAULT_ENUM_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,7 @@ class SrkVector:
         return tuple(out)
 
     def index(self) -> int:
-        idx = 0
-        q = self.params.q
-        for d in self.serialize():
-            idx = idx * q + d
-        return idx
+        return digits_int(self.serialize()[::-1], self.params.q)
 
 
 def vector_from_digits(params: SrkParams, digits) -> SrkVector:
@@ -123,13 +123,8 @@ def vector_from_digits(params: SrkParams, digits) -> SrkVector:
 
 
 def vector_from_index(params: SrkParams, idx: int) -> SrkVector:
-    q = params.q
-    L = params.total_dim
-    digits = [0] * L
-    for i in range(L - 1, -1, -1):
-        digits[i] = idx % q
-        idx //= q
-    return vector_from_digits(params, digits)
+    return vector_from_digits(params,
+                              int_digits(idx, params.q, params.total_dim)[::-1])
 
 
 def srk_weight(x: SrkVector) -> int:
@@ -179,32 +174,10 @@ class HammingVector:
             raise ShapeError("extension fields differ")
         F, m = self.base_field, self.ext_degree
         q = F.q
-        out = []
-        for a, b in zip(self.entries, other.entries):
-            v = 0
-            mult = 1
-            for _ in range(m):
-                v += F.sub(a % q, b % q) * mult
-                a //= q
-                b //= q
-                mult *= q
-            out.append(v)
-        return HammingVector(F, m, tuple(out))
-
-
-def _ext_digits(value: int, q: int, m: int):
-    out = []
-    for _ in range(m):
-        out.append(value % q)
-        value //= q
-    return out
-
-
-def _ext_encode(digits, q: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * q + d
-    return v
+        return HammingVector(F, m, tuple(
+            digits_int([F.sub(x, y) for x, y in
+                        zip(int_digits(a, q, m), int_digits(b, q, m))], q)
+            for a, b in zip(self.entries, other.entries)))
 
 
 def polynomial_basis(q: int, m: int):
@@ -213,13 +186,15 @@ def polynomial_basis(q: int, m: int):
     return [q ** j for j in range(m)]
 
 
-def _check_basis(basis, field: FieldSpec, m: int):
+def _basis_digits(basis, field: FieldSpec, m: int) -> list:
+    """Base-q coefficient rows of a basis of GF(q^m) over GF(q), checked
+    to be m linearly independent elements."""
     if len(basis) != m:
         raise ValueError(f"basis must have {m} elements")
-    q = field.q
-    mat = Matrix.from_rows([_ext_digits(b, q, m) for b in basis], field)
-    if rank(mat) != m:
+    rows = [int_digits(b, field.q, m) for b in basis]
+    if rank(Matrix.from_rows(rows, field)) != m:
         raise ValueError("basis elements are not linearly independent over GF(q)")
+    return rows
 
 
 def f_map(x: SrkVector, basis=None) -> HammingVector:
@@ -232,7 +207,7 @@ def f_map(x: SrkVector, basis=None) -> HammingVector:
     m = max(params.m)
     if basis is None:
         basis = polynomial_basis(q, m)
-    _check_basis(basis, F, m)
+    coeffs = _basis_digits(basis, F, m)
     out = []
     for blk in x.blocks:
         for r in range(blk.rows):
@@ -240,9 +215,8 @@ def f_map(x: SrkVector, basis=None) -> HammingVector:
             for j in range(blk.cols):
                 s = blk[r, j]
                 if s:
-                    bd = _ext_digits(basis[j], q, m)
-                    acc = [F.add(a, F.mul(s, d)) for a, d in zip(acc, bd)]
-            out.append(_ext_encode(acc, q))
+                    acc = [F.add(a, F.mul(s, d)) for a, d in zip(acc, coeffs[j])]
+            out.append(digits_int(acc, q))
     return HammingVector(F, m, tuple(out))
 
 
@@ -329,22 +303,20 @@ def min_distance(code: SrkCode) -> int:
         raise ShapeError("vectors from different spaces")
     F, q = params.field, params.q
     digits = np.array([w.serialize() for w in code.words],
-                      dtype=np.min_scalar_type(q - 1))
+                      dtype=digit_dtype(q))
     blocks = []
     off = 0
     for ni, mi in params.block_shapes():
         ln = ni * mi
-        radix = (q ** np.arange(ln - 1, -1, -1, dtype=np.int64)
-                 if q ** ln < 1 << 63 else None)
-        blocks.append((ni, mi, digits[:, off:off + ln], radix, {}))
+        blocks.append((ni, mi, digits[:, off:off + ln], q ** ln < 1 << 63, {}))
         off += ln
     best = params.max_weight
     for i, j in _pair_chunks(len(code)):
         dist = np.zeros(len(i), dtype=np.int64)
-        for ni, mi, X, radix, memo in blocks:
+        for ni, mi, X, keyed, memo in blocks:
             diff = F.sub_array(X[i], X[j])
-            if radix is not None:
-                _, first, inv = np.unique(diff.astype(np.int64) @ radix,
+            if keyed:
+                _, first, inv = np.unique(digit_index(diff, q),
                                           return_index=True,
                                           return_inverse=True)
             else:

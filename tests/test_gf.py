@@ -3,9 +3,10 @@ import pytest
 
 from srklab import counting, gf
 from srklab.gf import (BudgetError, FieldError, Matrix, col_space_intersection_dim,
-                       digit_rows, enumerate_matrices, field_make,
-                       field_from_order, factor_prime_power, rank, rank_stack,
-                       row_space_intersection_dim)
+                       digit_dtype, digit_index, digit_rows, digits_int,
+                       enumerate_matrices, field_make, field_from_order,
+                       factor_prime_power, index_digits, int_digits, rank,
+                       rank_stack, row_space_intersection_dim)
 
 
 def test_prime_field_modulus():
@@ -317,3 +318,49 @@ def test_rank_stack_certifies_every_kernel_size(monkeypatch):
     monkeypatch.setattr(gf, "_orthogonality_table", lambda p, e, k: table)
     with pytest.raises(ArithmeticError):
         rank_stack(np.zeros((4, 2, 2), dtype=np.uint8), field_make(3))
+
+
+# -- the digit codec --------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4, 257, 65536])
+def test_digit_index_round_trip_most_significant_first(q):
+    length = 3
+    rng = np.random.default_rng(q)
+    idx = np.concatenate([[0, 1, q - 1, q, q ** length - 1],
+                          rng.integers(0, q ** length, size=195)])
+    digits = index_digits(idx, q, length)
+    assert digits.dtype == digit_dtype(q) and digits.shape == (200, length)
+    assert digits.tolist() == [[i // q ** (length - 1 - j) % q
+                                for j in range(length)] for i in idx.tolist()]
+    assert digit_index(digits, q).tolist() == idx.tolist()
+    # leading axes are kept, and a single row gives a single index
+    assert digit_index(digits.reshape(10, 20, length), q).tolist() == \
+        idx.reshape(10, 20).tolist()
+    assert digit_index(digits[4], q) == q ** length - 1
+    assert digit_rows(q, 1).ravel().tolist() == list(range(q))
+
+
+def test_digit_index_overflow_bound_is_2_to_the_63():
+    top = (1 << 63) - 1
+    assert digit_index(np.ones(63, dtype=np.uint8), 2) == top
+    assert index_digits(top, 2, 63).tolist() == [1] * 63
+    assert digit_index(np.full(3, 65535, dtype=np.uint16), 65536) == (1 << 48) - 1
+    with pytest.raises(OverflowError):
+        digit_index(np.ones(64, dtype=np.uint8), 2)
+    with pytest.raises(OverflowError):
+        index_digits(0, 2, 64)
+    with pytest.raises(OverflowError):
+        digit_index(np.zeros((1, 4), dtype=np.uint16), 65536)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 257, 65536])
+def test_int_digits_round_trip_least_significant_first(base):
+    length = 4
+    for value in (0, 1, base - 1, base, 123456789 % base ** length,
+                  base ** length - 1):
+        digits = int_digits(value, base, length)
+        assert digits == [value // base ** j % base for j in range(length)]
+        assert digits_int(digits, base) == value
+    # only the low `length` digits are kept
+    assert int_digits(base ** length + 5, base, length) == \
+        int_digits(5, base, length)

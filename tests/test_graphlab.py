@@ -323,7 +323,7 @@ def _recursive_ball(spec):
     """Ball rows by recursion over the blocks, in canonical order."""
     tab = graphlab._tables(spec.params)
     per_block = [(gf.digit_rows(tab.q, ln), ranks)
-                 for off, ln, radix, ranks in tab.blocks]
+                 for off, ln, ranks in tab.blocks]
     rows = []
 
     def rec(bi, prefix, rem):
@@ -420,8 +420,8 @@ def test_table_free_add_and_diff_match_the_field(q):
     F = field_from_order(q)
     tab = graphlab._tables(make_params(q, (1,), (1,)))
     a = np.arange(q, dtype=tab.dtype)
-    diff = tab.diff(a[:, None], a[None, :])
-    add = tab.add(a[:, None], a[None, :])
+    diff = F.sub_array(a[:, None], a[None, :])
+    add = F.add_array(a[:, None], a[None, :])
     assert diff.dtype == add.dtype == tab.dtype
     assert diff.tolist() == [[F.sub(x, y) for y in range(q)] for x in range(q)]
     assert add.tolist() == [[F.add(x, y) for y in range(q)] for x in range(q)]
@@ -501,7 +501,7 @@ def _per_vertex_masks(spec, vertices=None):
     digits = graphlab._all_digits(spec.params, spec.params.size())
     masks = []
     for v in range(digits.shape[0]) if vertices is None else vertices:
-        w = tab.weights_of(tab.diff(digits, digits[v]))
+        w = tab.weights_of(spec.params.field.sub_array(digits, digits[v]))
         adj = (w >= 1) & (w <= spec.k)
         masks.append(sum(1 << int(u) for u in np.flatnonzero(adj)))
     return tuple(masks)

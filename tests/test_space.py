@@ -113,6 +113,19 @@ def test_canonical_index_round_trip():
         assert vector_from_index(p, idx).index() == idx
 
 
+@pytest.mark.parametrize("q,n,m", [(4, (1, 2), (3, 2)), (4, (2, 1, 1), (2, 3, 1)),
+                                   (257, (1, 1), (2, 1)), (257, (1,), (3,))])
+def test_canonical_index_round_trip_on_mixed_shapes(q, n, m):
+    p = make_params(q, n, m)
+    L = p.total_dim
+    rng = np.random.default_rng(q + L)
+    for idx in [0, 1, q, p.size() - 1] + rng.integers(0, p.size(), 50).tolist():
+        x = vector_from_index(p, idx)
+        assert x.serialize() == tuple(idx // q ** (L - 1 - j) % q
+                                      for j in range(L))
+        assert x.index() == idx
+
+
 def test_f_map_examples():
     p = make_params(2, (1,), (2,))
     x = _vec(p, [[1, 0]])
@@ -165,6 +178,17 @@ def test_hamming_vector_subtraction():
     b = HammingVector(F, 2, (3, 0))
     assert a.sub(b).entries == (0, 2)
     assert a.sub(b).hamming_weight() == 1
+
+
+@pytest.mark.parametrize("p,e,m", [(3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3)])
+def test_hamming_vector_subtraction_is_coefficientwise(p, e, m):
+    F = field_make(p, e)
+    q = F.q
+    pairs = [(a, b) for a in range(q ** m) for b in range(q ** m)]
+    out = HammingVector(F, m, tuple(a for a, _ in pairs)).sub(
+        HammingVector(F, m, tuple(b for _, b in pairs))).entries
+    assert out == tuple(sum(F.sub(a // q ** j % q, b // q ** j % q) * q ** j
+                            for j in range(m)) for a, b in pairs)
 
 
 def test_min_distance_examples():
