@@ -108,12 +108,11 @@ def bound_report(params: SrkParams, d: int, *,
                  max_vertices: int = graphlab.DEFAULT_MAX_VERTICES,
                  max_ball: int = graphlab.DEFAULT_MAX_BALL,
                  max_nodes: int = graphlab.DEFAULT_MAX_NODES,
-                 improved_eps=None,
-                 order_policy: str = "lex") -> BoundReport:
+                 improved_eps=None) -> BoundReport:
     """Evaluate every bound whose budget allows; sub-bounds that do not
     fit are recorded as 'not computed' rather than failing the report.
-    Only sizes are reported: the greedy code and partition are counted on
-    bitmasks (``graphlab.greedy_counts``), and no codeword is built."""
+    The greedy columns come from one lex-order ``graphlab.greedy_partition``:
+    its class 0 is the greedy code, and its classes count the partition."""
     if d < 1:
         raise ValueError("distance must be at least 1")
     V = counting.space_size(params)
@@ -144,8 +143,8 @@ def bound_report(params: SrkParams, d: int, *,
         rep.notes.append(f"graph stats skipped: {exc}")
 
     try:
-        rep.greedy_code_size, rep.num_classes = graphlab.greedy_counts(
-            spec, max_vertices, order_policy)
+        classes = graphlab.greedy_partition(spec, max_vertices)
+        rep.greedy_code_size, rep.num_classes = len(classes[0]), len(classes)
         rep.avg_class_size = V / rep.num_classes
     except BudgetError as exc:
         rep.notes.append(f"greedy procedures skipped: {exc}")

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .gf import BudgetError, FieldError, factor_prime_power
-from .space import make_params, save_code
+from .space import code_to_json, make_params, save_code
 from . import bounds, counting, graphlab, ramsey, verify
 
 USAGE_ERROR = 2
@@ -55,11 +55,14 @@ def _add_params_args(sp, with_k=True):
         sp.add_argument("-k", type=int, required=True, help="radius / graph power")
 
 
-def _add_budget_args(sp):
-    sp.add_argument("--max-vertices", type=int,
-                    default=graphlab.DEFAULT_MAX_VERTICES)
-    sp.add_argument("--max-ball", type=int, default=graphlab.DEFAULT_MAX_BALL)
-    sp.add_argument("--max-nodes", type=int, default=graphlab.DEFAULT_MAX_NODES)
+BUDGETS = ("max_vertices", "max_ball", "max_nodes")
+
+
+def _add_budget_args(sp, *names):
+    """One --max-* option for each budget the subcommand reads."""
+    for name in names:
+        sp.add_argument("--" + name.replace("_", "-"), type=int,
+                        default=getattr(graphlab, "DEFAULT_" + name.upper()))
 
 
 def cmd_volume(args) -> int:
@@ -124,7 +127,6 @@ def cmd_partition(args) -> int:
     print(json.dumps({"num_classes": len(classes), "sizes": sizes,
                       "avg_size": params.size() / len(classes)}))
     if args.out:
-        from .space import code_to_json
         with open(args.out, "w") as fh:
             json.dump([code_to_json(c) for c in classes], fh, indent=1,
                       sort_keys=True)
@@ -164,8 +166,7 @@ def _config_instance(inst, default_d):
 
 
 def _sweep_from_config(args):
-    budgets = {"max_vertices": args.max_vertices, "max_ball": args.max_ball,
-               "max_nodes": args.max_nodes}
+    budgets = {name: getattr(args, name) for name in BUDGETS}
     rows = []
     if args.config:
         with open(args.config) as fh:
@@ -329,18 +330,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("graph-stats", help="exact |V|, D, T, Delta, eps*")
     _add_params_args(sp)
-    _add_budget_args(sp)
+    _add_budget_args(sp, "max_ball")
     sp.set_defaults(func=cmd_graph_stats)
 
     sp = sub.add_parser("alpha", help="exact independence number + witness")
     _add_params_args(sp)
-    _add_budget_args(sp)
+    _add_budget_args(sp, "max_vertices", "max_nodes")
     sp.add_argument("-o", "--out", help="write witness code JSON here")
     sp.set_defaults(func=cmd_alpha)
 
     sp = sub.add_parser("partition", help="greedy partition into codes")
     _add_params_args(sp)
-    _add_budget_args(sp)
+    _add_budget_args(sp, "max_vertices")
     sp.add_argument("--order", choices=["lex", "weight-then-lex"], default="lex")
     sp.add_argument("-o", "--out", help="write classes JSON here")
     sp.set_defaults(func=cmd_partition)
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gv)
 
     sp = sub.add_parser("report", help="bound comparison table over a sweep")
-    _add_budget_args(sp)
+    _add_budget_args(sp, *BUDGETS)
     sp.add_argument("--config", help="sweep config JSON (default: built-in sweep)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--out", help="output path (default: stdout)")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("ramsey", help="evaluate a Ramsey inequality chain")
     sp.add_argument("chain_file")
     sp.add_argument("table_file")
-    _add_budget_args(sp)
+    _add_budget_args(sp, "max_vertices", "max_nodes")
     sp.set_defaults(func=cmd_ramsey)
 
     return ap

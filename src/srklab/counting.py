@@ -10,7 +10,6 @@ surface is `epsilon_star`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .space import SrkParams
@@ -66,20 +65,10 @@ def square_rank_count(n: int, k: int, q: int) -> int:
     return _exact_div(num, den)
 
 
-@dataclass(frozen=True)
-class RankDistribution:
-    """Per-block rank histogram: counts[r] = #matrices of rank r."""
-
-    n: int
-    m: int
-    q: int
-    counts: tuple
-
-    @classmethod
-    def of(cls, n: int, m: int, q: int) -> "RankDistribution":
-        counts = tuple(count_rank_matrices(n, m, r, q)
-                       for r in range(min(n, m) + 1))
-        return cls(n, m, q, counts)
+def rank_distribution(n: int, m: int, q: int) -> tuple:
+    """Per-block rank histogram: entry r = #n x m matrices of rank r."""
+    return tuple(count_rank_matrices(n, m, r, q)
+                 for r in range(min(n, m) + 1))
 
 
 def weight_enumerator(params: SrkParams):
@@ -88,7 +77,7 @@ def weight_enumerator(params: SrkParams):
     q = params.q
     acc = [1]
     for ni, mi in params.block_shapes():
-        dist = RankDistribution.of(ni, mi, q).counts
+        dist = rank_distribution(ni, mi, q)
         nxt = [0] * (len(acc) + len(dist) - 1)
         for a, ca in enumerate(acc):
             for b, cb in enumerate(dist):

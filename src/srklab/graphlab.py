@@ -33,7 +33,7 @@ import numpy as np
 
 from .gf import (BudgetError, digit_dtype, digit_index, digit_rows,
                  digits_int, field_make, index_digits, int_digits, rank_stack)
-from .space import SrkCode, SrkParams, vector_from_index
+from .space import SrkCode, SrkParams
 from . import counting, scheme
 
 DEFAULT_MAX_VERTICES = 4096
@@ -523,12 +523,6 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()
 
 
-def _code(params: SrkParams, bits: int) -> SrkCode:
-    """The code whose words are the vertices of a bitmask."""
-    return SrkCode(params, tuple(vector_from_index(params, v)
-                                 for v in _bits(bits)))
-
-
 def _index_bits(indices) -> int:
     """Bitmask of a collection of vertex indices."""
     bits = 0
@@ -601,8 +595,8 @@ def max_independent_set(spec: PowerGraphSpec,
             break
         if bound > search.lb:
             search.clique(nbr, verts, 2, 1 | 1 << rep)
-    return MisResult(search.lb, _code(params, search.best), search.nodes,
-                     *start)
+    return MisResult(search.lb, SrkCode(params, tuple(_bits(search.best))),
+                     search.nodes, *start)
 
 
 def _greedy_order(spec: PowerGraphSpec, max_vertices: int,
@@ -626,7 +620,7 @@ def greedy_gv_code(spec: PowerGraphSpec,
     from everything kept so far.  Size >= ceil(|V| / ball_volume)."""
     kept = _greedy_independent(*_greedy_order(spec, max_vertices,
                                               order_policy))
-    return _code(spec.params, kept)
+    return SrkCode(spec.params, tuple(_bits(kept)))
 
 
 def _greedy_classes(masks, order) -> list:
@@ -648,22 +642,12 @@ def greedy_partition(spec: PowerGraphSpec,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
                      order_policy: str = "lex"):
     """Greedy coloring: partition of the space into codes of minimum
-    distance >= k+1 (singletons allowed); at most D+1 classes."""
+    distance >= k+1 (singletons allowed); at most D+1 classes.  Class 0 is
+    ``greedy_gv_code`` in the same order: a vertex joins it iff none of its
+    neighbours did before it."""
     classes = _greedy_classes(*_greedy_order(spec, max_vertices,
                                              order_policy))
-    return [_code(spec.params, bits) for bits in classes]
-
-
-def greedy_counts(spec: PowerGraphSpec,
-                  max_vertices: int = DEFAULT_MAX_VERTICES,
-                  order_policy: str = "lex") -> tuple:
-    """``(len(greedy_gv_code(...)), len(greedy_partition(...)))`` from one
-    colouring pass, with no vectors built.  Class 0 of a first-fit
-    colouring is the greedy independent set in the same order: a vertex
-    joins it iff none of its neighbours did before it."""
-    classes = _greedy_classes(*_greedy_order(spec, max_vertices,
-                                             order_policy))
-    return classes[0].bit_count(), len(classes)
+    return [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]
 
 
 def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,

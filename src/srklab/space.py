@@ -7,11 +7,14 @@ significant, base q) drives every deterministic greedy procedure.  The
 index and the base-q coefficients of GF(q^m) elements are read and
 written only through the digit codec of ``gf`` (``int_digits``/
 ``digits_int`` on ints, ``digit_index``/``index_digits`` on numpy rows).
+A code is the sorted tuple of its words' indices; vector objects are
+built only when ``SrkCode.words`` is asked for.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -112,14 +115,20 @@ class SrkVector:
         return digits_int(self.serialize()[::-1], self.params.q)
 
 
-def vector_from_digits(params: SrkParams, digits) -> SrkVector:
-    blocks = []
-    pos = 0
+def _split_blocks(params: SrkParams, digits) -> list:
+    """A word's entries in canonical order, cut into one slice per block."""
+    out, pos = [], 0
     for ni, mi in params.block_shapes():
-        ln = ni * mi
-        blocks.append(Matrix(ni, mi, tuple(digits[pos:pos + ln]), params.field))
-        pos += ln
-    return SrkVector(params, tuple(blocks))
+        out.append(digits[pos:pos + ni * mi])
+        pos += ni * mi
+    return out
+
+
+def vector_from_digits(params: SrkParams, digits) -> SrkVector:
+    return SrkVector(params, tuple(
+        Matrix(ni, mi, tuple(ent), params.field)
+        for (ni, mi), ent in zip(params.block_shapes(),
+                                 _split_blocks(params, digits))))
 
 
 def vector_from_index(params: SrkParams, idx: int) -> SrkVector:
@@ -253,23 +262,36 @@ def wt_preservation_check(x_space_or_params, basis=None,
 
 @dataclass(frozen=True)
 class SrkCode:
-    """A nonempty set of vectors in a common space; words kept in canonical
-    index order."""
+    """A nonempty set of vectors in a common space, held as their canonical
+    indices in ascending order; ``words`` builds the vectors on demand."""
 
     params: SrkParams
-    words: tuple
+    indices: tuple
 
     def __post_init__(self):
-        if not self.words:
+        idxs = tuple(sorted(map(operator.index, self.indices)))
+        if not idxs:
             raise ValueError("a code is a nonempty subset")
-        idxs = [w.index() for w in self.words]
         if len(set(idxs)) != len(idxs):
             raise ValueError("duplicate codewords")
-        order = sorted(range(len(idxs)), key=lambda i: idxs[i])
-        object.__setattr__(self, "words", tuple(self.words[i] for i in order))
+        V = self.params.size()
+        if idxs[0] < 0 or idxs[-1] >= V:
+            raise ValueError(f"codeword index outside [0, {V})")
+        object.__setattr__(self, "indices", idxs)
+
+    @classmethod
+    def of(cls, params: SrkParams, words) -> "SrkCode":
+        """The code of a collection of vectors of the space ``params``."""
+        if any(w.params != params for w in words):
+            raise ShapeError("vectors from different spaces")
+        return cls(params, tuple(w.index() for w in words))
+
+    @property
+    def words(self) -> tuple:
+        return tuple(vector_from_index(self.params, i) for i in self.indices)
 
     def __len__(self):
-        return len(self.words)
+        return len(self.indices)
 
 
 # Most pairs held at once by min_distance; bounds its pair arrays' memory.
@@ -291,18 +313,16 @@ def _pair_chunks(N: int):
 def min_distance(code: SrkCode) -> int:
     """Smallest sum-rank distance between two words of the code.
 
-    The block differences of all pairs are taken on a digit array of the
-    words, and each distinct difference of a block is ranked once with the
+    The block differences of all pairs are taken on a digit array read
+    from the code's indices, and each distinct difference of a block is ranked once with the
     scalar `rank` (memo local to this call); a pair's distance is the sum
     of its blocks' ranks.  The rank tables of the graph layer are not used,
     since they build the adjacency whose codes this certifies."""
     if len(code) < 2:
         raise ValueError("minimum distance needs at least two codewords")
     params = code.params
-    if any(w.params != params for w in code.words):
-        raise ShapeError("vectors from different spaces")
-    F, q = params.field, params.q
-    digits = np.array([w.serialize() for w in code.words],
+    F, q, L = params.field, params.q, params.total_dim
+    digits = np.array([int_digits(i, q, L)[::-1] for i in code.indices],
                       dtype=digit_dtype(q))
     blocks = []
     off = 0
@@ -344,16 +364,27 @@ def code_to_json(code: SrkCode) -> dict:
         "e": p.field.e,
         "n": list(p.n),
         "m": list(p.m),
-        "words": [[list(b.entries) for b in w.blocks] for w in code.words],
+        "words": [_split_blocks(p, int_digits(i, p.q, p.total_dim)[::-1])
+                  for i in code.indices],
     }
 
 
-def _field_entries(ent, q: int) -> tuple:
-    """Entries of one block read from a code file, each an int in [0, q)."""
-    for x in ent:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
-            raise ValueError(f"field entry {x!r} is not an integer in [0, {q})")
-    return tuple(ent)
+def _word_index(word, params: SrkParams) -> int:
+    """Canonical index of one word read from a code file: t blocks, block i
+    a list of n_i * m_i integers in [0, q)."""
+    shapes, q = params.block_shapes(), params.q
+    if not isinstance(word, (list, tuple)) or len(word) != len(shapes):
+        raise ValueError(f"word {word!r} does not have {len(shapes)} blocks")
+    digits = []
+    for ent, (ni, mi) in zip(word, shapes):
+        if not isinstance(ent, (list, tuple)) or len(ent) != ni * mi:
+            raise ValueError(f"block {ent!r} does not have {ni * mi} entries")
+        for x in ent:
+            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
+                raise ValueError(f"field entry {x!r} is not an integer "
+                                 f"in [0, {q})")
+        digits += ent
+    return digits_int(digits[::-1], q)
 
 
 def code_from_json(data: dict) -> SrkCode:
@@ -361,12 +392,8 @@ def code_from_json(data: dict) -> SrkCode:
     if fld.q != data["q"]:
         raise ValueError("inconsistent q, p, e in code file")
     params = SrkParams(fld, tuple(data["n"]), tuple(data["m"]))
-    words = []
-    for w in data["words"]:
-        blocks = tuple(Matrix(ni, mi, _field_entries(ent, fld.q), fld)
-                       for (ni, mi), ent in zip(params.block_shapes(), w))
-        words.append(SrkVector(params, blocks))
-    return SrkCode(params, tuple(words))
+    return SrkCode(params, tuple(_word_index(w, params)
+                                 for w in data["words"]))
 
 
 def save_code(code: SrkCode, path) -> None:

@@ -269,7 +269,7 @@ def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
                 pass
             classes = graphlab.greedy_partition(spec, max_vertices)
             V = params.size()
-            if sum(len(c) for c in classes) != V:
+            if sorted(i for c in classes for i in c.indices) != list(range(V)):
                 return _report("gv-chain", checked,
                                {"params": params.describe(), "d": d,
                                 "reason": "classes do not partition"})

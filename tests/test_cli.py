@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import srklab
-from srklab.cli import main
+from srklab.cli import build_parser, main
 from srklab.space import load_code, min_distance
 
 
@@ -96,6 +96,51 @@ def test_solver_budget_is_compute_error(capsys):
                      "-k", "1", "--max-nodes", "0")
     assert rc == 1
     assert "budget exceeded" in err
+
+
+_CUBE = ["-q", "2", "-n", "1,1,1", "-m", "1,1,1", "-k", "1"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["graph-stats", *_CUBE], "--max-vertices"),
+    (["graph-stats", *_CUBE], "--max-nodes"),
+    (["alpha", *_CUBE], "--max-ball"),
+    (["partition", *_CUBE], "--max-ball"),
+    (["partition", *_CUBE], "--max-nodes"),
+    (["ramsey", "chain.json", "table.json"], "--max-ball"),
+])
+def test_a_budget_the_command_does_not_read_is_a_usage_error(capsys, argv,
+                                                             flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["graph-stats", *_CUBE], ["--max-ball"]),
+    (["alpha", *_CUBE], ["--max-vertices", "--max-nodes"]),
+    (["partition", *_CUBE], ["--max-vertices"]),
+    (["report"], ["--max-vertices", "--max-ball", "--max-nodes"]),
+    (["ramsey", "chain.json", "table.json"], ["--max-vertices", "--max-nodes"]),
+])
+def test_each_command_parses_the_budgets_it_reads(argv, flags):
+    extra = [x for i, f in enumerate(flags) for x in (f, str(7 + i))]
+    args = build_parser().parse_args(argv + extra)
+    assert [getattr(args, f[2:].replace("-", "_")) for f in flags] == \
+        list(range(7, 7 + len(flags)))
+
+
+def test_budget_flags_still_bound_graph_stats_and_partition(capsys):
+    # the cube's ball of radius 1 holds 4 vectors; its space has 8
+    rc, _, err = run(capsys, "graph-stats", *_CUBE, "--max-ball", "3")
+    assert rc == 1 and "budget exceeded" in err
+    rc, out, _ = run(capsys, "graph-stats", *_CUBE, "--max-ball", "4")
+    assert rc == 0 and json.loads(out)["D"] == 3
+    rc, _, err = run(capsys, "partition", *_CUBE, "--max-vertices", "7")
+    assert rc == 1 and "budget exceeded" in err
+    rc, out, _ = run(capsys, "partition", *_CUBE, "--max-vertices", "8")
+    assert rc == 0 and json.loads(out)["num_classes"] == 2
 
 
 def test_report_with_config_csv(capsys, tmp_path):

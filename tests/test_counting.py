@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from srklab.counting import (P_upper, Q_closed, RankDistribution, T_upper,
-                             ball_volume, count_rank_matrices, degree_D,
-                             epsilon_star, gaussian_binomial, space_size,
+from srklab.counting import (P_upper, Q_closed, T_upper, ball_volume,
+                             count_rank_matrices, degree_D, epsilon_star,
+                             gaussian_binomial, rank_distribution, space_size,
                              square_rank_count, subspace_intersection_count,
                              weight_enumerator)
 from srklab.gf import enumerate_matrices, field_make, rank
@@ -85,10 +85,10 @@ def test_square_rank_count_matches_general_formula():
 def test_rank_distribution_against_enumeration():
     F = field_make(2)
     hist = Counter(rank(M) for M in enumerate_matrices(2, 3, F))
-    dist = RankDistribution.of(2, 3, 2)
-    assert list(dist.counts) == [hist[r] for r in range(3)]
-    assert dist.counts[0] == 1
-    assert sum(dist.counts) == 2 ** 6
+    dist = rank_distribution(2, 3, 2)
+    assert list(dist) == [hist[r] for r in range(3)]
+    assert dist[0] == 1
+    assert sum(dist) == 2 ** 6
 
 
 def test_space_size_examples():

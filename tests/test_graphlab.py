@@ -10,13 +10,13 @@ from srklab.gf import (BudgetError, FieldSpec, enumerate_matrices,
                        field_from_order, rank)
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
                              adjacency_masks, exact_T, gabidulin_indices,
-                             graph_stats, greedy_counts, greedy_gv_code,
+                             graph_stats, greedy_gv_code,
                              greedy_partition, max_independent_set,
                              verify_cayley)
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
-                          srk_distance, srk_weight, vector_from_index)
+                          srk_distance, srk_weight)
 from srklab.verify import default_sweep
-from srklab import bounds, counting, gf, graphlab
+from srklab import bounds, counting, gf, graphlab, verify
 
 
 # -- independent oracles ----------------------------------------------------
@@ -272,8 +272,7 @@ def test_gabidulin_seed_is_an_independent_set(q, n, m, d):
     masks = adjacency_masks(PowerGraphSpec(params, d - 1))
     bits = sum(1 << v for v in indices)
     assert all(masks[v] & bits == 0 for v in indices)
-    code = SrkCode(params, tuple(vector_from_index(params, v)
-                                 for v in indices))
+    code = SrkCode(params, tuple(indices))
     assert min_distance(code) >= d
 
 
@@ -600,22 +599,47 @@ def test_verify_cayley_does_not_read_the_adjacency_masks(monkeypatch):
 
 
 @pytest.mark.parametrize("policy", ["lex", "weight-then-lex"])
-def test_greedy_counts_equal_the_greedy_codes_on_the_sweep(policy):
+def test_greedy_partition_class_zero_is_the_greedy_code_on_the_sweep(policy):
     specs = [PowerGraphSpec(p, d - 1) for p in default_sweep()
              for d in range(2, p.max_weight + 2)]
     assert len(specs) == 76
     for spec in specs:
-        assert greedy_counts(spec, order_policy=policy) == (
-            len(greedy_gv_code(spec, order_policy=policy)),
-            len(greedy_partition(spec, order_policy=policy))), spec
+        classes = greedy_partition(spec, order_policy=policy)
+        code = greedy_gv_code(spec, order_policy=policy)
+        assert classes[0] == code, spec
+        if policy == "lex":
+            # the report's greedy columns come from the lex partition
+            rep = bounds.bound_report(spec.params, spec.k + 1,
+                                      max_nodes=200_000)
+            assert (rep.greedy_code_size, rep.num_classes) == (
+                len(code), len(classes)), spec
 
 
-def test_greedy_counts_refuse_like_the_greedy_codes():
+def test_greedy_procedures_refuse_past_their_budgets():
     spec = PowerGraphSpec(make_params(2, (1, 1), (1, 2)), 1)
-    with pytest.raises(BudgetError):
-        greedy_counts(spec, max_vertices=4)
-    with pytest.raises(ValueError):
-        greedy_counts(spec, order_policy="random")
+    for greedy in (greedy_gv_code, greedy_partition):
+        with pytest.raises(BudgetError):
+            greedy(spec, max_vertices=4)
+        with pytest.raises(ValueError):
+            greedy(spec, order_policy="random")
+    rep = bounds.bound_report(spec.params, 2, max_vertices=4)
+    assert rep.greedy_code_size == rep.num_classes == bounds.NOT_COMPUTED
+    assert any(n.startswith("greedy procedures skipped") for n in rep.notes)
+
+
+def test_gv_chain_refuses_classes_that_overlap(monkeypatch):
+    # vertex 1 (weight 1) is never in class 0, which holds vertex 0; moving
+    # it there keeps the class sizes but covers 0 twice and 1 never
+    real = graphlab.greedy_partition
+
+    def overlapping(spec, *args, **kwargs):
+        return [SrkCode(c.params, [0 if i == 1 else i for i in c.indices])
+                for c in real(spec, *args, **kwargs)]
+
+    monkeypatch.setattr(graphlab, "greedy_partition", overlapping)
+    rep = verify.suite_gv_chain()
+    assert not rep["ok"]
+    assert rep["counterexample"]["reason"] == "classes do not partition"
 
 
 def test_adjacency_chunks_stay_within_the_row_budget():

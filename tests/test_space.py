@@ -113,8 +113,12 @@ def test_canonical_index_round_trip():
         assert vector_from_index(p, idx).index() == idx
 
 
-@pytest.mark.parametrize("q,n,m", [(4, (1, 2), (3, 2)), (4, (2, 1, 1), (2, 3, 1)),
-                                   (257, (1, 1), (2, 1)), (257, (1,), (3,))])
+# GF(4) and GF(257) spaces of mixed block shapes
+MIXED_SHAPES = [(4, (1, 2), (3, 2)), (4, (2, 1, 1), (2, 3, 1)),
+                (257, (1, 1), (2, 1)), (257, (1,), (3,))]
+
+
+@pytest.mark.parametrize("q,n,m", MIXED_SHAPES)
 def test_canonical_index_round_trip_on_mixed_shapes(q, n, m):
     p = make_params(q, n, m)
     L = p.total_dim
@@ -194,16 +198,16 @@ def test_hamming_vector_subtraction_is_coefficientwise(p, e, m):
 def test_min_distance_examples():
     p = make_params(2, (1, 1, 1), (1, 1, 1))
     elems = {v.serialize(): v for v in enumerate_space(p)}
-    parity = SrkCode(p, tuple(elems[s] for s in
-                              [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]))
+    parity = SrkCode.of(p, tuple(elems[s] for s in
+                                 [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]))
     assert min_distance(parity) == 2
-    whole = SrkCode(p, tuple(elems.values()))
+    whole = SrkCode.of(p, tuple(elems.values()))
     assert min_distance(whole) == 1
     x = elems[(1, 1, 0)]
-    two = SrkCode(p, (elems[(0, 0, 0)], x))
+    two = SrkCode.of(p, (elems[(0, 0, 0)], x))
     assert min_distance(two) == srk_weight(x)
     with pytest.raises(ValueError):
-        min_distance(SrkCode(p, (x,)))
+        min_distance(SrkCode.of(p, (x,)))
 
 
 # -- min_distance against a pairwise oracle ----------------------------------
@@ -233,7 +237,7 @@ def _random_code(params, size, seed):
                    else rng.integers(0, params.q, size=pool.shape[1]))
             digits.extend(row.tolist())
         words.setdefault(tuple(digits), vector_from_digits(params, digits))
-    return SrkCode(params, tuple(words.values()))
+    return SrkCode.of(params, tuple(words.values()))
 
 
 MIN_DISTANCE_PARAMS = [make_params(2, (2, 1), (2, 3)),
@@ -270,9 +274,9 @@ def test_min_distance_without_an_int64_block_key():
     # give the pairs with that difference rank 0 and distance 0
     params = make_params(2, (8, 1), (9, 1))
     zero = [0] * 73
-    code = SrkCode(params, (vector_from_digits(params, zero),
-                            vector_from_digits(params, zero[:-1] + [1]),
-                            vector_from_digits(params, [1] * 8 + zero[8:])))
+    code = SrkCode.of(params, (vector_from_digits(params, zero),
+                               vector_from_digits(params, zero[:-1] + [1]),
+                               vector_from_digits(params, [1] * 8 + zero[8:])))
     assert min_distance(code) == _pairwise_min_distance(code) == 1
 
 
@@ -291,7 +295,7 @@ def test_min_distance_ranks_each_distinct_block_difference_once(monkeypatch):
         for w in _random_code(params, min(40, params.size()), 11).words:
             if all(srk_distance(w, v) >= 2 for v in kept):
                 kept.append(w)
-        code = SrkCode(params, tuple(kept))
+        code = SrkCode.of(params, tuple(kept))
         expected = _distinct_block_differences(code)
         d = _pairwise_min_distance(code)
         assert len(code) > 7 and d >= 2
@@ -313,7 +317,7 @@ def test_min_distance_pair_chunks_cover_every_pair_once(monkeypatch):
 
 def test_min_distance_stops_at_one(monkeypatch):
     p = make_params(3, (1, 1, 1), (1, 1, 1))
-    whole = SrkCode(p, tuple(enumerate_space(p)))
+    whole = SrkCode.of(p, tuple(enumerate_space(p)))
     assert _distinct_block_differences(whole) == 9
     calls = []
     rank = space.rank
@@ -326,18 +330,19 @@ def test_min_distance_stops_at_one(monkeypatch):
 
 
 def test_min_distance_rejects_a_word_from_another_space():
+    # a code holds indices, so the foreign word is refused when the code
+    # is built, before min_distance can see it
     p = make_params(2, (1, 1), (2, 1))
     x = vector_from_index(p, 1)
     for other in (make_params(2, (1, 1), (1, 2)), make_params(3, (1, 1), (2, 1))):
-        code = SrkCode(p, (SrkVector.zero(p), x, vector_from_index(other, 2)))
         with pytest.raises(ShapeError):
-            min_distance(code)
+            SrkCode.of(p, (SrkVector.zero(p), x, vector_from_index(other, 2)))
 
 
 def test_code_json_round_trip():
     p = make_params(2, (1, 2), (2, 2))
     words = tuple(vector_from_index(p, i) for i in (0, 7, 63, 21))
-    code = SrkCode(p, words)
+    code = SrkCode.of(p, words)
     data = code_to_json(code)
     text = json.dumps(data)
     back = code_from_json(json.loads(text))
@@ -355,6 +360,61 @@ def test_code_json_rejects_entries_outside_the_field():
             code_from_json(data)
     data["words"] = [[[0, 1]]]
     assert code_from_json(data).words[0].serialize() == (0, 1)
+
+
+def test_code_json_rejects_a_wrong_block_or_entry_count():
+    data = {"q": 2, "p": 2, "e": 1, "n": [1], "m": [2],
+            "words": [[[0, 1], [1, 1, 1]]]}   # a second block in a 1-block space
+    with pytest.raises(ValueError):
+        code_from_json(data)
+    for bad in ([], [[0]], [[0, 1, 1]], [0, 1], [[[0], [1]]], 5):
+        data["words"] = [bad]
+        with pytest.raises(ValueError):
+            code_from_json(data)
+    data.update(n=[1, 1], m=[2, 1], words=[[[0, 1]], [[1, 0], [1]]])
+    with pytest.raises(ValueError):
+        code_from_json(data)
+    data["words"] = [[[0, 1], [1]], [[1, 0], [0]]]
+    assert code_from_json(data).indices == (3, 4)
+
+
+def test_code_json_format_is_blocks_of_entries_in_canonical_order():
+    code = SrkCode(make_params(2, (1, 2), (2, 2)), (63, 7, 0, 21))
+    assert code_to_json(code) == {
+        "q": 2, "p": 2, "e": 1, "n": [1, 2], "m": [2, 2],
+        "words": [[[0, 0], [0, 0, 0, 0]], [[0, 0], [0, 1, 1, 1]],
+                  [[0, 1], [0, 1, 0, 1]], [[1, 1], [1, 1, 1, 1]]]}
+
+
+def test_code_rejects_empty_duplicate_and_out_of_range_indices():
+    p = make_params(3, (1, 1), (2, 1))   # 27 vectors
+    assert SrkCode(p, (26, 0, 5)).indices == (0, 5, 26)
+    assert SrkCode(p, np.array([4, 2])).indices == (2, 4)
+    for bad in ((), (1, 5, 1), (-1, 3), (27,), (0, 100)):
+        with pytest.raises(ValueError):
+            SrkCode(p, bad)
+    with pytest.raises(TypeError):
+        SrkCode(p, (1.0, 2))
+    foreign = vector_from_index(make_params(3, (1, 1), (1, 2)), 2)
+    with pytest.raises(ShapeError):
+        SrkCode.of(p, (vector_from_index(p, 1), foreign))
+    with pytest.raises(ValueError):
+        SrkCode.of(p, ())
+    with pytest.raises(ValueError):
+        SrkCode.of(p, (vector_from_index(p, 4), vector_from_index(p, 4)))
+
+
+@pytest.mark.parametrize("q,n,m", MIXED_SHAPES)
+def test_code_words_round_trip_on_mixed_shapes(q, n, m):
+    p = make_params(q, n, m)
+    rng = np.random.default_rng(q + p.total_dim)
+    idxs = sorted({0, p.size() - 1, *rng.integers(0, p.size(), 40).tolist()})
+    words = [vector_from_index(p, i) for i in idxs]
+    code = SrkCode.of(p, words[::-1])
+    assert code.indices == tuple(idxs)
+    assert code.words == tuple(words)
+    assert SrkCode.of(p, code.words) == code
+    assert code_from_json(json.loads(json.dumps(code_to_json(code)))) == code
 
 
 def test_polynomial_basis():
