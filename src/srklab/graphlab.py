@@ -39,8 +39,8 @@ from . import counting, scheme
 DEFAULT_MAX_VERTICES = 4096
 DEFAULT_MAX_BALL = 20000
 # Difference rows weighed, or translated ball rows formed, at once when
-# building adjacency rows; larger chunks buy little speed for much more
-# memory.
+# building weight or adjacency rows; larger chunks buy little speed for
+# much more memory.
 _ROW_CHUNK = 1 << 15
 # Full enumeration of a single block's matrix space; blocks beyond this
 # size make even ball-only statistics infeasible here.
@@ -167,11 +167,13 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
     return out
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=128)
 def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
     """B*, the nonzero ball of radius k, read-only: one build per spec
     serves ``exact_T`` and the mask build, which check their own budgets
-    before they ask for it."""
+    before they ask for it.  The cache holds the balls of all 76 specs of
+    the default sweep, so passes that walk the sweep spec by spec, one
+    after the other, enumerate each ball once."""
     ball = ball_digits(spec, math.inf, include_zero=False)
     ball.flags.writeable = False
     return ball
@@ -270,34 +272,50 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
     return tuple(masks)
 
 
-adjacency_masks.cache_clear = _translated_masks.cache_clear
+def _clear_masks():
+    """Drop the cached masks and the lex partition built on them."""
+    _translated_masks.cache_clear()
+    _lex_classes.cache_clear()
+
+
+adjacency_masks.cache_clear = _clear_masks
 adjacency_masks.cache_info = _translated_masks.cache_info
 
 
-def _adjacency_rows(spec: PowerGraphSpec, digits: np.ndarray):
-    """Boolean adjacency rows of the vertices in order, a chunk of
-    vertices at a time with at most ``_ROW_CHUNK`` difference rows each:
-    row v of a chunk holds 1 <= srk(u - v) <= k for every vertex u.  The
-    distance path: ``verify_cayley`` sweeps degrees on it as a check of
-    the graph that does not read the translated masks."""
-    tab = _tables(spec.params)
+def _weight_rows(params: SrkParams, digits: np.ndarray):
+    """Weight rows of the vertices in order, a chunk of vertices at a time
+    with at most ``_ROW_CHUNK`` difference rows each: row v of a chunk
+    holds srk(u - v) for every vertex u.  The distance path: the degree
+    sweep of ``verify_cayley`` reads it as a check of the graph that does
+    not read the translated masks."""
+    tab = _tables(params)
     V, L = digits.shape
     step = max(1, _ROW_CHUNK // V)
     for start in range(0, V, step):
         block = digits[start:start + step]
-        diff = spec.params.field.sub_array(digits[None, :, :],
-                                           block[:, None, :])
-        w = tab.weights_of(diff.reshape(-1, L)).reshape(len(block), V)
-        yield (w >= 1) & (w <= spec.k)
+        diff = params.field.sub_array(digits[None, :, :], block[:, None, :])
+        yield tab.weights_of(diff.reshape(-1, L)).reshape(len(block), V)
 
 
-def _greedy_independent(masks, order) -> int:
-    """Greedy independent-set bitmask, scanning vertices in `order`."""
-    kept = 0
-    for v in order:
-        if masks[v] & kept == 0:
-            kept |= 1 << v
-    return kept
+@lru_cache(maxsize=1)
+def _weight_histogram(params: SrkParams) -> np.ndarray:
+    """hist[v, w] = #{u : srk(u - v) = w} over the whole space, read-only:
+    one pass over the distance path per space serves the degree sweep of
+    every k (the caller checks the vertex budget).  A row that does not
+    count |V| vertices raises ArithmeticError."""
+    digits = _all_digits(params, params.size())
+    V = len(digits)
+    W = params.max_weight + 1
+    parts = []
+    for w in _weight_rows(params, digits):
+        slot = w + W * np.arange(len(w))[:, None]
+        parts.append(np.bincount(slot.ravel(), minlength=len(w) * W)
+                     .reshape(len(w), W))
+    hist = np.concatenate(parts)
+    if (hist.sum(axis=1) != V).any():
+        raise ArithmeticError(f"a weight row does not count {V} vertices")
+    hist.flags.writeable = False
+    return hist
 
 
 def _bits(mask: int):
@@ -329,7 +347,9 @@ class MisResult:
 
     ``nodes`` counts the search nodes charged to the budget (the root is
     node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
-    seed codes; the clique-coclique, Delsarte LP and colouring bounds), so
+    seed codes: the largest class of the lex greedy partition and, where
+    it applies, the Gabidulin code; the clique-coclique, Delsarte LP and
+    colouring bounds), so
     ``lb == ub`` means the answer needed no branching; ``ub_source`` names
     the bound that gave ub ("anticode", "lp" or "colouring").  Unpacks as
     ``alpha, witness``."""
@@ -542,8 +562,10 @@ def max_independent_set(spec: PowerGraphSpec,
     non-neighbour of 0 onto the representative of its class.  Hence
     alpha = max over classes c of 2 + omega(non-neighbours of 0 and of
     rep(c) in classes >= c), each found by a colouring branch and bound
-    in the complement graph.  The search starts from the lex-greedy code
-    and, for one block over a prime field, the Gabidulin code; it stops
+    in the complement graph.  The search starts from the largest class of
+    the lex greedy partition (``greedy_partition``; class 0, the lex
+    greedy code, is never larger) and, for one block over a prime field,
+    the Gabidulin code, each checked independent on the masks; it stops
     as soon as lb meets ub = min(|V| // |anticode| (clique-coclique bound
     of a vertex-transitive graph), the Delsarte LP bound with its dual
     re-checked (``scheme.delsarte_lp``), the colouring bounds of the
@@ -559,8 +581,11 @@ def max_independent_set(spec: PowerGraphSpec,
     if any((masks[v] | 1 << v) & clique != clique for v in anticode):
         raise ArithmeticError("anticode is not a clique")
     search.bound(V // len(anticode), "anticode")
-    greedy = _greedy_independent(masks, range(V))
-    search.offer(greedy.bit_count(), greedy)
+    largest = max(_lex_classes(spec), key=int.bit_count)
+    if any(masks[v] & largest for v in _bits(largest)):
+        raise ArithmeticError("greedy partition class is not an independent "
+                              "set")
+    search.offer(largest.bit_count(), largest)
     seed = gabidulin_indices(params, k + 1)
     if seed is not None:
         seed_bits = _index_bits(seed)
@@ -599,30 +624,6 @@ def max_independent_set(spec: PowerGraphSpec,
                      search.nodes, *start)
 
 
-def _greedy_order(spec: PowerGraphSpec, max_vertices: int,
-                  order_policy: str):
-    """The adjacency masks and the vertex order the greedy procedures
-    scan: ascending index ("lex") or ascending weight, then index."""
-    masks = adjacency_masks(spec, max_vertices)
-    V = len(masks)
-    if order_policy == "lex":
-        return masks, range(V)
-    if order_policy == "weight-then-lex":
-        w = _tables(spec.params).weights_of(_all_digits(spec.params, V))
-        return masks, np.argsort(w, kind="stable").tolist()
-    raise ValueError(f"unknown order policy {order_policy!r}")
-
-
-def greedy_gv_code(spec: PowerGraphSpec,
-                   max_vertices: int = DEFAULT_MAX_VERTICES,
-                   order_policy: str = "lex") -> SrkCode:
-    """Sphere-covering witness: keep a vertex iff it is at distance > k
-    from everything kept so far.  Size >= ceil(|V| / ball_volume)."""
-    kept = _greedy_independent(*_greedy_order(spec, max_vertices,
-                                              order_policy))
-    return SrkCode(spec.params, tuple(_bits(kept)))
-
-
 def _greedy_classes(masks, order) -> list:
     """First-fit colouring as class bitmasks: each vertex, in ``order``,
     joins the first class holding none of its neighbours."""
@@ -638,22 +639,59 @@ def _greedy_classes(masks, order) -> list:
     return class_bits
 
 
+@lru_cache(maxsize=1)
+def _lex_classes(spec: PowerGraphSpec) -> tuple:
+    """Class bitmasks of the lex first-fit partition, kept next to the
+    masks: one build per spec serves the greedy procedures and the MIS
+    seed.  Callers check the vertex budget first (``adjacency_masks``)."""
+    masks = _translated_masks(spec)
+    return tuple(_greedy_classes(masks, range(len(masks))))
+
+
+def _partition_classes(spec: PowerGraphSpec, max_vertices: int,
+                       order_policy: str):
+    """Class bitmasks of the first-fit partition scanning vertices in
+    ascending index ("lex") or ascending weight, then index."""
+    masks = adjacency_masks(spec, max_vertices)
+    if order_policy == "lex":
+        return _lex_classes(spec)
+    if order_policy == "weight-then-lex":
+        w = _tables(spec.params).weights_of(_all_digits(spec.params,
+                                                        len(masks)))
+        return _greedy_classes(masks, np.argsort(w, kind="stable").tolist())
+    raise ValueError(f"unknown order policy {order_policy!r}")
+
+
+def greedy_gv_code(spec: PowerGraphSpec,
+                   max_vertices: int = DEFAULT_MAX_VERTICES,
+                   order_policy: str = "lex") -> SrkCode:
+    """Sphere-covering witness: keep a vertex iff it is at distance > k
+    from everything kept so far.  Size >= ceil(|V| / ball_volume).  It is
+    class 0 of ``greedy_partition`` in the same order."""
+    kept = _partition_classes(spec, max_vertices, order_policy)[0]
+    return SrkCode(spec.params, tuple(_bits(kept)))
+
+
 def greedy_partition(spec: PowerGraphSpec,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
                      order_policy: str = "lex"):
     """Greedy coloring: partition of the space into codes of minimum
     distance >= k+1 (singletons allowed); at most D+1 classes.  Class 0 is
     ``greedy_gv_code`` in the same order: a vertex joins it iff none of its
-    neighbours did before it."""
-    classes = _greedy_classes(*_greedy_order(spec, max_vertices,
-                                             order_policy))
-    return [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]
+    neighbours did before it.  The lex partition is built once per spec."""
+    return [SrkCode(spec.params, tuple(_bits(bits)))
+            for bits in _partition_classes(spec, max_vertices, order_policy)]
 
 
 def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
                   max_vertices: int = DEFAULT_MAX_VERTICES) -> dict:
     """Degree-regularity sweep (full, within budget) and sampled
-    translation-invariance checks of adjacency."""
+    translation-invariance checks of adjacency.  Degrees are read from the
+    weight histogram of the space (``_weight_histogram``, one build per
+    space serves every k).  The samples x, y, z are drawn as one
+    (sample_size, 3, L) array, which on numpy 2.4 gives the same draws as
+    three ``rng.integers(0, q, size=L)`` calls a sample, and weighed at
+    once."""
     params, k = spec.params, spec.k
     tab = _tables(params)
     F = params.field
@@ -661,30 +699,24 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     report = {"params": params.describe(), "k": k, "expected_degree": D,
               "degree_violations": [], "translation_violations": [],
               "degrees_checked": 0, "translations_checked": 0}
-    V = params.size()
-    if V <= max_vertices:
-        degrees = np.concatenate([
-            adj.sum(axis=1)
-            for adj in _adjacency_rows(spec, _all_digits(params, max_vertices))])
+    if params.size() <= max_vertices:
+        degrees = _weight_histogram(params)[:, 1:k + 1].sum(axis=1)
         report["degrees_checked"] = len(degrees)
         report["degree_violations"] = [
             {"vertex": v, "degree": int(degrees[v])}
             for v in np.flatnonzero(degrees != D).tolist()]
     rng = np.random.default_rng(seed)
-    L = params.total_dim
-    q = params.q
-    for _ in range(sample_size):
-        x, y, z = (rng.integers(0, q, size=L).astype(tab.dtype)
-                   for _ in range(3))
-        dxy = tab.weights_of(F.sub_array(x[None, :], y))[0]
-        xs, ys = F.add_array(x, z), F.add_array(y, z)
-        dxyz = tab.weights_of(F.sub_array(xs[None, :], ys))[0]
-        adj_before = 1 <= dxy <= k
-        adj_after = 1 <= dxyz <= k
-        report["translations_checked"] += 1
-        if adj_before != adj_after:
-            report["translation_violations"].append(
-                {"x": x.tolist(), "y": y.tolist(), "z": z.tolist()})
+    S = max(sample_size, 0)
+    x, y, z = rng.integers(0, params.q, size=(S, 3, params.total_dim)
+                           ).astype(tab.dtype).transpose(1, 0, 2)
+    dxy = tab.weights_of(F.sub_array(x, y))
+    dxyz = tab.weights_of(F.sub_array(F.add_array(x, z), F.add_array(y, z)))
+    adj_before = (dxy >= 1) & (dxy <= k)
+    adj_after = (dxyz >= 1) & (dxyz <= k)
+    report["translations_checked"] = S
+    report["translation_violations"] = [
+        {"x": x[i].tolist(), "y": y[i].tolist(), "z": z[i].tolist()}
+        for i in np.flatnonzero(adj_before != adj_after).tolist()]
     report["ok"] = (not report["degree_violations"]
                     and not report["translation_violations"])
     return report

@@ -298,31 +298,42 @@ class SrkCode:
 _PAIR_CHUNK = 1 << 16
 
 
-def _pair_chunks(N: int):
-    """Index arrays (i, j) of the pairs i < j of N items, row by row, at
+def _pair_chunks(sizes):
+    """Index arrays (i, j) of the pairs i < j of rows in one group, for
+    consecutive groups of ``sizes`` rows: group by group, row by row, at
     most _PAIR_CHUNK pairs at a time."""
-    rows = np.arange(N, dtype=np.int64)
-    start = rows * (2 * N - rows - 1) // 2  # pairs before row i
-    total = N * (N - 1) // 2
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rows = np.arange(sizes.sum(), dtype=np.int64)
+    after = np.repeat(np.cumsum(sizes), sizes) - rows - 1  # partners of i
+    start = np.cumsum(after) - after  # pairs before row i
+    total = int(after.sum())
     for s in range(0, total, _PAIR_CHUNK):
         k = np.arange(s, min(s + _PAIR_CHUNK, total), dtype=np.int64)
         i = np.searchsorted(start, k, side="right") - 1
         yield i, k - start[i] + i + 1
 
 
-def min_distance(code: SrkCode) -> int:
-    """Smallest sum-rank distance between two words of the code.
+def min_distance(*codes: SrkCode) -> int:
+    """Smallest sum-rank distance between two words of one code, over all
+    the codes given: the classes of a partition are certified in one call,
+    and a code of one word (no pair) adds nothing.
 
-    The block differences of all pairs are taken on a digit array read
-    from the code's indices, and each distinct difference of a block is ranked once with the
-    scalar `rank` (memo local to this call); a pair's distance is the sum
-    of its blocks' ranks.  The rank tables of the graph layer are not used,
-    since they build the adjacency whose codes this certifies."""
-    if len(code) < 2:
-        raise ValueError("minimum distance needs at least two codewords")
-    params = code.params
+    The block differences of the pairs inside each code are taken on one
+    digit array read from the codes' indices, and each distinct difference
+    of a block is ranked once with the scalar `rank` (one memo per block,
+    local to this call); a pair's distance is the sum of its blocks' ranks.
+    The rank tables of the graph layer are not used, since they build the
+    adjacency whose codes this certifies."""
+    codes = [c for c in codes if len(c) >= 2]
+    if not codes:
+        raise ValueError("minimum distance needs a code of at least two "
+                         "codewords")
+    params = codes[0].params
+    if any(c.params != params for c in codes):
+        raise ShapeError("codes from different spaces")
     F, q, L = params.field, params.q, params.total_dim
-    digits = np.array([int_digits(i, q, L)[::-1] for i in code.indices],
+    digits = np.array([int_digits(i, q, L)[::-1]
+                       for c in codes for i in c.indices],
                       dtype=digit_dtype(q))
     blocks = []
     off = 0
@@ -331,7 +342,7 @@ def min_distance(code: SrkCode) -> int:
         blocks.append((ni, mi, digits[:, off:off + ln], q ** ln < 1 << 63, {}))
         off += ln
     best = params.max_weight
-    for i, j in _pair_chunks(len(code)):
+    for i, j in _pair_chunks([len(c) for c in codes]):
         dist = np.zeros(len(i), dtype=np.int64)
         for ni, mi, X, keyed, memo in blocks:
             diff = F.sub_array(X[i], X[j])

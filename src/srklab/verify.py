@@ -232,7 +232,9 @@ def suite_triangles(max_ball: int = 20000):
 def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
     """gv <= greedy <= alpha (alpha where the solver budget allows);
     partition classes all keep minimum distance >= k+1 and the average
-    class size clears the GV floor."""
+    class size clears the GV floor.  The greedy code is class 0 of the
+    lex partition, and all classes are certified in one ``min_distance``
+    call."""
     checked = 0
     alpha_solved = 0
     for params in default_sweep():
@@ -242,16 +244,13 @@ def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
             d = k + 1
             spec = graphlab.PowerGraphSpec(params, k)
             gv = bounds.gv_lower(params, d)
-            greedy = graphlab.greedy_gv_code(spec, max_vertices)
+            classes = graphlab.greedy_partition(spec, max_vertices)
+            greedy = classes[0]
             checked += 1
             if not gv <= len(greedy):
                 return _report("gv-chain", checked,
                                {"params": params.describe(), "d": d,
                                 "gv": gv, "greedy": len(greedy)})
-            if len(greedy) >= 2 and min_distance(greedy) < d:
-                return _report("gv-chain", checked,
-                               {"params": params.describe(), "d": d,
-                                "reason": "greedy code distance too small"})
             try:
                 alpha, witness = graphlab.max_independent_set(
                     spec, max_vertices, max_nodes)
@@ -267,17 +266,16 @@ def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
                                     "reason": "witness distance too small"})
             except graphlab.SolverBudgetError:
                 pass
-            classes = graphlab.greedy_partition(spec, max_vertices)
             V = params.size()
             if sorted(i for c in classes for i in c.indices) != list(range(V)):
                 return _report("gv-chain", checked,
                                {"params": params.describe(), "d": d,
                                 "reason": "classes do not partition"})
-            for cls in classes:
-                if len(cls) >= 2 and min_distance(cls) < d:
-                    return _report("gv-chain", checked,
-                                   {"params": params.describe(), "d": d,
-                                    "reason": "partition class distance"})
+            if (any(len(c) >= 2 for c in classes)
+                    and min_distance(*classes) < d):
+                return _report("gv-chain", checked,
+                               {"params": params.describe(), "d": d,
+                                "reason": "partition class distance"})
             ratio = bounds.gv_exact_ratio(params, d)
             avg = V / len(classes)
             checked += 1

@@ -254,13 +254,35 @@ def test_mis_result_unpacks_and_reports_the_search():
 
 
 def test_solver_budget_error_carries_bounds():
-    spec = PowerGraphSpec(make_params(3, (1,) * 5, (1,) * 5), 2)
+    spec = PowerGraphSpec(make_params(3, (1,) * 7, (1,) * 7), 2)
     with pytest.raises(SolverBudgetError) as info:
         max_independent_set(spec, max_nodes=100)
     exc = info.value
     assert str(exc) == "exceeded 100 branch-and-bound nodes"
     assert exc.nodes == 101
-    assert 9 <= exc.lb <= 18 <= exc.ub <= 27
+    assert (exc.lb, exc.ub, exc.ub_source) == (82, 145, "lp")
+
+
+def test_largest_lex_class_seeds_the_search():
+    # the largest class of the lex partition of GF(3)^5 at k = 2 has
+    # A_3(5, 3) = 18 words and meets the LP bound: no branching
+    spec = PowerGraphSpec(make_params(3, (1,) * 5, (1,) * 5), 2)
+    classes = greedy_partition(spec)
+    result = max_independent_set(spec)
+    assert max(len(c) for c in classes) == 18 > len(classes[0])
+    assert (result.nodes, result.lb, result.ub) == (1, 18, 18)
+    assert result.witness == max(classes, key=len)
+    assert min_distance(result.witness) >= 3
+
+
+def test_a_dependent_seed_class_is_refused(monkeypatch):
+    # a class of all 16 vertices is the largest, and no code of distance 2
+    spec = PowerGraphSpec(make_params(2, (2,), (2,)), 1)
+    real = graphlab._lex_classes
+    monkeypatch.setattr(graphlab, "_lex_classes",
+                        lambda spec: real(spec) + ((1 << 16) - 1,))
+    with pytest.raises(ArithmeticError):
+        max_independent_set(spec)
 
 
 @pytest.mark.parametrize("q,n,m,d", [
@@ -446,7 +468,14 @@ def test_adjacency_masks_built_once_per_spec():
     assert isinstance(masks, tuple)
     bounds.bound_report(spec.params, 2)
     info = adjacency_masks.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    # hits: the greedy partition, its lex classes and the MIS
+    assert (info.misses, info.hits) == (1, 3)
+    # one lex partition serves the greedy columns and the MIS seed, and it
+    # goes with the masks it was built on
+    info = graphlab._lex_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    adjacency_masks.cache_clear()
+    assert graphlab._lex_classes.cache_info().currsize == 0
 
 
 def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
@@ -491,6 +520,23 @@ def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
     assert built == specs
 
 
+def test_a_verify_pass_enumerates_each_ball_once(monkeypatch):
+    """The triangles suite (exact_T) and the gv-chain suite (the masks)
+    each walk the 76 sweep specs; the second reads the first's balls."""
+    built = []
+    original = graphlab.ball_digits
+
+    def counted(spec, *args, **kwargs):
+        built.append(spec)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(graphlab, "ball_digits", counted)
+    graphlab._nonzero_ball.cache_clear()
+    adjacency_masks.cache_clear()
+    assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
+    assert len(built) == len(set(built)) == 76
+
+
 # -- batched adjacency rows --------------------------------------------------
 
 def _per_vertex_masks(spec, vertices=None):
@@ -517,6 +563,7 @@ def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
     if chunk is not None:
         monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
     params = make_params(q, n, m)
+    graphlab._weight_histogram.cache_clear()   # rebuilt in this chunk size
     for k in range(1, params.max_weight + 1):
         spec = PowerGraphSpec(params, k)
         adjacency_masks.cache_clear()
@@ -642,29 +689,92 @@ def test_gv_chain_refuses_classes_that_overlap(monkeypatch):
     assert rep["counterexample"]["reason"] == "classes do not partition"
 
 
-def test_adjacency_chunks_stay_within_the_row_budget():
+def test_gv_chain_refuses_a_class_with_a_close_pair(monkeypatch):
+    # first fit put the first vertex of class 2 there because it has a
+    # neighbour in class 1; moving it to class 1 keeps a partition whose
+    # class 1 holds a pair at distance <= k
+    real = graphlab.greedy_partition
+
+    def moved(spec, *args, **kwargs):
+        classes = real(spec, *args, **kwargs)
+        if len(classes) < 3:
+            return classes
+        v, *rest = classes[2].indices
+        return (classes[:1]
+                + [SrkCode(spec.params, classes[1].indices + (v,))]
+                + ([SrkCode(spec.params, rest)] if rest else [])
+                + classes[3:])
+
+    monkeypatch.setattr(graphlab, "greedy_partition", moved)
+    rep = verify.suite_gv_chain()
+    assert not rep["ok"]
+    assert rep["counterexample"]["reason"] == "partition class distance"
+
+
+def test_weight_chunks_stay_within_the_row_budget():
     params = make_params(3, (1,) * 6, (1,) * 6)   # 729 vertices, 44 a chunk
     digits = graphlab._all_digits(params, 729)
-    spec = PowerGraphSpec(params, 2)
-    shapes = [adj.shape for adj in graphlab._adjacency_rows(spec, digits)]
+    shapes = [w.shape for w in graphlab._weight_rows(params, digits)]
     assert len(shapes) == 17 and sum(r for r, _ in shapes) == 729
     assert all(r * c <= graphlab._ROW_CHUNK for r, c in shapes)
 
 
 def test_verify_cayley_reports_a_wrong_degree(monkeypatch):
     spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
-    real = graphlab._adjacency_rows
+    real = graphlab._weight_rows
 
-    def one_edge_short(spec, digits):
-        for i, adj in enumerate(real(spec, digits)):
+    def one_edge_short(params, digits):
+        # the first neighbour of vertex 3 moves out to distance k + 1
+        for i, w in enumerate(real(params, digits)):
             if i == 0:
-                adj = adj.copy()
-                adj[3, np.flatnonzero(adj[3])[0]] = False
-            yield adj
+                w = w.copy()
+                w[3, np.flatnonzero(w[3] == 1)[0]] = 2
+            yield w
 
-    monkeypatch.setattr(graphlab, "_adjacency_rows", one_edge_short)
+    monkeypatch.setattr(graphlab, "_weight_rows", one_edge_short)
+    graphlab._weight_histogram.cache_clear()
     rep = verify_cayley(spec, sample_size=0)
+    graphlab._weight_histogram.cache_clear()
     assert not rep["ok"]
     assert rep["degree_violations"] == [{"vertex": 3,
                                          "degree": rep["expected_degree"] - 1}]
     assert rep["degrees_checked"] == 64
+
+
+@pytest.mark.parametrize("params", [
+    *default_sweep(), make_params(4, (1, 1), (1, 2)),
+    make_params(8, (1, 1), (1, 2)), make_params(9, (1,), (2,))],
+    ids=lambda p: p.describe())
+def test_histogram_degrees_equal_the_boolean_sweep(params):
+    """For every k, the degrees read from the weight histogram equal those
+    of a boolean adjacency sweep on the distances, one vertex at a time."""
+    tab = graphlab._tables(params)
+    digits = graphlab._all_digits(params, params.size())
+    hist = graphlab._weight_histogram(params)
+    assert not hist.flags.writeable
+    for v in range(0, len(digits), max(1, len(digits) // 64)):
+        w = tab.weights_of(params.field.sub_array(digits, digits[v]))
+        for k in range(1, params.max_weight + 1):
+            assert hist[v, 1:k + 1].sum() == np.count_nonzero(
+                (w >= 1) & (w <= k))
+    for k in range(1, params.max_weight + 1):
+        rep = verify_cayley(PowerGraphSpec(params, k), sample_size=4)
+        assert rep["ok"] and rep["degrees_checked"] == params.size()
+
+
+def test_a_weight_row_that_miscounts_is_refused(monkeypatch):
+    params = make_params(2, (1, 2), (2, 2))
+    real = graphlab._weight_rows
+
+    def out_of_range(params, digits):
+        # a weight past max_weight would be counted in the next row
+        for w in real(params, digits):
+            w = w.copy()
+            w[0, 0] = params.max_weight + 1
+            yield w
+
+    monkeypatch.setattr(graphlab, "_weight_rows", out_of_range)
+    graphlab._weight_histogram.cache_clear()
+    with pytest.raises(ArithmeticError):
+        graphlab._weight_histogram(params)
+    graphlab._weight_histogram.cache_clear()

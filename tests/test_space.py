@@ -307,12 +307,51 @@ def test_min_distance_ranks_each_distinct_block_difference_once(monkeypatch):
 
 
 def test_min_distance_pair_chunks_cover_every_pair_once(monkeypatch):
+    """Rows come in consecutive groups (the codes of one call): every pair
+    inside a group appears once, in order, and no pair across groups."""
     monkeypatch.setattr(space, "_PAIR_CHUNK", 4)
-    for N in (2, 3, 7, 10):
-        pairs = [(int(i), int(j)) for I, J in space._pair_chunks(N)
+    for sizes in ([2], [3], [7], [10], [1, 3, 4, 1], [5, 5], [1, 1], [3, 7]):
+        starts = np.cumsum([0] + sizes).tolist()
+        want = [(o + a, o + b) for o, n in zip(starts, sizes)
+                for a, b in combinations(range(n), 2)]
+        pairs = [(int(i), int(j)) for I, J in space._pair_chunks(sizes)
                  for i, j in zip(I, J)]
-        assert pairs == list(combinations(range(N), 2))
-        assert all(len(I) <= 4 for I, _ in space._pair_chunks(N))
+        assert pairs == want
+        assert all(len(I) <= 4 for I, _ in space._pair_chunks(sizes))
+
+
+@pytest.mark.parametrize("params", MIN_DISTANCE_PARAMS,
+                         ids=lambda p: p.describe())
+def test_min_distance_of_several_codes_equals_pairwise_oracle(monkeypatch,
+                                                              params):
+    codes = [_random_code(params, min(size, params.size()), seed)
+             for seed, size in enumerate((2, 1, 12, 5))]
+    want = min(_pairwise_min_distance(c) for c in codes if len(c) >= 2)
+    for chunk in (space._PAIR_CHUNK, 3):
+        monkeypatch.setattr(space, "_PAIR_CHUNK", chunk)
+        assert min_distance(*codes) == want
+
+
+def test_min_distance_ignores_a_close_pair_across_two_codes():
+    p = make_params(2, (1, 1, 1), (1, 1, 1))
+    elems = {v.serialize(): v for v in enumerate_space(p)}
+    a = SrkCode.of(p, (elems[(0, 0, 0)], elems[(1, 1, 1)]))
+    b = SrkCode.of(p, (elems[(0, 0, 1)], elems[(1, 1, 0)]))
+    # 000 and 001 are at distance 1, but lie in different codes
+    assert srk_distance(elems[(0, 0, 0)], elems[(0, 0, 1)]) == 1
+    assert min_distance(a, b) == min_distance(a) == min_distance(b) == 3
+    assert min_distance(a, SrkCode.of(p, (elems[(0, 1, 1)],))) == 3
+
+
+def test_min_distance_needs_a_code_of_two_words():
+    p = make_params(2, (1, 1), (2, 1))
+    one, other = SrkCode(p, (0,)), SrkCode(p, (5,))
+    for codes in ((), (one,), (one, other)):
+        with pytest.raises(ValueError):
+            min_distance(*codes)
+    foreign = SrkCode(make_params(2, (1, 1), (1, 2)), (0, 1))
+    with pytest.raises(ShapeError):
+        min_distance(SrkCode(p, (0, 1)), foreign)
 
 
 def test_min_distance_stops_at_one(monkeypatch):
