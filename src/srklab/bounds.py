@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gf import BudgetError
-from .space import SrkParams, min_distance
+from .space import SrkParams
 from . import counting, graphlab
 
 NOT_COMPUTED = "not computed"
@@ -21,11 +21,7 @@ NOT_COMPUTED = "not computed"
 
 def gv_lower(params: SrkParams, d: int) -> int:
     """Sphere-covering bound: ceil(|V| / ball_volume(d-1))."""
-    if d < 1:
-        raise ValueError("distance must be at least 1")
-    V = counting.space_size(params)
-    ball = counting.ball_volume(params, d - 1)
-    return -(-V // ball)
+    return math.ceil(gv_exact_ratio(params, d))
 
 
 def gv_exact_ratio(params: SrkParams, d: int) -> Fraction:
@@ -113,13 +109,11 @@ def bound_report(params: SrkParams, d: int, *,
     fit are recorded as 'not computed' rather than failing the report.
     The greedy columns come from one lex-order ``graphlab.greedy_partition``:
     its class 0 is the greedy code, and its classes count the partition."""
-    if d < 1:
-        raise ValueError("distance must be at least 1")
+    ratio = gv_exact_ratio(params, d)
     V = counting.space_size(params)
     ball = counting.ball_volume(params, d - 1)
     rep = BoundReport(params=params, d=d, V=V, ball=ball,
-                      gv=gv_lower(params, d),
-                      gv_exact_ratio=gv_exact_ratio(params, d))
+                      gv=math.ceil(ratio), gv_exact_ratio=ratio)
     k = d - 1
     if k == 0:
         # distance 1: the whole space is a code
@@ -150,11 +144,8 @@ def bound_report(params: SrkParams, d: int, *,
         rep.notes.append(f"greedy procedures skipped: {exc}")
 
     try:
-        alpha, witness = graphlab.max_independent_set(spec, max_vertices,
-                                                      max_nodes)
-        if len(witness) >= 2 and min_distance(witness) < d:
-            raise ArithmeticError("MIS witness violates distance contract")
-        rep.exact_alpha = alpha
+        rep.exact_alpha = graphlab.max_independent_set(
+            spec, max_vertices, max_nodes).alpha
     except BudgetError as exc:
         rep.notes.append(f"exact alpha skipped: {exc}")
 

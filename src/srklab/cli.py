@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -26,11 +27,16 @@ def _parse_int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
-def _params_from_args(args):
+def _check_field_order(q: int):
+    """Exit with a usage error unless q is a prime power."""
     try:
-        factor_prime_power(args.q)
+        factor_prime_power(q)
     except FieldError as exc:
         raise SystemExit(_usage(f"bad field order: {exc}"))
+
+
+def _params_from_args(args):
+    _check_field_order(args.q)
     try:
         return make_params(args.q, args.n, args.m)
     except ValueError as exc:
@@ -38,6 +44,14 @@ def _params_from_args(args):
         if "m_i >= n_i" in str(exc):
             hint = " (the space assumes every m_i >= n_i; swap n and m?)"
         raise SystemExit(_usage(f"bad parameters: {exc}{hint}"))
+
+
+def _spec_from_args(args):
+    params = _params_from_args(args)
+    try:
+        return graphlab.PowerGraphSpec(params, args.k)
+    except ValueError as exc:
+        raise SystemExit(_usage(f"bad parameters: {exc}"))
 
 
 def _usage(msg: str) -> int:
@@ -74,6 +88,7 @@ def cmd_volume(args) -> int:
 
 
 def cmd_count(args) -> int:
+    _check_field_order(args.q)
     try:
         print(counting.count_rank_matrices(args.rows, args.cols, args.r, args.q))
     except ValueError as exc:
@@ -82,6 +97,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_qtable(args) -> int:
+    _check_field_order(args.q)
     n = args.n
     for k in range(n + 1):
         print(k, counting.gaussian_binomial(n, k, args.q))
@@ -89,26 +105,14 @@ def cmd_qtable(args) -> int:
 
 
 def cmd_graph_stats(args) -> int:
-    params = _params_from_args(args)
-    spec = graphlab.PowerGraphSpec(params, args.k)
-    try:
-        stats = graphlab.graph_stats(spec, args.max_ball)
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
+    stats = graphlab.graph_stats(_spec_from_args(args), args.max_ball)
     print(json.dumps(stats.to_json(), sort_keys=True))
     return 0
 
 
 def cmd_alpha(args) -> int:
-    params = _params_from_args(args)
-    spec = graphlab.PowerGraphSpec(params, args.k)
-    try:
-        size, witness = graphlab.max_independent_set(
-            spec, args.max_vertices, args.max_nodes)
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
+    size, witness = graphlab.max_independent_set(
+        _spec_from_args(args), args.max_vertices, args.max_nodes)
     print(size)
     if args.out:
         save_code(witness, args.out)
@@ -116,16 +120,11 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    params = _params_from_args(args)
-    spec = graphlab.PowerGraphSpec(params, args.k)
-    try:
-        classes = graphlab.greedy_partition(spec, args.max_vertices, args.order)
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
+    spec = _spec_from_args(args)
+    classes = graphlab.greedy_partition(spec, args.max_vertices, args.order)
     sizes = [len(c) for c in classes]
     print(json.dumps({"num_classes": len(classes), "sizes": sizes,
-                      "avg_size": params.size() / len(classes)}))
+                      "avg_size": spec.params.size() / len(classes)}))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump([code_to_json(c) for c in classes], fh, indent=1,
@@ -145,24 +144,31 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_ints(obj: dict, ints=(), lists=()):
+    """ValueError unless each key of ``ints`` that obj has is an int and
+    each key of ``lists`` that it has is a list of ints (bools are not
+    ints here)."""
+    for key in ints:
+        if key in obj and not _is_int(obj[key]):
+            raise ValueError(f"{key} is {obj[key]!r}, not an integer")
+    for key in lists:
+        if key in obj and not (isinstance(obj[key], list)
+                               and all(map(_is_int, obj[key]))):
+            raise ValueError(f"{key} is {obj[key]!r}, not a list of integers")
+
+
 def _config_instance(inst, default_d):
     """(params, distances) of one sweep-config instance; ValueError unless
     q is an int, n and m are lists of ints and d is "all" or a list of
     ints >= 1 (bools are not ints here)."""
     if not isinstance(inst, dict):
         raise ValueError(f"instance {inst!r} is not an object")
-    q = inst["q"]
-    if not _is_int(q):
-        raise ValueError(f"q is {q!r}, not an integer")
-    for key in ("n", "m"):
-        dims = inst[key]
-        if not isinstance(dims, list) or not all(map(_is_int, dims)):
-            raise ValueError(f"{key} is {dims!r}, not a list of integers")
+    _check_ints(inst, ("q",), ("n", "m"))
     ds = inst.get("d", default_d)
     if ds != "all" and not (isinstance(ds, list) and all(
             _is_int(d) and d >= 1 for d in ds)):
         raise ValueError(f"d is {ds!r}, not 'all' or a list of integers >= 1")
-    return make_params(q, inst["n"], inst["m"]), ds
+    return make_params(inst["q"], inst["n"], inst["m"]), ds
 
 
 def _sweep_from_config(args):
@@ -245,10 +251,29 @@ def cmd_verify(args) -> int:
     return COMPUTE_ERROR if failed else 0
 
 
+def _load_chain(path) -> dict:
+    """The chain object of a chain file; ValueError unless its integer
+    fields are ints, n and m are lists of ints and its config maps
+    ``ChainConfig`` fields to numbers."""
+    with open(path) as fh:
+        chain = json.load(fh)
+    if not isinstance(chain, dict):
+        raise ValueError(f"chain must be an object, got {chain!r}")
+    _check_ints(chain, ("k", "a", "b", "N", "d", "q", "t", "j", "code_lb",
+                        "srk_lb"), ("n", "m"))
+    cfg = chain.get("config", {})
+    fields = {f.name for f in dataclasses.fields(ramsey.ChainConfig)}
+    if not (isinstance(cfg, dict) and all(
+            key in fields and isinstance(value, (int, float))
+            and not isinstance(value, bool) for key, value in cfg.items())):
+        raise ValueError(f"config is {cfg!r}, not an object of numbers "
+                         f"keyed by {sorted(fields)}")
+    return chain
+
+
 def _run_ramsey_chain(chain: dict, table: ramsey.RamseyTable, args):
     kind = chain["chain"]
-    cfg = ramsey.ChainConfig(**chain.get("config", {})) \
-        if chain.get("config") else ramsey.ChainConfig()
+    cfg = ramsey.ChainConfig(**chain.get("config", {}))
     if kind == "hamming":
         k, a, b, N, d = (chain[x] for x in ("k", "a", "b", "N", "d"))
         code_lb = chain.get("code_lb")
@@ -256,37 +281,27 @@ def _run_ramsey_chain(chain: dict, table: ramsey.RamseyTable, args):
             q = table.exact(k, a, b) - 1
             code_lb = ramsey.hamming_gv_code_lb(q, N, d)
         return ramsey.hamming_to_ramsey_lb(k, a, b, N, d, table, code_lb)
+    if kind not in ("srk", "zero-rate-upper", "zero-rate-check"):
+        raise ValueError(f"unknown chain kind {kind!r}")
+    params = make_params(chain["q"], chain["n"], chain["m"])
     if kind == "srk":
-        params = make_params(chain["q"], chain["n"], chain["m"])
         d, k, a, b = (chain[x] for x in ("d", "k", "a", "b"))
         srk_lb = chain.get("srk_lb")
         if srk_lb is None:
             srk_lb = bounds.gv_lower(params, d)
         return ramsey.srk_to_ramsey_lb(params, d, k, a, b, table, srk_lb, cfg)
     if kind == "zero-rate-upper":
-        params = make_params(chain["q"], chain["n"], chain["m"])
-
-        def srk_value(p, dd):
-            if dd <= 1:
-                return p.size()
-            spec = graphlab.PowerGraphSpec(p, dd - 1)
-            alpha, _ = graphlab.max_independent_set(
-                spec, args.max_vertices, args.max_nodes)
-            return alpha
-
-        return ramsey.ramsey_upper_from_srk(params, chain["t"], chain["d"],
-                                            cfg, srk_value)
-    if kind == "zero-rate-check":
-        params = make_params(chain["q"], chain["n"], chain["m"])
-        return ramsey.zero_rate_instance_check(
-            params, chain["k"], chain["j"], args.max_vertices, args.max_nodes)
-    raise ValueError(f"unknown chain kind {kind!r}")
+        return ramsey.ramsey_upper_from_srk(
+            params, chain["t"], chain["d"], cfg,
+            lambda p, d: graphlab.code_size(p, d, args.max_vertices,
+                                            args.max_nodes))
+    return ramsey.zero_rate_instance_check(
+        params, chain["k"], chain["j"], args.max_vertices, args.max_nodes)
 
 
 def cmd_ramsey(args) -> int:
     try:
-        with open(args.chain_file) as fh:
-            chain = json.load(fh)
+        chain = _load_chain(args.chain_file)
         table = ramsey.RamseyTable.load(args.table_file)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage(f"bad input file: {exc}")
@@ -294,9 +309,6 @@ def cmd_ramsey(args) -> int:
         result = _run_ramsey_chain(chain, table, args)
     except (ramsey.TableError, KeyError, ValueError) as exc:
         return _usage(f"chain does not apply: {exc}")
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return COMPUTE_ERROR
     payload = result.to_json() if isinstance(result, ramsey.DerivedBound) else result
     if isinstance(result, ramsey.DerivedBound) and not ramsey.reevaluate(result):
         print("error: derivation replay mismatch", file=sys.stderr)

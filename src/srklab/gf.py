@@ -477,14 +477,6 @@ class Matrix:
                       tuple(F.sub(a, b) for a, b in zip(self.entries, other.entries)),
                       F)
 
-    def add(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        F = self.field
-        return Matrix(self.rows, self.cols,
-                      tuple(F.add(a, b) for a, b in zip(self.entries, other.entries)),
-                      F)
-
     def transpose(self) -> "Matrix":
         ent = tuple(self.entries[r * self.cols + c]
                     for c in range(self.cols) for r in range(self.rows))
@@ -498,9 +490,6 @@ class Matrix:
             ent.extend(self.row(r))
             ent.extend(other.row(r))
         return Matrix(self.rows, self.cols + other.cols, tuple(ent), self.field)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
 
 
 def rank(M: Matrix) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .gf import (BudgetError, digit_dtype, digit_index, digit_rows,
                  digits_int, field_make, index_digits, int_digits, rank_stack)
-from .space import SrkCode, SrkParams
+from .space import SrkCode, SrkParams, min_distance
 from . import counting, scheme
 
 DEFAULT_MAX_VERTICES = 4096
@@ -118,12 +118,6 @@ def _vertex_budget(params: SrkParams, max_vertices) -> int:
     if V > max_vertices:
         raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
     return V
-
-
-def _all_digits(params: SrkParams, max_vertices: int) -> np.ndarray:
-    """(V, L) digit table of the whole space in canonical order."""
-    _vertex_budget(params, max_vertices)
-    return digit_rows(params.q, params.total_dim)
 
 
 def _ball_budget(spec: PowerGraphSpec, max_ball) -> int:
@@ -251,7 +245,7 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
     bits and no loop; a wrong sum or index encoding breaks one of these
     and raises ArithmeticError."""
     params = spec.params
-    digits = _all_digits(params, params.size())
+    digits = digit_rows(params.q, params.total_dim)
     V = len(digits)
     ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
     D = len(ball)
@@ -303,7 +297,7 @@ def _weight_histogram(params: SrkParams) -> np.ndarray:
     one pass over the distance path per space serves the degree sweep of
     every k (the caller checks the vertex budget).  A row that does not
     count |V| vertices raises ArithmeticError."""
-    digits = _all_digits(params, params.size())
+    digits = digit_rows(params.q, params.total_dim)
     V = len(digits)
     W = params.max_weight + 1
     parts = []
@@ -343,7 +337,8 @@ DEFAULT_MAX_NODES = 2_000_000
 
 @dataclass(frozen=True)
 class MisResult:
-    """Exact independence number with a witness code of that size.
+    """Exact independence number with a witness code of that size, whose
+    minimum distance the solver has checked to be >= k+1.
 
     ``nodes`` counts the search nodes charged to the budget (the root is
     node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
@@ -543,6 +538,12 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()
 
 
+def _independent(masks, bits: int, what: str):
+    """ArithmeticError unless the vertex set ``bits`` is independent."""
+    if any(masks[v] & bits for v in _bits(bits)):
+        raise ArithmeticError(f"{what} is not an independent set")
+
+
 def _index_bits(indices) -> int:
     """Bitmask of a collection of vertex indices."""
     bits = 0
@@ -569,7 +570,10 @@ def max_independent_set(spec: PowerGraphSpec,
     as soon as lb meets ub = min(|V| // |anticode| (clique-coclique bound
     of a vertex-transitive graph), the Delsarte LP bound with its dual
     re-checked (``scheme.delsarte_lp``), the colouring bounds of the
-    classes).  All sub-searches share one budget of ``max_nodes`` nodes."""
+    classes).  All sub-searches share one budget of ``max_nodes`` nodes.
+    The alpha returned is certified: the witness's minimum distance is
+    recomputed by ``space.min_distance``, which does not read the masks,
+    and one below k+1 raises ArithmeticError."""
     params, k = spec.params, spec.k
     masks = adjacency_masks(spec, max_vertices)
     V = len(masks)
@@ -582,15 +586,12 @@ def max_independent_set(spec: PowerGraphSpec,
         raise ArithmeticError("anticode is not a clique")
     search.bound(V // len(anticode), "anticode")
     largest = max(_lex_classes(spec), key=int.bit_count)
-    if any(masks[v] & largest for v in _bits(largest)):
-        raise ArithmeticError("greedy partition class is not an independent "
-                              "set")
+    _independent(masks, largest, "greedy partition class")
     search.offer(largest.bit_count(), largest)
     seed = gabidulin_indices(params, k + 1)
     if seed is not None:
         seed_bits = _index_bits(seed)
-        if any(masks[v] & seed_bits for v in seed):
-            raise ArithmeticError("Gabidulin code is not an independent set")
+        _independent(masks, seed_bits, "Gabidulin code")
         search.offer(len(seed), seed_bits)
     if search.lb < search.ub:
         search.bound(math.floor(scheme.delsarte_lp(params, k + 1).value), "lp")
@@ -599,7 +600,8 @@ def max_independent_set(spec: PowerGraphSpec,
     if search.lb < search.ub:
         comp = ~_mask_matrix(masks)
         np.fill_diagonal(comp, False)
-        label = _profile_classes(params, _all_digits(params, V))
+        label = _profile_classes(params,
+                                 digit_rows(params.q, params.total_dim))
         outside = np.flatnonzero(comp[0])
         for c in np.unique(label[outside]):
             later = outside[label[outside] >= c]
@@ -620,8 +622,22 @@ def max_independent_set(spec: PowerGraphSpec,
             break
         if bound > search.lb:
             search.clique(nbr, verts, 2, 1 | 1 << rep)
-    return MisResult(search.lb, SrkCode(params, tuple(_bits(search.best))),
-                     search.nodes, *start)
+    witness = SrkCode(params, tuple(_bits(search.best)))
+    if len(witness) >= 2 and min_distance(witness) < k + 1:
+        raise ArithmeticError("MIS witness violates distance contract")
+    return MisResult(search.lb, witness, search.nodes, *start)
+
+
+def code_size(params: SrkParams, d: int,
+              max_vertices: int = DEFAULT_MAX_VERTICES,
+              max_nodes: int = DEFAULT_MAX_NODES) -> int:
+    """A(d), the largest size of a code of minimum distance >= d: |V| for
+    d <= 1, otherwise the certified alpha of the power graph at k = d - 1
+    (``max_independent_set``, with its budgets)."""
+    if d <= 1:
+        return params.size()
+    spec = PowerGraphSpec(params, d - 1)
+    return max_independent_set(spec, max_vertices, max_nodes).alpha
 
 
 def _greedy_classes(masks, order) -> list:
@@ -656,8 +672,8 @@ def _partition_classes(spec: PowerGraphSpec, max_vertices: int,
     if order_policy == "lex":
         return _lex_classes(spec)
     if order_policy == "weight-then-lex":
-        w = _tables(spec.params).weights_of(_all_digits(spec.params,
-                                                        len(masks)))
+        params = spec.params
+        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
         return _greedy_classes(masks, np.argsort(w, kind="stable").tolist())
     raise ValueError(f"unknown order policy {order_policy!r}")
 

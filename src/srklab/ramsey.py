@@ -264,16 +264,11 @@ def zero_rate_instance_check(params: SrkParams, k: int, j: int,
         return report
     V = counting.space_size(params)
     if V <= max_vertices:
-        if d_int == 1:
-            report["exact_A"] = V
-        else:
-            spec = graphlab.PowerGraphSpec(params, d_int - 1)
-            try:
-                alpha, _ = graphlab.max_independent_set(spec, max_vertices,
-                                                        max_nodes)
-                report["exact_A"] = alpha
-            except graphlab.BudgetError as exc:
-                report["exact_A"] = f"not computed ({exc})"
+        try:
+            report["exact_A"] = graphlab.code_size(params, d_int, max_vertices,
+                                                   max_nodes)
+        except graphlab.BudgetError as exc:
+            report["exact_A"] = f"not computed ({exc})"
     else:
         report["exact_A"] = "not computed (space too large)"
     report["status"] = "ok"

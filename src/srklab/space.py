@@ -101,9 +101,6 @@ class SrkVector:
         return SrkVector(self.params,
                          tuple(a.sub(b) for a, b in zip(self.blocks, other.blocks)))
 
-    def is_zero(self) -> bool:
-        return all(b.is_zero() for b in self.blocks)
-
     def serialize(self) -> tuple:
         """Flat entry tuple in canonical order."""
         out = []
@@ -237,7 +234,7 @@ def wt_preservation_check(x_space_or_params, basis=None,
     params = x_space_or_params
     expect_equality = all(ni == 1 for ni in params.n) and len(set(params.m)) == 1
     violations = []
-    images = {}
+    images = set()
     injective = True
     checked = 0
     for x in enumerate_space(params, budget):
@@ -248,7 +245,7 @@ def wt_preservation_check(x_space_or_params, basis=None,
             violations.append({"vector": x.serialize(), "srk": w, "wt_h": wh})
         if img.entries in images:
             injective = False
-        images[img.entries] = x
+        images.add(img.entries)
         checked += 1
     return {
         "params": params.describe(),

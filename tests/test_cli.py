@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import srklab
+from srklab import graphlab
 from srklab.cli import build_parser, main
 from srklab.space import load_code, min_distance
 
@@ -57,6 +58,17 @@ def test_alpha_with_witness(capsys, tmp_path):
     assert min_distance(code) >= 2
 
 
+def test_alpha_with_a_refused_witness_writes_no_file(capsys, tmp_path,
+                                                    monkeypatch):
+    monkeypatch.setattr(graphlab, "min_distance", lambda *codes: 1)
+    path = tmp_path / "witness.json"
+    rc, out, err = run(capsys, "alpha", "-q", "2", "-n", "2", "-m", "2",
+                       "-k", "1", "-o", str(path))
+    assert rc == 1 and out == ""
+    assert "distance contract" in err
+    assert not path.exists()
+
+
 def test_partition(capsys):
     rc, out, _ = run(capsys, "partition", "-q", "2", "-n", "1,1,1",
                      "-m", "1,1,1", "-k", "1")
@@ -75,6 +87,22 @@ def test_bad_field_order_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "volume", "-q", "6", "-n", "1", "-m", "1", "-k", "1")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-q", "6", "-n", "2", "-m", "2", "-r", "1"],
+    ["qtable", "-q", "6", "-n", "3"],
+    ["qtable", "-q", "1", "-n", "3"],
+    ["graph-stats", "-q", "2", "-n", "1,1", "-m", "1,1", "-k", "0"],
+    ["alpha", "-q", "2", "-n", "1,1", "-m", "1,1", "-k", "0"],
+    ["partition", "-q", "2", "-n", "1,1", "-m", "1,1", "-k", "0"],
+])
+def test_bad_field_order_or_power_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
 
 
 def test_swapped_nm_hint(capsys):
@@ -248,6 +276,55 @@ def test_ramsey_zero_rate_check(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "ok"
     assert payload["exact_A"] == 8
+
+
+_HAMMING = {"chain": "hamming", "k": 3, "a": 2, "b": 1, "N": 3, "d": 2}
+_ZERO_RATE = {"chain": "zero-rate-upper", "q": 2, "n": [1] * 6,
+              "m": [1] * 6, "t": 6, "d": 2}
+
+
+@pytest.mark.parametrize("chain", [
+    [1, 2],
+    "hamming",
+    {**_HAMMING, "N": True},
+    {**_HAMMING, "N": "2"},
+    {**_HAMMING, "N": [1, 2]},
+    {**_HAMMING, "code_lb": 1.5},
+    {**_HAMMING, "code_lb": False},
+    {**_ZERO_RATE, "n": "111111"},
+    {**_ZERO_RATE, "m": [1, 1, 1, 1, 1, 1.0]},
+    {**_ZERO_RATE, "t": 6.0},
+    {**_ZERO_RATE, "config": {"c": 0.5, "gamma": 1}},
+    {**_ZERO_RATE, "config": {"c": "0.5"}},
+    {**_ZERO_RATE, "config": {"c": True}},
+    {**_ZERO_RATE, "config": [["c", 0.5]]},
+])
+def test_malformed_ramsey_chain_is_usage_error(capsys, tmp_path, chain):
+    table_path = _write_table(tmp_path)
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
+    assert rc == 2 and out == ""
+    assert "bad input file" in err
+
+
+@pytest.mark.parametrize("chain,code_value", [
+    # d - c*j = 2 - 0.5 * 2 = 1: the whole space, 2^6
+    ({**_ZERO_RATE, "config": {"c": 0.5}}, 64),
+    # d - c*j = 2 - 0.25 * 5/3, ceiled to 2: A_3(4, 2) = 27
+    ({"chain": "zero-rate-upper", "q": 3, "n": [1] * 4, "m": [1] * 4,
+      "t": 4, "d": 2, "config": {"c": 0.25}}, 27),
+])
+def test_ramsey_zero_rate_upper_reads_the_code_size(capsys, tmp_path, chain,
+                                                   code_value):
+    table_path = _write_table(tmp_path)
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    rc, out, _ = run(capsys, "ramsey", str(chain_path), str(table_path))
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["derivation"][0]["inputs"]["code_value"] == code_value
+    assert payload["value"] == 1.5 * code_value
 
 
 @pytest.mark.parametrize("budgets", [

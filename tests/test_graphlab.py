@@ -285,6 +285,20 @@ def test_a_dependent_seed_class_is_refused(monkeypatch):
         max_independent_set(spec)
 
 
+def test_a_dependent_gabidulin_seed_is_refused(monkeypatch):
+    # vertices 0 and 1 differ in one entry: adjacent at k = 1
+    spec = PowerGraphSpec(make_params(2, (2,), (2,)), 1)
+    monkeypatch.setattr(graphlab, "gabidulin_indices", lambda params, d: [0, 1])
+    with pytest.raises(ArithmeticError, match="Gabidulin code"):
+        max_independent_set(spec)
+
+
+def test_a_witness_below_the_distance_is_refused(monkeypatch):
+    monkeypatch.setattr(graphlab, "min_distance", lambda *codes: 1)
+    with pytest.raises(ArithmeticError, match="distance contract"):
+        max_independent_set(PowerGraphSpec(CUBE, 1))
+
+
 @pytest.mark.parametrize("q,n,m,d", [
     (2, 3, 3, 2), (2, 2, 3, 2), (3, 2, 2, 2), (2, 3, 3, 3)])
 def test_gabidulin_seed_is_an_independent_set(q, n, m, d):
@@ -322,6 +336,17 @@ def test_mis_matches_reference_sweep(q, n, m, d, alpha):
     assert len(code) == size
     if size >= 2:
         assert min_distance(code) >= d
+    assert graphlab.code_size(params, d, max_nodes=200_000) == alpha
+    assert graphlab.code_size(params, 1) == params.size()
+
+
+def test_code_size_keeps_the_solver_budgets():
+    params = make_params(2, (1, 2), (2, 2))
+    with pytest.raises(SolverBudgetError):
+        graphlab.code_size(params, 2, max_nodes=0)
+    with pytest.raises(BudgetError):
+        graphlab.code_size(params, 2, max_vertices=63)
+    assert graphlab.code_size(params, 1, max_vertices=63) == 64
 
 
 # -- orbit-reduced T, batched rank tables, table-free field arithmetic -----
@@ -543,7 +568,7 @@ def _per_vertex_masks(spec, vertices=None):
     """Neighbour bitmasks one vertex at a time (of every vertex, or of
     ``vertices``): u is a neighbour of v iff 1 <= srk(u - v) <= k."""
     tab = graphlab._tables(spec.params)
-    digits = graphlab._all_digits(spec.params, spec.params.size())
+    digits = gf.digit_rows(spec.params.q, spec.params.total_dim)
     masks = []
     for v in range(digits.shape[0]) if vertices is None else vertices:
         w = tab.weights_of(spec.params.field.sub_array(digits, digits[v]))
@@ -713,7 +738,7 @@ def test_gv_chain_refuses_a_class_with_a_close_pair(monkeypatch):
 
 def test_weight_chunks_stay_within_the_row_budget():
     params = make_params(3, (1,) * 6, (1,) * 6)   # 729 vertices, 44 a chunk
-    digits = graphlab._all_digits(params, 729)
+    digits = gf.digit_rows(params.q, params.total_dim)
     shapes = [w.shape for w in graphlab._weight_rows(params, digits)]
     assert len(shapes) == 17 and sum(r for r, _ in shapes) == 729
     assert all(r * c <= graphlab._ROW_CHUNK for r, c in shapes)
@@ -749,7 +774,7 @@ def test_histogram_degrees_equal_the_boolean_sweep(params):
     """For every k, the degrees read from the weight histogram equal those
     of a boolean adjacency sweep on the distances, one vertex at a time."""
     tab = graphlab._tables(params)
-    digits = graphlab._all_digits(params, params.size())
+    digits = gf.digit_rows(params.q, params.total_dim)
     hist = graphlab._weight_histogram(params)
     assert not hist.flags.writeable
     for v in range(0, len(digits), max(1, len(digits) // 64)):

@@ -75,7 +75,7 @@ def test_symmetrised_classes_are_the_profile_orbits():
     S = scheme.symmetrised_scheme(params)
     # {0,1} multisets of the two 1x1 blocks times {0,1,2} of the two 2x2
     assert len(S.weights) == 3 * 6
-    digits = graphlab._all_digits(params, params.size())
+    digits = gf.digit_rows(params.q, params.total_dim)
     labels = graphlab._profile_classes(params, digits)
     sizes = sorted(np.bincount(labels).tolist())
     assert sorted(S.valencies) == sizes
