@@ -252,9 +252,10 @@ def cmd_verify(args) -> int:
 
 
 def _load_chain(path) -> dict:
-    """The chain object of a chain file; ValueError unless its integer
-    fields are ints, n and m are lists of ints and its config maps
-    ``ChainConfig`` fields to numbers."""
+    """The chain object of a chain file, its config read into a
+    ``ChainConfig``; ValueError unless its integer fields are ints, n and
+    m are lists of ints and its config maps ``ChainConfig`` fields to
+    numbers that the config accepts."""
     with open(path) as fh:
         chain = json.load(fh)
     if not isinstance(chain, dict):
@@ -268,12 +269,13 @@ def _load_chain(path) -> dict:
             and not isinstance(value, bool) for key, value in cfg.items())):
         raise ValueError(f"config is {cfg!r}, not an object of numbers "
                          f"keyed by {sorted(fields)}")
+    chain["config"] = ramsey.ChainConfig(**cfg)
     return chain
 
 
 def _run_ramsey_chain(chain: dict, table: ramsey.RamseyTable, args):
     kind = chain["chain"]
-    cfg = ramsey.ChainConfig(**chain.get("config", {}))
+    cfg = chain["config"]
     if kind == "hamming":
         k, a, b, N, d = (chain[x] for x in ("k", "a", "b", "N", "d"))
         code_lb = chain.get("code_lb")

@@ -35,86 +35,8 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed its configured budget."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-# -- polynomial helpers over GF(p); coefficient lists, low degree first --
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    deg = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce modulo the monic polynomial `mod`
-    for i in range(len(out) - 1, deg - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(deg):
-                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
-    return _poly_trim(out[:deg] if len(out) > deg else out)
-
-
-def _poly_powmod(a, k, mod, p):
-    result = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        k >>= 1
-    return result
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_mod(a, b, p):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        a = _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
-
-
 def _prime_factors(n: int):
+    """The distinct prime factors of n, ascending ([] for n < 2)."""
     out = []
     f = 2
     while f * f <= n:
@@ -128,31 +50,51 @@ def _prime_factors(n: int):
     return out
 
 
+def is_prime(n: int) -> bool:
+    return _prime_factors(n) == [n]
+
+
+# -- polynomial helpers over GF(p); coefficient lists, low degree first --
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mod(a, b, p):
+    """The remainder of a modulo b != 0 over GF(p), trimmed."""
+    a = _poly_trim(list(a))
+    b = _poly_trim(list(b))
+    inv_lead = pow(b[-1], p - 2, p)
+    while a and len(a) >= len(b):
+        c = (a[-1] * inv_lead) % p
+        shift = len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * bj) % p
+        a = _poly_trim(a)
+    return a
+
+
+def _poly_mulmod(a, b, mod, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_mod(out, mod, p)
+
+
 def _is_irreducible(coeffs, p) -> bool:
-    """Rabin test for a monic polynomial over GF(p), low degree first."""
-    e = len(coeffs) - 1
-    if e < 1:
-        return False
+    """Trial division of a monic polynomial of degree e >= 2 over GF(p),
+    low degree first, by every monic polynomial of degree 1..e//2."""
     if coeffs[0] == 0:
-        return False  # divisible by x
-    x = [0, 1]
-    # x^(p^e) == x (mod f)
-    h = list(x)
-    for _ in range(e):
-        h = _poly_powmod(h, p, coeffs, p)
-    if _poly_sub(h, x, p):
-        return False
-    for r in _prime_factors(e):
-        h = list(x)
-        for _ in range(e // r):
-            h = _poly_powmod(h, p, coeffs, p)
-        diff = _poly_sub(h, x, p)
-        if not diff:
-            return False
-        g = _poly_gcd(coeffs, diff, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+        return False  # divisible by x: the lex-first candidates, undivided
+    e = len(coeffs) - 1
+    return all(_poly_mod(coeffs, low + (1,), p)
+               for deg in range(1, e // 2 + 1)
+               for low in product(range(p), repeat=deg))
 
 
 def _smallest_irreducible(p: int, e: int):
@@ -277,21 +219,12 @@ class FieldSpec:
         return digits_int(_poly_mulmod(int_digits(a, p, e), int_digits(b, p, e),
                                        self.modulus, p), p)
 
-    def _pow_raw(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            n >>= 1
-        return r
-
     def _primitive_element(self) -> int:
         """Smallest generator of the multiplicative group (order q-1)."""
         q = self.q
         factors = _prime_factors(q - 1)
         for g in range(1, q):
-            if all(self._pow_raw(g, (q - 1) // r) != 1 for r in factors):
+            if all(self.pow(g, (q - 1) // r) != 1 for r in factors):
                 return g
         raise FieldError(f"GF({q}) has no primitive element")
 
@@ -321,15 +254,12 @@ class FieldSpec:
         return self._coefficientwise(a, b, _add_mod)
 
     def _build_tables(self):
-        """Full tables: add coefficient-wise, mul through discrete logs
-        to a primitive element g (q-1 calls of ``_mul_raw``)."""
-        q, p = self.q, self.p
+        """Full tables: add and neg coefficient-wise, mul through discrete
+        logs to a primitive element g (q-1 calls of ``_mul_raw``)."""
+        q = self.q
         a = np.arange(q, dtype=np.int64)
-        add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for j, c in enumerate(self.coefficients(a)):
-            add += (c[:, None] + c[None, :]) % p * p ** j
-            neg += (-c) % p * p ** j
+        add = self.add_array(a[:, None], a[None, :])
+        neg = self.sub_array(np.zeros_like(a), a)
         g = self._primitive_element()
         exp = [1]
         for _ in range(q - 2):
@@ -374,14 +304,16 @@ class FieldSpec:
             raise FieldError("0 has no multiplicative inverse")
         if self._inv is not None:
             return self._inv[a]
-        # multiplicative group has order q-1
+        return self.pow(a, self.q - 2)  # the group of units has order q-1
+
+    def pow(self, a: int, n: int) -> int:
+        """a^n for n >= 0, by square-and-multiply on ``mul``."""
         r = 1
-        base, k = a, self.q - 2
-        while k:
-            if k & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            k >>= 1
+        while n:
+            if n & 1:
+                r = self.mul(r, a)
+            a = self.mul(a, a)
+            n >>= 1
         return r
 
     def elements(self):
@@ -405,17 +337,14 @@ def field_make(p: int, e: int = 1) -> FieldSpec:
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Split a prime power q into (p, e); raises FieldError otherwise."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise FieldError(f"{q} is not a prime power")
-    for p in _prime_factors(q):
-        e = 0
-        n = q
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n == 1:
-            return p, e
-    raise FieldError(f"{q} is not a prime power")
+    p, = primes
+    e = 1
+    while p ** e < q:
+        e += 1
+    return p, e
 
 
 def field_from_order(q: int) -> FieldSpec:

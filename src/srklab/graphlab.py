@@ -495,19 +495,12 @@ def gabidulin_indices(params: SrkParams, d: int):
         return None
     q = params.q
     E = field_make(q, m)
-
-    def frobenius(a):
-        r = 1
-        for _ in range(q):
-            r = E.mul(r, a)
-        return r
-
     # frob[j][i] = g_j^(q^i), with g_j = alpha^j encoded as q^j
     frob = []
     for j in range(n):
         row = [q ** j]
         for _ in range(dim - 1):
-            row.append(frobenius(row[-1]))
+            row.append(E.pow(row[-1], q))
         frob.append(row)
     out = []
     for coeffs in product(range(E.q), repeat=dim):

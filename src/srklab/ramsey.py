@@ -29,14 +29,26 @@ class RamseyTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "RamseyTable":
+        """ValueError unless data is an object whose ``entries`` is a list
+        of objects with integer ``k r s lo hi`` (bools are not integers
+        here) and, where given, a string ``source``."""
+        if not (isinstance(data, dict)
+                and isinstance(data.get("entries"), list)):
+            raise ValueError(f"table must be an object with a list of "
+                             f"entries, got {data!r}")
         entries = {}
         sources = {}
         for ent in data["entries"]:
+            if not isinstance(ent, dict):
+                raise ValueError(f"table entry {ent!r} is not an object")
             for name in ("k", "r", "s", "lo", "hi"):
-                x = ent[name]
+                x = ent.get(name)
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise ValueError(
                         f"table entry field {name!r} is {x!r}, not an integer")
+            if not isinstance(ent.get("source", ""), str):
+                raise ValueError(f"table entry source {ent['source']!r} "
+                                 f"is not a string")
             key = (ent["k"], ent["r"], ent["s"])
             lo, hi = ent["lo"], ent["hi"]
             if lo > hi:
@@ -73,8 +85,11 @@ class ChainConfig:
     log_base: float = 2.0
 
     def __post_init__(self):
-        if self.eps <= 0 or self.c <= 0 or self.c_prime <= 0:
-            raise ValueError("eps, c, c' must be positive")
+        values = (self.eps, self.c, self.c_prime, self.log_base)
+        if not all(math.isfinite(x) and x > 0 for x in values) \
+                or self.log_base == 1:
+            raise ValueError("eps, c, c', log_base must be finite and "
+                             "positive, and log_base must not be 1")
 
 
 @dataclass

@@ -279,6 +279,9 @@ def test_ramsey_zero_rate_check(capsys, tmp_path):
 
 
 _HAMMING = {"chain": "hamming", "k": 3, "a": 2, "b": 1, "N": 3, "d": 2}
+# q^m = 5 = R(3;2,1) - 1, so this chain applies to the test table
+_SRK = {"chain": "srk", "q": 5, "n": [1, 1, 1], "m": [1, 1, 1], "d": 2,
+        "k": 3, "a": 2, "b": 1}
 _ZERO_RATE = {"chain": "zero-rate-upper", "q": 2, "n": [1] * 6,
               "m": [1] * 6, "t": 6, "d": 2}
 
@@ -291,6 +294,7 @@ _ZERO_RATE = {"chain": "zero-rate-upper", "q": 2, "n": [1] * 6,
     {**_HAMMING, "N": [1, 2]},
     {**_HAMMING, "code_lb": 1.5},
     {**_HAMMING, "code_lb": False},
+    {**_SRK, "srk_lb": 2.5},
     {**_ZERO_RATE, "n": "111111"},
     {**_ZERO_RATE, "m": [1, 1, 1, 1, 1, 1.0]},
     {**_ZERO_RATE, "t": 6.0},
@@ -298,11 +302,35 @@ _ZERO_RATE = {"chain": "zero-rate-upper", "q": 2, "n": [1] * 6,
     {**_ZERO_RATE, "config": {"c": "0.5"}},
     {**_ZERO_RATE, "config": {"c": True}},
     {**_ZERO_RATE, "config": [["c", 0.5]]},
+    {**_ZERO_RATE, "config": {"eps": float("nan")}},
+    {**_ZERO_RATE, "config": {"c": float("inf")}},
+    {**_SRK, "config": {"log_base": 1}},
+    {**_SRK, "config": {"c_prime": float("inf")}},
+    {**_HAMMING, "config": {"log_base": 0}},
 ])
 def test_malformed_ramsey_chain_is_usage_error(capsys, tmp_path, chain):
     table_path = _write_table(tmp_path)
     chain_path = tmp_path / "chain.json"
     chain_path.write_text(json.dumps(chain))
+    rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
+    assert rc == 2 and out == ""
+    assert "bad input file" in err
+
+
+@pytest.mark.parametrize("table", [
+    {"entries": 5},
+    {},
+    [1],
+    {"entries": [5]},
+    {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6}]},
+    {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6, "hi": "6"}]},
+    {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6, "hi": 6, "source": 2}]},
+])
+def test_malformed_ramsey_table_is_usage_error(capsys, tmp_path, table):
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(table))
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(_HAMMING))
     rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
     assert rc == 2 and out == ""
     assert "bad input file" in err

@@ -20,6 +20,59 @@ def test_gf4_modulus_is_unique_irreducible_quadratic():
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1
 
 
+# The lex-smallest monic irreducible of every non-prime field p^e <= 2^16,
+# constant coefficient first: element indices, and so every table and
+# every output over an extension field, depend on it.
+_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1), (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1), (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 14): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 15): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (2, 16): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1), (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (3, 7): (1, 0, 0, 0, 0, 1, 2, 1), (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1),
+    (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1), (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1), (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1), (7, 5): (1, 0, 0, 0, 3, 1), (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1), (11, 4): (1, 0, 0, 4, 1), (13, 2): (1, 3, 1),
+    (13, 3): (1, 0, 4, 1), (13, 4): (1, 0, 0, 1, 1), (17, 2): (1, 1, 1),
+    (17, 3): (1, 0, 3, 1), (19, 2): (1, 0, 1), (19, 3): (1, 0, 1, 1),
+    (23, 2): (1, 0, 1), (23, 3): (1, 0, 3, 1), (29, 2): (1, 1, 1),
+    (29, 3): (1, 0, 2, 1), (31, 2): (1, 0, 1), (31, 3): (1, 0, 3, 1),
+    (37, 2): (1, 3, 1), (37, 3): (1, 0, 5, 1), (41, 2): (1, 1, 1),
+    (43, 2): (1, 0, 1), (47, 2): (1, 0, 1), (53, 2): (1, 1, 1),
+    (59, 2): (1, 0, 1), (61, 2): (1, 5, 1), (67, 2): (1, 0, 1),
+    (71, 2): (1, 0, 1), (73, 2): (1, 3, 1), (79, 2): (1, 0, 1),
+    (83, 2): (1, 0, 1), (89, 2): (1, 1, 1), (97, 2): (1, 3, 1),
+    (101, 2): (1, 1, 1), (103, 2): (1, 0, 1), (107, 2): (1, 0, 1),
+    (109, 2): (1, 6, 1), (113, 2): (1, 1, 1), (127, 2): (1, 0, 1),
+    (131, 2): (1, 0, 1), (137, 2): (1, 1, 1), (139, 2): (1, 0, 1),
+    (149, 2): (1, 1, 1), (151, 2): (1, 0, 1), (157, 2): (1, 3, 1),
+    (163, 2): (1, 0, 1), (167, 2): (1, 0, 1), (173, 2): (1, 1, 1),
+    (179, 2): (1, 0, 1), (181, 2): (1, 5, 1), (191, 2): (1, 0, 1),
+    (193, 2): (1, 3, 1), (197, 2): (1, 1, 1), (199, 2): (1, 0, 1),
+    (211, 2): (1, 0, 1), (223, 2): (1, 0, 1), (227, 2): (1, 0, 1),
+    (229, 2): (1, 5, 1), (233, 2): (1, 1, 1), (239, 2): (1, 0, 1),
+    (241, 2): (1, 5, 1), (251, 2): (1, 0, 1),
+}
+
+
+def test_every_extension_field_modulus_is_pinned():
+    fields = [(p, e) for p in range(2, 257) if gf.is_prime(p)
+              for e in range(2, 17) if p ** e <= gf.MAX_FIELD_SIZE]
+    assert len(fields) == len(_MODULI) == 93
+    assert {f: field_make(*f).modulus for f in fields} == _MODULI
+
+
 def test_nonprime_p_rejected():
     with pytest.raises(FieldError):
         field_make(4, 1)
@@ -34,8 +87,13 @@ def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(5) == (5, 1)
-    with pytest.raises(FieldError):
-        factor_prime_power(6)
+    assert factor_prime_power(65536) == (2, 16)
+    assert factor_prime_power(65537) == (65537, 1)
+    for bad in (-4, 0, 1, 6, 12, 1000):
+        with pytest.raises(FieldError):
+            factor_prime_power(bad)
+    assert [n for n in range(-2, 30) if gf.is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -135,6 +193,26 @@ def test_large_fields_build_quickly_without_full_tables():
     big = field_make(2, 12)
     assert big._mul is None
     assert big.mul(big.inv(5), 5) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 12), (3, 7), (2, 16)])
+def test_fields_without_tables_on_seeded_samples(p, e):
+    """Every product goes through the polynomial reduction here: the
+    field laws, inverses and Fermat's little theorem on a sample."""
+    F = field_make(p, e)
+    assert F._mul is None and F._inv is None
+    rng = np.random.default_rng(F.q)
+    edges = [1, p - 1, p, F.q - 1]
+    a, b, c = (edges + rng.integers(1, F.q, size=60).tolist()
+               for _ in range(3))
+    for x, y, z in zip(a, b[::-1], c[1:] + c[:1]):
+        assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
+        assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
+        assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
+        assert F.mul(x, F.inv(x)) == 1
+        assert F.pow(x, F.q) == x
+        assert F.pow(x, F.q - 1) == 1
+    assert F.pow(0, F.q) == 0 and F.pow(0, 0) == 1
 
 
 def test_rank_stack_matches_scalar_rank():

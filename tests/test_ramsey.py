@@ -48,6 +48,19 @@ def test_table_validation():
     bad_rs = {"entries": [{"k": 3, "r": 1, "s": 1, "lo": 1, "hi": 1}]}
     with pytest.raises(ValueError):
         RamseyTable.from_json(bad_rs)
+    good = {"k": 3, "r": 2, "s": 1, "lo": 6, "hi": 6}
+    missing_hi = {key: v for key, v in good.items() if key != "hi"}
+    for bad in ({"entries": 5}, {}, [1], {"entries": [5]}, 7, None,
+                {"entries": {"k": 3}}, {"entries": [missing_hi]},
+                {"entries": [{**good, "lo": 6.0}]},
+                {"entries": [{**good, "hi": True}]},
+                {"entries": [{**good, "source": 1}]}):
+        with pytest.raises(ValueError):
+            RamseyTable.from_json(bad)
+    table = RamseyTable.from_json({"entries": [good, {
+        **good, "r": 3, "lo": 10, "hi": 12, "source": "bounds"}]})
+    assert table.entries == {(3, 2, 1): (6, 6), (3, 3, 1): (10, 12)}
+    assert table.sources == {(3, 2, 1): "", (3, 3, 1): "bounds"}
 
 
 def test_chain_config_validation():
@@ -55,6 +68,14 @@ def test_chain_config_validation():
         ChainConfig(eps=0.0)
     with pytest.raises(ValueError):
         ChainConfig(c=-1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"eps": nan}, {"eps": inf}, {"c": nan}, {"c": -inf},
+                {"c_prime": inf}, {"c_prime": 0}, {"log_base": 1},
+                {"log_base": 1.0}, {"log_base": 0}, {"log_base": -2.0},
+                {"log_base": inf}, {"log_base": nan}):
+        with pytest.raises(ValueError):
+            ChainConfig(**bad)
+    assert ChainConfig(eps=1e-9, c=3, c_prime=1e300, log_base=0.5).log_base == 0.5
 
 
 def test_hamming_gv_code_lb():
