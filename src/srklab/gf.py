@@ -361,9 +361,17 @@ class Matrix:
     entries: tuple
     field: FieldSpec
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple, field: FieldSpec):
+        # Written out instead of the generated frozen __init__, which sets
+        # each field through object.__setattr__: the Marsaglia suite builds
+        # ~200k of these a pass.
+        if len(entries) != rows * cols:
             raise ShapeError("entry count does not match rows*cols")
+        d = self.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        d["field"] = field
 
     @classmethod
     def from_rows(cls, rows_data, field: FieldSpec) -> "Matrix":
@@ -447,9 +455,10 @@ def rank(M: Matrix) -> int:
     return rk
 
 
-# Largest space GF(q)^k whose orthogonality table rank_stack builds, with
-# k = min(rows, cols): every tabulated block shape (q^(k*k) <= 2^20) and
-# the 4x4 GF(3) Marsaglia stacks (81) fit.
+# Largest space GF(q)^k whose orthogonality table kernel_stack builds, k
+# the column count (rank_stack transposes, so k = min(rows, cols)): every
+# tabulated block shape (q^(k*k) <= 2^20) and the 4x4 GF(3) Marsaglia
+# stacks (81) fit.
 MAX_ORTH_SPACE = 1 << 10
 # Kernel bitset words (and row digits) held at once by rank_stack, 2 MB
 # each: a stack is ranked in chunks, whatever q^k and its shape are.
@@ -478,53 +487,82 @@ def _orthogonality_table(p: int, e: int, k: int) -> np.ndarray:
     return table
 
 
+def _field_index_stack(A, F: FieldSpec) -> np.ndarray:
+    """A as an array of field indices of GF(q): FieldError for a
+    non-integer dtype or an entry outside [0, q), whose row code would
+    alias another vector."""
+    A = np.asarray(A)
+    if A.dtype.kind not in "biu":
+        raise FieldError(f"field indices must be integers, not {A.dtype}")
+    if A.size and (A.min() < 0 or A.max() >= F.q):
+        raise FieldError(f"entry outside [0, {F.q}) for GF({F.q})")
+    return A
+
+
+def kernel_stack(A, F: FieldSpec) -> np.ndarray:
+    """Kernels {b in GF(q)^cols : M b = 0} of a stack of matrices: A is an
+    (N, rows, cols) array of field indices with rows >= 1.  Returns an
+    (N, words) uint64 array whose row i is the kernel of matrix i as a
+    bitset over the digit-row codes of GF(q)^cols.
+
+    Each row of a matrix selects the bitset of the vectors orthogonal to
+    it from a cached orthogonality table, and the kernel is their AND, so
+    the AND of two kernels is the kernel of the two matrices stacked.  An
+    entry outside [0, q) raises FieldError, and q^cols > ``MAX_ORTH_SPACE``
+    raises BudgetError."""
+    A = _field_index_stack(A, F)
+    k = A.shape[2]
+    if F.q ** k > MAX_ORTH_SPACE:
+        raise BudgetError(f"GF({F.q})^{k} exceeds the orthogonality table "
+                          f"budget {MAX_ORTH_SPACE}")
+    orth = _orthogonality_table(F.p, F.e, k)
+    code = digit_index(A, F.q)
+    ker = orth[code[:, 0]]
+    for i in range(1, A.shape[1]):
+        np.bitwise_and(ker, orth[code[:, i]], out=ker)
+    return ker
+
+
+def kernel_rank(ker: np.ndarray, F: FieldSpec, k: int) -> np.ndarray:
+    """Ranks k - log_q |kernel| of matrices with k columns from their
+    kernel bitsets (``kernel_stack``, or ANDs of its rows), as an (N,)
+    uint8 array.  As a certificate, each |kernel| must be q^j with
+    j <= k, else ArithmeticError."""
+    q = F.q
+    size = _POPCOUNT8[ker.view(np.uint8)].sum(axis=1)
+    nullity = np.full(q ** k + 1, -1, dtype=np.int64)
+    nullity[q ** np.arange(k + 1)] = np.arange(k + 1)
+    j = nullity[size]
+    if (j < 0).any():
+        bad = int(np.flatnonzero(j < 0)[0])
+        raise ArithmeticError(f"kernel {bad} of the stack has {size[bad]} "
+                              f"vectors, not a power of {q}")
+    return (k - j).astype(np.uint8)
+
+
 def rank_stack(A, F: FieldSpec):
     """Ranks of a stack of matrices: A is an (N, rows, cols) array of
     field indices.  Returns an (N,) uint8 array.
 
-    The rank is counted from the kernel.  With k = min(rows, cols) (the
-    stack is transposed when cols > rows), each row is a vector of
-    GF(q)^k, and the kernel of a matrix is the AND of the rows of the
-    cached orthogonality table selected by its rows' codes, so
-    rank = k - log_q |kernel|.  As a certificate, each |kernel| must be
-    q^j with j <= k, else ArithmeticError.  An entry outside [0, q)
-    raises FieldError (its code would alias another vector), and
-    q^k > ``MAX_ORTH_SPACE`` raises BudgetError."""
+    The stack is transposed when cols > rows, so that with
+    k = min(rows, cols) every kernel lies in GF(q)^k; then it is ranked in
+    chunks, each by ``kernel_stack`` and ``kernel_rank``
+    (rank = k - log_q |kernel|, every kernel size certified a power of
+    q).  An entry outside [0, q) raises FieldError, and q^k >
+    ``MAX_ORTH_SPACE`` raises BudgetError."""
     A = np.asarray(A)
-    if A.dtype.kind not in "biu":
-        raise FieldError(f"field indices must be integers, not {A.dtype}")
     N, nrows, ncols = A.shape
-    q = F.q
-    if A.size and (A.min() < 0 or A.max() >= q):
-        raise FieldError(f"entry outside [0, {q}) for GF({q})")
     if min(nrows, ncols) <= 1:
-        return A.any(axis=(1, 2)).astype(np.uint8)
+        return _field_index_stack(A, F).any(axis=(1, 2)).astype(np.uint8)
     if ncols > nrows:
         A = A.transpose(0, 2, 1)
         nrows, ncols = ncols, nrows
-    k = ncols
-    if q ** k > MAX_ORTH_SPACE:
-        raise BudgetError(f"GF({q})^{k} exceeds the orthogonality table "
-                          f"budget {MAX_ORTH_SPACE}")
-    orth = _orthogonality_table(F.p, F.e, k)
-    nullity = np.full(q ** k + 1, -1, dtype=np.int64)
-    nullity[q ** np.arange(k + 1)] = np.arange(k + 1)
-    ranks = np.empty(N, dtype=np.uint8)
-    step = max(1, _KERNEL_WORDS // max(orth.shape[1], nrows * k))
-    for start in range(0, N, step):
-        code = digit_index(A[start:start + step], q)
-        ker = orth[code[:, 0]]
-        for i in range(1, nrows):
-            np.bitwise_and(ker, orth[code[:, i]], out=ker)
-        size = _POPCOUNT8[ker.view(np.uint8)].sum(axis=1)
-        j = nullity[size]
-        if (j < 0).any():
-            bad = int(np.flatnonzero(j < 0)[0])
-            raise ArithmeticError(
-                f"matrix {start + bad} has a kernel of {size[bad]} vectors, "
-                f"not a power of {q}")
-        ranks[start:start + len(code)] = k - j
-    return ranks
+    words = -(-F.q ** ncols // 64)
+    step = max(1, _KERNEL_WORDS // max(words, nrows * ncols))
+    # kernel_stack checks each chunk; an empty stack is one empty chunk
+    return np.concatenate([
+        kernel_rank(kernel_stack(A[s:s + step], F), F, ncols)
+        for s in range(0, max(N, 1), step)])
 
 
 def col_space_intersection_dim(X: Matrix, Y: Matrix) -> int:

@@ -596,7 +596,7 @@ def max_independent_set(spec: PowerGraphSpec,
         label = _profile_classes(params,
                                  digit_rows(params.q, params.total_dim))
         outside = np.flatnonzero(comp[0])
-        for c in np.unique(label[outside]):
+        for c in np.flatnonzero(np.bincount(label[outside])):
             later = outside[label[outside] >= c]
             rep = later[label[later] == c][0]
             cand = later[comp[rep, later]]

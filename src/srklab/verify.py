@@ -5,10 +5,12 @@ independent brute-force oracle.  Each suite returns a report dict with
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 
 import numpy as np
 
 from .gf import (Matrix, enumerate_matrices, field_make, rank, rank_stack,
+                 kernel_stack, kernel_rank, digit_rows,
                  col_space_intersection_dim, row_space_intersection_dim,
                  BudgetError)
 from .space import (SrkParams, make_params, wt_preservation_check,
@@ -65,11 +67,19 @@ def suite_rank_distribution():
     return _report("rank-distribution", checked)
 
 
-def _canonical_rank_matrix(n, i, F):
-    ent = [0] * (n * n)
-    for d in range(i):
-        ent[d * n + d] = 1
-    return Matrix(n, n, tuple(ent), F)
+def _fixed_x_histogram(n: int, i: int) -> np.ndarray:
+    """Over GF(2), X = diag(1^i, 0^(n-i)) and every n x n matrix Y: the
+    (n+1, n+1) array whose entry (j, c) counts the Y with rk Y = j and
+    dim(col X ∩ col Y) = c, where c = rk X + rk Y - rk [X | Y] (one
+    ``rank_stack`` over all Y, one over all [X | Y])."""
+    F2 = field_make(2)
+    Y = digit_rows(2, n * n).reshape(-1, n, n)
+    X = np.broadcast_to(np.diag([1] * i + [0] * (n - i)).astype(Y.dtype),
+                        Y.shape)
+    rY = rank_stack(Y, F2).astype(np.int64)
+    c = i + rY - rank_stack(np.concatenate((X, Y), axis=2), F2)
+    return np.bincount(rY * (n + 1) + c,
+                       minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
 
 def suite_q_identity():
@@ -87,26 +97,22 @@ def suite_q_identity():
                         return _report("q-identity", checked,
                                        {"q": q, "n": n, "i": i, "j": j,
                                         "sum_Q": total})
-    F2 = field_make(2)
     for n in (2, 3):
         for i in range(n + 1):
-            X = _canonical_rank_matrix(n, i, F2)
-            hist = Counter()
-            for Y in enumerate_matrices(n, n, F2):
-                hist[(rank(Y), col_space_intersection_dim(X, Y))] += 1
+            hist = _fixed_x_histogram(n, i).tolist()
             for j in range(n + 1):
                 for c in range(j + 1):
                     checked += 1
-                    if hist.get((j, c), 0) != counting.Q_closed(i, j, c, n, 2):
+                    if hist[j][c] != counting.Q_closed(i, j, c, n, 2):
                         return _report("q-identity", checked,
                                        {"oracle": "exhaustive", "n": n,
                                         "i": i, "j": j, "c": c,
-                                        "enumerated": hist.get((j, c), 0)})
+                                        "enumerated": hist[j][c]})
     return _report("q-identity", checked)
 
 
 # Random Marsaglia pairs are drawn and ranked this many at a time: enough
-# to amortise the per-row numpy passes of rank_stack, few enough that the
+# to amortise the per-row numpy passes of kernel_stack, few enough that the
 # pass's peak memory stays near that of a pair-by-pair loop.
 MARSAGLIA_CHUNK = 1024
 
@@ -114,21 +120,33 @@ MARSAGLIA_CHUNK = 1024
 def _marsaglia_ranks(X, Y, F):
     """rk X, rk Y, rk(X - Y), c = dim(col X ∩ col Y) and
     r = dim(row X ∩ row Y) for (N, n, n) stacks X, Y over the prime field
-    F, as int64 arrays: rank_stack returns uint8, on which a negative
-    difference would wrap around instead of failing the check."""
-    Xt, Yt = X.transpose(0, 2, 1), Y.transpose(0, 2, 1)
-    rX, rY, rD, rXY, rXYt = (
-        rank_stack(A, F).astype(np.int64)
-        for A in (X, Y, (X - Y) % F.q, np.concatenate((X, Y), axis=2),
-                  np.concatenate((Xt, Yt), axis=2)))
-    return rX, rY, rD, rX + rY - rXY, rX + rY - rXYt
+    F, as int64 arrays: kernel_rank returns uint8, on which a negative
+    difference would wrap around instead of failing the check.
+
+    One ``kernel_stack`` call gives the kernels of X, Y, X^T, Y^T and
+    X - Y; rk [X | Y] is read from ker X^T & ker Y^T and rk [X ; Y] from
+    ker X & ker Y, every kernel certified by ``kernel_rank``.  rk X and
+    rk Y are read twice, from ker X and ker X^T; a mismatch raises
+    ArithmeticError."""
+    N, n = X.shape[:2]
+    ker = kernel_stack(np.concatenate((X, Y, X.transpose(0, 2, 1),
+                                       Y.transpose(0, 2, 1), (X - Y) % F.q)),
+                       F)
+    ranks = kernel_rank(ker, F, n).astype(np.int64)
+    rX, rY, rXt, rYt, rD = ranks.reshape(5, N)
+    kX, kY, kXt, kYt = ker.reshape(5, N, -1)[:4]
+    rXY = kernel_rank(kXt & kYt, F, n)
+    rXoverY = kernel_rank(kX & kY, F, n)
+    if not (np.array_equal(rX, rXt) and np.array_equal(rY, rYt)):
+        raise ArithmeticError("a row rank differs from its column rank")
+    return rX, rY, rD, rX + rY - rXY, rX + rY - rXoverY
 
 
 def suite_marsaglia(random_pairs: int = 100_000, seed: int = 0):
     """rk(X - Y) >= rk X + rk Y - c - r, exhaustively on 2x2 GF(2) pairs
     (scalar ``rank``) and on seeded random 4x4 GF(3) pairs.  The random
     pairs are drawn and ranked in stacks of ``MARSAGLIA_CHUNK`` with
-    ``rank_stack``; the draws are the same as one
+    ``kernel_stack``; the draws are the same as one
     ``rng.integers(0, 3, size=16)`` per matrix, X before Y, so the pairs,
     the count and the first counterexample do not depend on the chunking."""
     checked = 0
@@ -147,16 +165,18 @@ def suite_marsaglia(random_pairs: int = 100_000, seed: int = 0):
     for start in range(0, random_pairs, MARSAGLIA_CHUNK):
         n = min(MARSAGLIA_CHUNK, random_pairs - start)
         draw = rng.integers(0, 3, size=(n, 2, 16))
-        pairs = [(Matrix(4, 4, tuple(xe), F3), Matrix(4, 4, tuple(ye), F3))
-                 for xe, ye in draw.tolist()]
+        # X0, Y0, X1, Y1, ...: two Matrix objects per pair, in draw order;
+        # zip builds each entry tuple straight from the columns' lists
+        mats = list(map(Matrix, repeat(4), repeat(4),
+                        zip(*draw.reshape(2 * n, 16).T.tolist()), repeat(F3)))
         stacks = draw.reshape(n, 2, 4, 4)
         rX, rY, rD, c, r = _marsaglia_ranks(stacks[:, 0], stacks[:, 1], F3)
         bad = np.flatnonzero(rD < rX + rY - c - r)
         if bad.size:
             i = int(bad[0])
-            X, Y = pairs[i]
             return _report("marsaglia", checked + start + i + 1,
-                           {"X": X.entries, "Y": Y.entries})
+                           {"X": mats[2 * i].entries,
+                            "Y": mats[2 * i + 1].entries})
     return _report("marsaglia", checked + max(random_pairs, 0))
 
 

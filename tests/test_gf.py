@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from srklab import counting, gf
-from srklab.gf import (BudgetError, FieldError, Matrix, col_space_intersection_dim,
+from srklab.gf import (BudgetError, FieldError, Matrix, ShapeError,
+                       col_space_intersection_dim,
                        digit_dtype, digit_index, digit_rows, digits_int,
                        enumerate_matrices, field_make, field_from_order,
-                       factor_prime_power, index_digits, int_digits, rank,
-                       rank_stack, row_space_intersection_dim)
+                       factor_prime_power, index_digits, int_digits,
+                       kernel_rank, kernel_stack, rank, rank_stack,
+                       row_space_intersection_dim)
 
 
 def test_prime_field_modulus():
@@ -371,10 +375,12 @@ def test_rank_stack_rejects_entries_outside_the_field():
     F3, F4 = field_make(3), field_make(2, 2)
     for A, F in [([[[0, 3], [0, 0]]], F3), ([[[1, -1], [0, 1]]], F3),
                  ([[[0, 0, 3]]], F3), ([[[4, 0], [0, 1]]], F4)]:
+        for fn in (rank_stack, kernel_stack):
+            with pytest.raises(FieldError):
+                fn(np.array(A), F)
+    for fn in (rank_stack, kernel_stack):
         with pytest.raises(FieldError):
-            rank_stack(np.array(A), F)
-    with pytest.raises(FieldError):
-        rank_stack(np.ones((2, 2, 2)), F3)   # floats are not field indices
+            fn(np.ones((2, 2, 2)), F3)   # floats are not field indices
 
 
 def test_rank_stack_refuses_an_orthogonality_table_beyond_its_budget():
@@ -386,16 +392,110 @@ def test_rank_stack_refuses_an_orthogonality_table_beyond_its_budget():
     # q^k = 2^10 is still tabulated
     assert rank_stack(np.eye(10, dtype=np.uint8)[None], field_make(2)
                       ).tolist() == [10]
+    # kernel_stack never transposes: its kernels lie in GF(q)^cols
+    F3 = field_make(3)
+    with pytest.raises(BudgetError):
+        kernel_stack(np.zeros((1, 1, 7), dtype=np.uint8), F3)   # 3^7
+    assert kernel_stack(np.zeros((1, 1, 6), dtype=np.uint8), F3).shape == (
+        1, 12)
 
 
 def test_rank_stack_certifies_every_kernel_size(monkeypatch):
-    """A corrupted orthogonality table gives a kernel whose size is no
-    power of q: ArithmeticError, not a rank."""
+    """A corrupted orthogonality table, or a patched kernel, gives a
+    kernel whose size is no power of q: ArithmeticError, not a rank."""
+    F3 = field_make(3)
+    ker = kernel_stack(np.zeros((3, 2, 2), dtype=np.uint8), F3)
+    assert kernel_rank(ker, F3, 2).tolist() == [0, 0, 0]
+    ker[1, 0] ^= np.uint64(1 << 4)      # kernel 1 loses one vector
+    with pytest.raises(ArithmeticError, match="kernel 1 "):
+        kernel_rank(ker, F3, 2)
     table = gf._orthogonality_table(3, 1, 2).copy()
     table[0, 0] ^= np.uint64(1 << 4)    # the zero row loses one vector
     monkeypatch.setattr(gf, "_orthogonality_table", lambda p, e, k: table)
     with pytest.raises(ArithmeticError):
-        rank_stack(np.zeros((4, 2, 2), dtype=np.uint8), field_make(3))
+        rank_stack(np.zeros((4, 2, 2), dtype=np.uint8), F3)
+
+
+def _brute_kernel_bits(A, F):
+    """Bit b of row i is set iff M_i b = 0, for every b of GF(q)^cols in
+    index order, by the scalar field operations."""
+    vecs = digit_rows(F.q, A.shape[2]).tolist()
+    out = np.zeros((len(A), len(vecs)), dtype=bool)
+    for i, M in enumerate(A.tolist()):
+        for b, v in enumerate(vecs):
+            dots = []
+            for row in M:
+                s = 0
+                for x, y in zip(row, v):
+                    s = F.add(s, F.mul(x, y))
+                dots.append(s)
+            out[i, b] = not any(dots)
+    return out
+
+
+@pytest.mark.parametrize("q,shapes", [
+    (2, [(3, 5), (5, 3), (2, 7)]),
+    (3, [(2, 4), (4, 2), (3, 3)]),
+    (4, [(2, 3), (4, 2)]),
+    (9, [(2, 3), (3, 2)]),
+])
+def test_kernel_stack_is_the_brute_force_nullspace(q, shapes):
+    """Wide and tall stacks, every rank present: the bitsets are the right
+    kernels {b : M b = 0}, with no bit set past q^cols, and kernel_rank
+    gives cols - log_q of their sizes, the scalar rank."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(30 + q)
+    for rows, cols in shapes:
+        A = _low_rank_stack(F, rng, 4, rows, cols)
+        ker = kernel_stack(A, F)
+        assert ker.dtype == np.uint64 and ker.shape == (len(A),
+                                                        -(-q ** cols // 64))
+        bits = np.unpackbits(ker.view(np.uint8), axis=1,
+                             bitorder="little").astype(bool)
+        assert not bits[:, q ** cols:].any()
+        assert np.array_equal(bits[:, :q ** cols], _brute_kernel_bits(A, F))
+        got = kernel_rank(ker, F, cols)
+        assert got.dtype == np.uint8
+        assert got.tolist() == _scalar_ranks(A, F)
+
+
+@pytest.mark.parametrize("q,rows,other,cols", [
+    (2, 3, 4, 5), (3, 2, 3, 4), (4, 2, 2, 3), (9, 1, 2, 3)])
+def test_anded_kernels_rank_the_stacked_matrices(q, rows, other, cols):
+    """ker X & ker Y is the kernel of [X ; Y]: its rank is rank_stack's
+    on the stacked matrices, which transposes when they are wide."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(40 + q)
+    X = _low_rank_stack(F, rng, 8, rows, cols)
+    Y = rng.permutation(_low_rank_stack(F, rng, 8, other, cols))
+    n = min(len(X), len(Y))
+    X, Y = X[:n], Y[:n]
+    got = kernel_rank(kernel_stack(X, F) & kernel_stack(Y, F), F, cols)
+    want = rank_stack(np.concatenate((X, Y), axis=1), F)
+    assert got.tolist() == want.tolist()
+    assert len(set(want.tolist())) > 1
+
+
+def test_matrix_stays_a_frozen_dataclass():
+    F3 = field_make(3)
+    M = Matrix(2, 2, (1, 2, 0, 1), F3)
+    assert M == Matrix(2, 2, (1, 2, 0, 1), F3)
+    assert M != Matrix(2, 2, (1, 2, 0, 2), F3)
+    assert hash(M) == hash(Matrix(2, 2, (1, 2, 0, 1), F3))
+    assert repr(M) == ("Matrix(rows=2, cols=2, entries=(1, 2, 0, 1), "
+                       "field=FieldSpec(p=3, e=1))")
+    assert [f.name for f in dataclasses.fields(M)] == [
+        "rows", "cols", "entries", "field"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.rows = 4
+    with pytest.raises(ShapeError):
+        Matrix(2, 2, (1, 2, 0), F3)
+    with pytest.raises(ShapeError):
+        Matrix(rows=1, cols=2, entries=(), field=F3)
+    wide = dataclasses.replace(M, rows=1, cols=4)
+    assert wide == Matrix(1, 4, (1, 2, 0, 1), F3) and rank(wide) == 1
+    with pytest.raises(ShapeError):
+        dataclasses.replace(M, rows=3)
 
 
 # -- the digit codec --------------------------------------------------------

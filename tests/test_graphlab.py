@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -251,6 +254,34 @@ def test_mis_result_unpacks_and_reports_the_search():
     assert (size, code) == (result.alpha, result.witness)
     # the Gabidulin seed meets the clique-coclique bound 512 / 8
     assert (result.nodes, result.lb, result.ub) == (1, 64, 64)
+
+
+_MIS_IMPORTS_SCRIPT = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from srklab import graphlab, make_params
+spec = graphlab.PowerGraphSpec(make_params(3, (1, 1, 1), (1, 1, 1)), 1)
+result = graphlab.max_independent_set(spec)
+print(before, result.alpha, result.lb < result.ub, "numpy.ma" in sys.modules)
+"""
+
+
+def test_mis_does_not_import_numpy_ma():
+    """A plain np.unique imports numpy.ma on numpy 2.x, ~30 ms once per
+    process; the search's per-class loop (reached here: lb 7 < ub 9)
+    must not pay it.  Skipped where ``import numpy`` loads numpy.ma."""
+    src = str(pathlib.Path(graphlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _MIS_IMPORTS_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, alpha, branched, after = proc.stdout.split()
+    if before == "True":
+        pytest.skip("import numpy already loads numpy.ma")
+    assert (alpha, branched, after) == ("9", "True", "False")
 
 
 def test_solver_budget_error_carries_bounds():

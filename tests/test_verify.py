@@ -1,12 +1,16 @@
 """The batched Marsaglia suite against the pair-by-pair scalar loop it
 replaced: same seeded pairs, same per-pair ranks, same count and the
-same first counterexample."""
+same first counterexample; and the stacked fixed-X oracle of the
+q-identity suite against the scalar-rank count it replaced."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from srklab import verify
-from srklab.gf import (Matrix, col_space_intersection_dim, field_make, rank,
+from srklab.gf import (Matrix, col_space_intersection_dim,
+                       enumerate_matrices, field_make, rank,
                        row_space_intersection_dim)
 
 CHUNK = verify.MARSAGLIA_CHUNK
@@ -69,26 +73,72 @@ def test_batched_ranks_equal_scalar_ranks():
 
 
 def test_counterexample_is_the_first_failing_pair_in_draw_order(monkeypatch):
-    """A rank_stack that overstates rk [X | Y] for pair i of the second
-    chunk makes exactly that pair fail."""
+    """A kernel_rank that overstates rk [X | Y] for pair i of the second
+    chunk makes exactly that pair fail.  Each chunk ranks the five kernel
+    stacks X, Y, X^T, Y^T, X - Y in one call, then ker X^T & ker Y^T
+    (rk [X | Y]), then ker X & ker Y (rk [X ; Y])."""
     i = 37
     calls = []
-    original = verify.rank_stack
+    original = verify.kernel_rank
 
-    def faulty(A, F):
-        ranks = original(A, F)
-        if A.shape[1:] == (4, 8):
-            calls.append(A.shape[0])
-            if len(calls) == 3:  # [X | Y] of the second chunk
-                ranks[i] += 10
+    def faulty(ker, F, k):
+        ranks = original(ker, F, k)
+        calls.append(len(ker))
+        if len(calls) == 5:  # [X | Y] of the second chunk
+            ranks[i] += 10
         return ranks
 
-    monkeypatch.setattr(verify, "rank_stack", faulty)
+    monkeypatch.setattr(verify, "kernel_rank", faulty)
     seed = 3
     rep = verify.suite_marsaglia(random_pairs=3 * CHUNK, seed=seed)
     assert not rep["ok"]
     assert rep["checked"] == EXHAUSTIVE + CHUNK + i + 1
     xe, ye = _scalar_pairs(CHUNK + i + 1, seed)[-1]
     assert rep["counterexample"] == {"X": xe, "Y": ye}
-    assert len(calls) == 4  # the third chunk was never ranked
+    # two chunks ranked; the third never was
+    assert calls == [5 * CHUNK, CHUNK, CHUNK] * 2
 
+
+def test_marsaglia_ranks_refuse_a_row_rank_that_is_no_column_rank(
+        monkeypatch):
+    """rk X is read from ker X and from ker X^T; a kernel stack whose
+    ker X^T of one pair belongs to another matrix (a valid kernel, of a
+    power-of-q size) makes the two reads differ: ArithmeticError."""
+    F3 = field_make(3)
+    draw = np.array(_scalar_pairs(64, seed=9)).reshape(64, 2, 4, 4)
+    X, Y = draw[:, 0], draw[:, 1]
+    original = verify.kernel_stack
+    rX = verify._marsaglia_ranks(X, Y, F3)[0]
+    assert rX[5] > 0
+
+    def swapped(A, F):
+        ker = original(A, F)
+        ker[2 * len(X) + 5] = original(np.zeros((1, 4, 4), np.int64), F)[0]
+        return ker
+
+    monkeypatch.setattr(verify, "kernel_stack", swapped)
+    with pytest.raises(ArithmeticError, match="column rank"):
+        verify._marsaglia_ranks(X, Y, F3)
+
+
+def _scalar_fixed_x_histogram(n, i):
+    """The exhaustive fixed-X count by scalar rank, pair by pair:
+    (rk Y, dim(col X ∩ col Y)) over every n x n GF(2) matrix Y, with
+    X = diag(1^i, 0^(n-i))."""
+    F2 = field_make(2)
+    ent = [0] * (n * n)
+    for d in range(i):
+        ent[d * n + d] = 1
+    X = Matrix(n, n, tuple(ent), F2)
+    return Counter((rank(Y), col_space_intersection_dim(X, Y))
+                   for Y in enumerate_matrices(n, n, F2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fixed_x_histogram_equals_the_scalar_count(n):
+    for i in range(n + 1):
+        hist = verify._fixed_x_histogram(n, i)
+        assert hist.shape == (n + 1, n + 1)
+        want = _scalar_fixed_x_histogram(n, i)
+        assert {(j, c): int(hist[j, c]) for j in range(n + 1)
+                for c in range(n + 1) if hist[j, c]} == dict(want)
