@@ -98,9 +98,10 @@ def cmd_count(args) -> int:
 
 def cmd_qtable(args) -> int:
     _check_field_order(args.q)
-    n = args.n
-    for k in range(n + 1):
-        print(k, counting.gaussian_binomial(n, k, args.q))
+    if args.n < 0:
+        return _usage("n must be nonnegative")
+    for k in range(args.n + 1):
+        print(k, counting.gaussian_binomial(args.n, k, args.q))
     return 0
 
 
@@ -198,8 +199,8 @@ def _sweep_from_config(args):
                      for inst in cfg["instances"]]
     else:
         instances = [(p, "all") for p in verify.default_sweep()]
-        # keep the default sweep's exact-alpha attempts bounded
-        budgets["max_nodes"] = min(budgets["max_nodes"], 200_000)
+        budgets["max_nodes"] = min(budgets["max_nodes"],
+                                   verify.SWEEP_MAX_NODES)
     for params, ds in instances:
         if ds == "all":
             ds = list(range(2, params.max_weight + 2))

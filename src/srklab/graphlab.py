@@ -15,8 +15,8 @@ procedures use adjacency bitmasks (python ints) instead.
 - Digit rows and vertex indices convert through the codec of ``gf``
   (``digit_index``/``index_digits``, ``int_digits``/``digits_int``), the
   one place that knows the canonical order.
-- ``ball_digits`` builds the ball block by block with numpy index
-  arithmetic, in canonical order.
+- ``ball_digits`` returns the nonzero ball, built once per spec block by
+  block with numpy index arithmetic, in canonical order.
 - ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
   of the maps fixing 0, the orbits the MIS search branches on; a second
   member of each orbit is counted as a check.
@@ -120,19 +120,27 @@ def _vertex_budget(params: SrkParams, max_vertices) -> int:
     return V
 
 
-def _ball_budget(spec: PowerGraphSpec, max_ball) -> int:
-    """The volume of the ball of radius k; BudgetError beyond max_ball."""
+def ball_digits(spec: PowerGraphSpec,
+                max_ball: int = DEFAULT_MAX_BALL) -> np.ndarray:
+    """B*, the digit rows of every nonzero vector with srk weight <= k in
+    canonical order; BudgetError when the ball of radius k has more than
+    max_ball vectors.  The rows are read-only and shared: one build per
+    spec (``_nonzero_ball``) serves every call that the budget admits."""
     vol = counting.ball_volume(spec.params, spec.k)
     if vol > max_ball:
         raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
-    return vol
+    return _nonzero_ball(spec)
 
 
-def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
-                include_zero: bool = True) -> np.ndarray:
-    """Digit rows of every vector with srk weight <= k, canonical order."""
+@lru_cache(maxsize=128)
+def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
+    """The build behind ``ball_digits``, cached without a budget check:
+    the mask build reads it directly, within its vertex budget.  The
+    cache holds the balls of all 76 specs of the default sweep, so passes
+    that walk the sweep spec by spec, one after the other, enumerate each
+    ball once.  A row count other than the ball volume raises
+    ArithmeticError."""
     params, k = spec.params, spec.k
-    vol = _ball_budget(spec, max_ball)
     tab = _tables(params)
     # Rows as per-block matrix indices, one block at a time: each partial
     # row is followed by every block matrix of rank <= the weight it has
@@ -153,24 +161,13 @@ def ball_digits(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL,
     out = np.concatenate([index_digits(idx, tab.q, ln)
                           for (off, ln, ranks), idx in zip(tab.blocks, picks)],
                          axis=1)
+    vol = counting.ball_volume(params, k)
     if out.shape[0] != vol:
         raise ArithmeticError(
             f"ball enumeration gives {out.shape[0]} vectors, volume is {vol}")
-    if not include_zero:
-        out = out[1:]  # zero vector is the first row in canonical order
+    out = out[1:]  # zero vector is the first row in canonical order
+    out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=128)
-def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
-    """B*, the nonzero ball of radius k, read-only: one build per spec
-    serves ``exact_T`` and the mask build, which check their own budgets
-    before they ask for it.  The cache holds the balls of all 76 specs of
-    the default sweep, so passes that walk the sweep spec by spec, one
-    after the other, enumerate each ball once."""
-    ball = ball_digits(spec, math.inf, include_zero=False)
-    ball.flags.writeable = False
-    return ball
 
 
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
@@ -186,8 +183,7 @@ def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     each orbit that has one; a disagreement or an odd sum raises
     ArithmeticError."""
     tab = _tables(spec.params)
-    _ball_budget(spec, max_ball)
-    rows = _nonzero_ball(spec)
+    rows = ball_digits(spec, max_ball)
     k = spec.k
     sub = spec.params.field.sub_array
 

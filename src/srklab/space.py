@@ -186,52 +186,24 @@ class HammingVector:
             for a, b in zip(self.entries, other.entries)))
 
 
-def polynomial_basis(q: int, m: int):
-    """The basis (1, alpha, ..., alpha^{m-1}) of GF(q^m) with alpha a root
-    of the canonical degree-m modulus, in coefficient encoding."""
-    return [q ** j for j in range(m)]
-
-
-def _basis_digits(basis, field: FieldSpec, m: int) -> list:
-    """Base-q coefficient rows of a basis of GF(q^m) over GF(q), checked
-    to be m linearly independent elements."""
-    if len(basis) != m:
-        raise ValueError(f"basis must have {m} elements")
-    rows = [int_digits(b, field.q, m) for b in basis]
-    if rank(Matrix.from_rows(rows, field)) != m:
-        raise ValueError("basis elements are not linearly independent over GF(q)")
-    return rows
-
-
-def f_map(x: SrkVector, basis=None) -> HammingVector:
-    """Row-wise basis expansion of each block into GF(q^m), m = max m_i;
-    blocks with m_i < m behave as if right-padded with zero columns.
-    Output length N = sum n_i."""
+def f_map(x: SrkVector) -> HammingVector:
+    """Row-wise expansion of each block into GF(q^m), m = max m_i, in the
+    polynomial basis (1, alpha, ..., alpha^{m-1}), alpha a root of the
+    canonical degree-m modulus: row (a_0, ..., a_{m_i - 1}) maps to
+    a_0 + a_1 alpha + ..., whose coefficient encoding is the row read as
+    base-q digits, low degree first.  Blocks with m_i < m behave as if
+    right-padded with zero columns.  Output length N = sum n_i."""
     params = x.params
-    F = params.field
-    q = F.q
-    m = max(params.m)
-    if basis is None:
-        basis = polynomial_basis(q, m)
-    coeffs = _basis_digits(basis, F, m)
-    out = []
-    for blk in x.blocks:
-        for r in range(blk.rows):
-            acc = [0] * m
-            for j in range(blk.cols):
-                s = blk[r, j]
-                if s:
-                    acc = [F.add(a, F.mul(s, d)) for a, d in zip(acc, coeffs[j])]
-            out.append(digits_int(acc, q))
-    return HammingVector(F, m, tuple(out))
+    q = params.q
+    return HammingVector(params.field, max(params.m), tuple(
+        digits_int(blk.row(r), q) for blk in x.blocks for r in range(blk.rows)))
 
 
-def wt_preservation_check(x_space_or_params, basis=None,
+def wt_preservation_check(params: SrkParams,
                           budget: int = DEFAULT_ENUM_BUDGET) -> dict:
     """Exhaustively check srk(X) <= wt_H(f(X)); equality is additionally
     required when n = (1,...,1) and all m_i coincide.  Also records
     injectivity of f over the swept space."""
-    params = x_space_or_params
     expect_equality = all(ni == 1 for ni in params.n) and len(set(params.m)) == 1
     violations = []
     images = set()
@@ -239,7 +211,7 @@ def wt_preservation_check(x_space_or_params, basis=None,
     checked = 0
     for x in enumerate_space(params, budget):
         w = srk_weight(x)
-        img = f_map(x, basis)
+        img = f_map(x)
         wh = img.hamming_weight()
         if w > wh or (expect_equality and w != wh):
             violations.append({"vector": x.serialize(), "srk": w, "wt_h": wh})

@@ -9,13 +9,16 @@ from itertools import repeat
 
 import numpy as np
 
-from .gf import (Matrix, enumerate_matrices, field_make, rank, rank_stack,
-                 kernel_stack, kernel_rank, digit_rows,
-                 col_space_intersection_dim, row_space_intersection_dim,
-                 BudgetError)
+from .gf import (Matrix, enumerate_matrices, field_make, rank, kernel_stack,
+                 kernel_rank, digit_rows, col_space_intersection_dim,
+                 row_space_intersection_dim, BudgetError)
 from .space import (SrkParams, make_params, wt_preservation_check,
                     min_distance)
 from . import bounds, counting, graphlab
+
+# Branch-and-bound nodes of each exact-alpha attempt on the default sweep:
+# the gv-chain suite and ``srklab report`` on the built-in sweep stop there.
+SWEEP_MAX_NODES = 200_000
 
 
 def default_sweep():
@@ -70,14 +73,11 @@ def suite_rank_distribution():
 def _fixed_x_histogram(n: int, i: int) -> np.ndarray:
     """Over GF(2), X = diag(1^i, 0^(n-i)) and every n x n matrix Y: the
     (n+1, n+1) array whose entry (j, c) counts the Y with rk Y = j and
-    dim(col X ∩ col Y) = c, where c = rk X + rk Y - rk [X | Y] (one
-    ``rank_stack`` over all Y, one over all [X | Y])."""
-    F2 = field_make(2)
-    Y = digit_rows(2, n * n).reshape(-1, n, n)
-    X = np.broadcast_to(np.diag([1] * i + [0] * (n - i)).astype(Y.dtype),
-                        Y.shape)
-    rY = rank_stack(Y, F2).astype(np.int64)
-    c = i + rY - rank_stack(np.concatenate((X, Y), axis=2), F2)
+    dim(col X ∩ col Y) = c, both read from one ``_marsaglia_ranks`` call
+    over all Y (int64 entries, so X - Y cannot wrap around)."""
+    Y = digit_rows(2, n * n).astype(np.int64).reshape(-1, n, n)
+    X = np.broadcast_to(np.diag([1] * i + [0] * (n - i)), Y.shape)
+    _, rY, _, c, _ = _marsaglia_ranks(X, Y, field_make(2))
     return np.bincount(rY * (n + 1) + c,
                        minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
 
@@ -210,23 +210,20 @@ def _feasible_ks(params: SrkParams):
     return range(1, params.max_weight + 1)
 
 
-def suite_cayley(max_vertices: int = 1024):
+def suite_cayley():
     """Degree regularity and translation invariance across the sweep."""
     checked = 0
     for params in default_sweep():
-        if params.size() > max_vertices:
-            continue
         for k in _feasible_ks(params):
             spec = graphlab.PowerGraphSpec(params, k)
-            rep = graphlab.verify_cayley(spec, sample_size=16,
-                                         max_vertices=max_vertices)
+            rep = graphlab.verify_cayley(spec, sample_size=16)
             checked += rep["degrees_checked"] + rep["translations_checked"]
             if not rep["ok"]:
                 return _report("cayley", checked, rep)
     return _report("cayley", checked)
 
 
-def suite_triangles(max_ball: int = 20000):
+def suite_triangles():
     """3*Delta = T*|V| as an exact integer identity, plus T <= T_upper
     for leading-square-block instances."""
     checked = 0
@@ -234,7 +231,7 @@ def suite_triangles(max_ball: int = 20000):
         for k in _feasible_ks(params):
             spec = graphlab.PowerGraphSpec(params, k)
             try:
-                stats = graphlab.graph_stats(spec, max_ball)
+                stats = graphlab.graph_stats(spec)
             except BudgetError:
                 continue
             checked += 1
@@ -251,8 +248,8 @@ def suite_triangles(max_ball: int = 20000):
     return _report("triangles", checked)
 
 
-def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
-    """gv <= greedy <= alpha (alpha where the solver budget allows; the
+def suite_gv_chain():
+    """gv <= greedy <= alpha (alpha within ``SWEEP_MAX_NODES``; the
     solver certifies its own witness); partition classes all keep minimum
     distance >= k+1 and the average class size clears the GV floor.  The
     greedy code is class 0 of the lex partition, and all classes are
@@ -260,13 +257,11 @@ def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
     checked = 0
     alpha_solved = 0
     for params in default_sweep():
-        if params.size() > max_vertices:
-            continue
         for k in _feasible_ks(params):
             d = k + 1
             spec = graphlab.PowerGraphSpec(params, k)
             gv = bounds.gv_lower(params, d)
-            classes = graphlab.greedy_partition(spec, max_vertices)
+            classes = graphlab.greedy_partition(spec)
             greedy = classes[0]
             checked += 1
             if not gv <= len(greedy):
@@ -275,7 +270,7 @@ def suite_gv_chain(max_vertices: int = 1024, max_nodes: int = 200_000):
                                 "gv": gv, "greedy": len(greedy)})
             try:
                 alpha = graphlab.max_independent_set(
-                    spec, max_vertices, max_nodes).alpha
+                    spec, max_nodes=SWEEP_MAX_NODES).alpha
                 alpha_solved += 1
                 checked += 1
                 if not len(greedy) <= alpha:

@@ -110,7 +110,7 @@ def test_criterion_06_alpha():
 
 
 def test_criterion_07_gv_chain():
-    rep = verify.suite_gv_chain(max_vertices=1024, max_nodes=200_000)
+    rep = verify.suite_gv_chain()
     assert rep["ok"], rep
     assert rep["alpha_solved"] > 0
 

@@ -38,6 +38,11 @@ def test_qtable(capsys):
     assert len(rows) == 5
 
 
+def test_qtable_negative_n_is_usage_error(capsys):
+    rc, out, err = run(capsys, "qtable", "-q", "2", "-n", "-1")
+    assert rc == 2 and out == "" and err.startswith("error: ")
+
+
 def test_graph_stats(capsys):
     rc, out, _ = run(capsys, "graph-stats", "-q", "2", "-n", "1,1,1",
                      "-m", "1,1,1", "-k", "2")

@@ -383,12 +383,12 @@ def test_code_size_keeps_the_solver_budgets():
 # -- orbit-reduced T, batched rank tables, table-free field arithmetic -----
 
 def _pairwise_T(spec):
-    """The O(S^2) count of T over the nonzero ball, with its own q x q
-    subtraction table."""
+    """The O(S^2) count of T over the nonzero ball of ``_recursive_ball``,
+    with its own q x q subtraction table."""
     F = spec.params.field
     tab = graphlab._tables(spec.params)
     sub = np.array([[F.sub(a, b) for b in range(F.q)] for a in range(F.q)])
-    rows = graphlab.ball_digits(spec, include_zero=False)
+    rows = _recursive_ball(spec)[1:]
     total = 0
     for i in range(rows.shape[0] - 1):
         w = tab.weights_of(sub[rows[i + 1:], rows[i]])
@@ -436,8 +436,8 @@ def test_vectorised_ball_equals_recursive_ball(q, n, m, k):
     ball = graphlab.ball_digits(spec)
     ref = _recursive_ball(spec)
     assert ball.dtype == ref.dtype
-    assert np.array_equal(ball, ref)
-    assert not ball[0].any()
+    assert not ref[0].any()
+    assert np.array_equal(ball, ref[1:])
 
 
 def _reference_stats_items():
@@ -546,51 +546,50 @@ def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
         adjacency_masks(spec, 63)
 
 
-def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
+def test_one_nonzero_ball_serves_exact_T_and_the_masks():
     """A report enumerates each spec's ball once, for exact_T and the mask
     build alike; each still checks its own budget against the shared,
     read-only build."""
-    built = []
-    original = graphlab.ball_digits
-
-    def counted(spec, *args, **kwargs):
-        built.append(spec)
-        return original(spec, *args, **kwargs)
-
-    monkeypatch.setattr(graphlab, "ball_digits", counted)
     graphlab._nonzero_ball.cache_clear()
     adjacency_masks.cache_clear()
     specs = [PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1),
              PowerGraphSpec(make_params(3, (2,), (2,)), 1)]
     for spec in specs:
         bounds.bound_report(spec.params, spec.k + 1)
-    assert built == specs
+    assert graphlab._nonzero_ball.cache_info().misses == len(specs)
     spec = specs[-1]
-    assert not graphlab._nonzero_ball(spec).flags.writeable
+    assert not graphlab.ball_digits(spec).flags.writeable
     vol = counting.ball_volume(spec.params, spec.k)
     with pytest.raises(BudgetError):
         exact_T(spec, vol - 1)
     with pytest.raises(BudgetError):
         adjacency_masks(spec, spec.params.size() - 1)
     assert exact_T(spec, vol) == graph_stats(spec).T
-    assert built == specs
+    assert graphlab._nonzero_ball.cache_info().misses == len(specs)
 
 
-def test_a_verify_pass_enumerates_each_ball_once(monkeypatch):
+def test_a_verify_pass_enumerates_each_ball_once():
     """The triangles suite (exact_T) and the gv-chain suite (the masks)
     each walk the 76 sweep specs; the second reads the first's balls."""
-    built = []
-    original = graphlab.ball_digits
-
-    def counted(spec, *args, **kwargs):
-        built.append(spec)
-        return original(spec, *args, **kwargs)
-
-    monkeypatch.setattr(graphlab, "ball_digits", counted)
     graphlab._nonzero_ball.cache_clear()
     adjacency_masks.cache_clear()
     assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
-    assert len(built) == len(set(built)) == 76
+    info = graphlab._nonzero_ball.cache_info()
+    assert info.misses == info.currsize == 76
+
+
+def test_a_cached_ball_still_checks_its_budget():
+    """The full-budget call caches the ball; a smaller budget is still
+    refused.  The cached rows are read-only and start after the zero row."""
+    spec = PowerGraphSpec(make_params(3, (1, 2), (1, 2)), 1)
+    vol = counting.ball_volume(spec.params, spec.k)
+    ball = graphlab.ball_digits(spec, vol)
+    assert graphlab.ball_digits(spec) is ball and len(ball) == vol - 1
+    with pytest.raises(BudgetError):
+        graphlab.ball_digits(spec, vol - 1)
+    assert not ball.flags.writeable and ball.any(axis=1).all()
+    with pytest.raises(ValueError):
+        ball[0, 0] = 1
 
 
 # -- batched adjacency rows --------------------------------------------------

@@ -10,8 +10,7 @@ from srklab import space
 from srklab.gf import Matrix, ShapeError, field_make
 from srklab.space import (HammingVector, SrkCode, SrkVector, code_from_json,
                           code_to_json, enumerate_space, enumerate_sphere,
-                          f_map, make_params, min_distance, polynomial_basis,
-                          srk_distance, srk_weight, vector_from_digits,
+                          f_map, make_params, min_distance, srk_distance, srk_weight, vector_from_digits,
                           vector_from_index, wt_preservation_check)
 
 
@@ -143,13 +142,39 @@ def test_f_map_examples():
     assert f_map(SrkVector.zero(p2)).entries == (0, 0)
 
 
-def test_f_map_rejects_dependent_basis():
-    p = make_params(2, (1, 1), (2, 2))
-    x = SrkVector.zero(p)
-    with pytest.raises(ValueError):
-        f_map(x, basis=[1, 1])
-    with pytest.raises(ValueError):
-        f_map(x, basis=[1, 2, 3])
+def _basis_expansion(x):
+    """f(x) by field arithmetic: row (a_0, a_1, ...) of a block maps to
+    sum_j a_j alpha^j, alpha^j having the base-q coefficients of q^j,
+    summed coefficient by coefficient with F.add and F.mul; short rows
+    are zero-padded."""
+    F, q, m = x.params.field, x.params.q, max(x.params.m)
+    basis = [[q ** j // q ** i % q for i in range(m)] for j in range(m)]
+    out = []
+    for blk in x.blocks:
+        for r in range(blk.rows):
+            acc = [0] * m
+            for j in range(blk.cols):
+                acc = [F.add(a, F.mul(blk[r, j], d))
+                       for a, d in zip(acc, basis[j])]
+            out.append(sum(a * q ** i for i, a in enumerate(acc)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("q,n,m", [
+    (2, (1, 2), (2, 3)), (2, (2, 1, 1), (2, 1, 3)), (3, (1, 1), (1, 2)),
+    (3, (2,), (2,)), (4, (1, 1), (2, 1)), (9, (1, 1), (1, 2)),
+])
+def test_f_map_is_the_polynomial_basis_expansion(q, n, m):
+    p = make_params(q, n, m)
+    V = p.size()
+    rng = np.random.default_rng(V)
+    idxs = ({0, V - 1} | set(rng.integers(0, V, 200).tolist())
+            if V > 300 else range(V))
+    for idx in idxs:
+        x = vector_from_index(p, idx)
+        img = f_map(x)
+        assert (img.base_field, img.ext_degree) == (p.field, max(m))
+        assert img.entries == _basis_expansion(x)
 
 
 def test_f_map_padding_for_unequal_m():
@@ -454,7 +479,3 @@ def test_code_words_round_trip_on_mixed_shapes(q, n, m):
     assert code.words == tuple(words)
     assert SrkCode.of(p, code.words) == code
     assert code_from_json(json.loads(json.dumps(code_to_json(code)))) == code
-
-
-def test_polynomial_basis():
-    assert polynomial_basis(2, 3) == [1, 2, 4]

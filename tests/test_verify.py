@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from srklab import verify
+from srklab import graphlab, verify
 from srklab.gf import (Matrix, col_space_intersection_dim,
                        enumerate_matrices, field_make, rank,
                        row_space_intersection_dim)
@@ -142,3 +142,10 @@ def test_fixed_x_histogram_equals_the_scalar_count(n):
         want = _scalar_fixed_x_histogram(n, i)
         assert {(j, c): int(hist[j, c]) for j in range(n + 1)
                 for c in range(n + 1) if hist[j, c]} == dict(want)
+
+
+def test_every_default_sweep_space_is_within_the_suites_vertex_budget():
+    """The cayley and gv-chain suites build every sweep space's adjacency
+    with the default vertex budget and skip none."""
+    assert all(p.size() <= 1024 for p in verify.default_sweep())
+    assert 1024 <= graphlab.DEFAULT_MAX_VERTICES
