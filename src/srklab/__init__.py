@@ -14,7 +14,7 @@ from .counting import (gaussian_binomial, count_rank_matrices,
                        epsilon_star)
 from .graphlab import (PowerGraphSpec, GraphStats, exact_T, graph_stats,
                        verify_cayley, max_independent_set, greedy_partition,
-                       greedy_gv_code, code_size, MisResult, SolverBudgetError)
+                       code_size, MisResult, SolverBudgetError)
 from .bounds import (gv_lower, gv_exact_ratio, aks_alpha_lower,
                      improved_gv_value, bound_report, BoundReport)
 from .ramsey import (RamseyTable, ChainConfig, DerivedBound,

@@ -158,12 +158,22 @@ def _check_ints(obj: dict, ints=(), lists=()):
             raise ValueError(f"{key} is {obj[key]!r}, not a list of integers")
 
 
+def _check_keys(obj: dict, allowed, what: str):
+    """ValueError if obj has a key that ``allowed`` does not name."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; "
+                         f"choose from {sorted(allowed)}")
+
+
 def _config_instance(inst, default_d):
     """(params, distances) of one sweep-config instance; ValueError unless
-    q is an int, n and m are lists of ints and d is "all" or a list of
-    ints >= 1 (bools are not ints here)."""
+    its keys are among q, n, m and d, q is an int, n and m are lists of
+    ints and d is "all" or a list of ints >= 1 (bools are not ints
+    here)."""
     if not isinstance(inst, dict):
         raise ValueError(f"instance {inst!r} is not an object")
+    _check_keys(inst, ("q", "n", "m", "d"), "instance")
     _check_ints(inst, ("q",), ("n", "m"))
     ds = inst.get("d", default_d)
     if ds != "all" and not (isinstance(ds, list) and all(
@@ -180,6 +190,7 @@ def _sweep_from_config(args):
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be an object, got {cfg!r}")
+        _check_keys(cfg, ("instances", "budgets", "d"), "config")
         given = cfg.get("budgets", {})
         if not isinstance(given, dict):
             raise ValueError(f"budgets must be an object, got {given!r}")

@@ -5,7 +5,8 @@ partitions of the space into codes.
 Vertices are identified with canonical vector indices.  All heavy loops
 run over numpy digit tables with per-block rank lookup tables, so no
 explicit edge list is ever built; the MIS solver and the greedy
-procedures use adjacency bitmasks (python ints) instead.
+partition read one adjacency record per spec instead (``_adjacency``:
+packed rows, their bitmask ints and the lex first-fit partition).
 
 - The rank table of a block shape comes from one kernel count over the
   stack of all its matrices (``gf.rank_stack``).
@@ -28,6 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,28 +227,40 @@ def graph_stats(spec: PowerGraphSpec,
 
 def adjacency_masks(spec: PowerGraphSpec,
                     max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
-    """Per-vertex neighbor bitmasks over the whole (budgeted) space.  The
-    latest spec's masks are kept, whatever budget admitted them, so the
-    greedy procedures and the MIS of one spec share one build
-    (``adjacency_masks.cache_clear()`` and ``.cache_info()`` act on it)."""
+    """Per-vertex neighbour bitmasks over the whole (budgeted) space: the
+    masks of the spec's adjacency record (``_adjacency``), which is built
+    once whatever budget admitted it."""
     _vertex_budget(spec.params, max_vertices)
-    return _translated_masks(spec)
+    return _adjacency(spec).masks
+
+
+class _Adjacency(NamedTuple):
+    """The adjacency of one spec: ``rows`` packs row v of the adjacency
+    matrix (bit u, little bit order, is set iff u is a neighbour of v;
+    read-only), ``masks`` holds the same rows as bitmask ints and ``lex``
+    the class bitmasks of the lex first-fit partition."""
+
+    rows: np.ndarray
+    masks: tuple
+    lex: tuple
 
 
 @lru_cache(maxsize=1)
-def _translated_masks(spec: PowerGraphSpec) -> tuple:
-    """The graph is a Cayley graph, so the neighbours of v are v + B*, B*
-    the nonzero ball of radius k: each row is a translate of the ball, and
-    no difference is ranked.  As a check, each row must have exactly |B*|
-    bits and no loop; a wrong sum or index encoding breaks one of these
-    and raises ArithmeticError."""
+def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
+    """The latest spec's adjacency record, so the greedy partition, its
+    lex classes and the MIS share one build; callers check the vertex
+    budget first (``adjacency_masks``).  The graph is a Cayley graph, so
+    the neighbours of v are v + B*, B* the nonzero ball of radius k: each
+    row is a translate of the ball, and no difference is ranked.  As a
+    check, each row must have exactly |B*| bits and no loop; a wrong sum
+    or index encoding breaks one of these and raises ArithmeticError."""
     params = spec.params
     digits = digit_rows(params.q, params.total_dim)
     V = len(digits)
     ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
     D = len(ball)
     step = max(1, _ROW_CHUNK // D)
-    masks = []
+    packed = np.empty((V, (V + 7) // 8), dtype=np.uint8)
     for start in range(0, V, step):
         block = digits[start:start + step]
         nbr = params.field.add_array(block[:, None, :], ball[None, :, :])
@@ -258,18 +272,11 @@ def _translated_masks(spec: PowerGraphSpec) -> tuple:
             raise ArithmeticError(
                 f"a translate of the ball at vertices {start}.."
                 f"{start + len(block) - 1} does not have {D} neighbours")
-        masks.extend(_row_masks(adj))
-    return tuple(masks)
-
-
-def _clear_masks():
-    """Drop the cached masks and the lex partition built on them."""
-    _translated_masks.cache_clear()
-    _lex_classes.cache_clear()
-
-
-adjacency_masks.cache_clear = _clear_masks
-adjacency_masks.cache_info = _translated_masks.cache_info
+        packed[start:start + len(block)] = np.packbits(adj, axis=1,
+                                                      bitorder="little")
+    packed.flags.writeable = False
+    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return _Adjacency(packed, masks, tuple(_greedy_classes(masks, range(V))))
 
 
 def _weight_rows(params: SrkParams, digits: np.ndarray):
@@ -440,15 +447,6 @@ class _Search:
                 return
 
 
-def _mask_matrix(masks) -> np.ndarray:
-    """(V, V) boolean adjacency matrix of the bitmask rows."""
-    V = len(masks)
-    nbytes = (V + 7) // 8
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(V, nbytes)
-    return np.unpackbits(rows, axis=1, count=V, bitorder="little").astype(bool)
-
-
 def _row_masks(mat: np.ndarray) -> list:
     """Bitmask ints of the rows of a boolean matrix."""
     packed = np.packbits(mat, axis=1, bitorder="little")
@@ -565,6 +563,7 @@ def max_independent_set(spec: PowerGraphSpec,
     and one below k+1 raises ArithmeticError."""
     params, k = spec.params, spec.k
     masks = adjacency_masks(spec, max_vertices)
+    adj = _adjacency(spec)   # the record behind the masks
     V = len(masks)
     search = _Search(max_nodes, V)
     search.tick()   # the root, before any bound is consulted
@@ -574,7 +573,7 @@ def max_independent_set(spec: PowerGraphSpec,
     if any((masks[v] | 1 << v) & clique != clique for v in anticode):
         raise ArithmeticError("anticode is not a clique")
     search.bound(V // len(anticode), "anticode")
-    largest = max(_lex_classes(spec), key=int.bit_count)
+    largest = max(adj.lex, key=int.bit_count)
     _independent(masks, largest, "greedy partition class")
     search.offer(largest.bit_count(), largest)
     seed = gabidulin_indices(params, k + 1)
@@ -587,7 +586,8 @@ def max_independent_set(spec: PowerGraphSpec,
 
     subs = []
     if search.lb < search.ub:
-        comp = ~_mask_matrix(masks)
+        comp = np.unpackbits(adj.rows, axis=1, count=V,
+                             bitorder="little") == 0
         np.fill_diagonal(comp, False)
         label = _profile_classes(params,
                                  digit_rows(params.q, params.total_dim))
@@ -595,13 +595,15 @@ def max_independent_set(spec: PowerGraphSpec,
         for c in np.flatnonzero(np.bincount(label[outside])):
             later = outside[label[outside] >= c]
             rep = later[label[later] == c][0]
-            cand = later[comp[rep, later]]
-            sub = comp[np.ix_(cand, cand)]
-            order = np.argsort(-sub.sum(axis=1), kind="stable")
-            nbr = _row_masks(sub[np.ix_(order, order)])
+            cand = later[comp[rep, later]].tolist()
+            # by descending degree in the complement: ascending number of
+            # neighbours among the candidates (the masks hold no loop)
+            bits = _index_bits(cand)
+            cand.sort(key=lambda v: (masks[v] & bits).bit_count())
+            nbr = _row_masks(comp[np.ix_(cand, cand)])
             colours = _colour((1 << len(nbr)) - 1, nbr)[1]
             bound = 2 + (colours[-1] if colours else 0)
-            subs.append((bound, int(rep), cand[order].tolist(), nbr))
+            subs.append((bound, int(rep), cand, nbr))
         search.bound(max((b for b, *_ in subs), default=1), "colouring")
     start = search.lb, search.ub, search.ub_source
     for j, (bound, rep, verts, nbr) in enumerate(subs):
@@ -644,59 +646,37 @@ def _greedy_classes(masks, order) -> list:
     return class_bits
 
 
-@lru_cache(maxsize=1)
-def _lex_classes(spec: PowerGraphSpec) -> tuple:
-    """Class bitmasks of the lex first-fit partition, kept next to the
-    masks: one build per spec serves the greedy procedures and the MIS
-    seed.  Callers check the vertex budget first (``adjacency_masks``)."""
-    masks = _translated_masks(spec)
-    return tuple(_greedy_classes(masks, range(len(masks))))
-
-
-def _partition_classes(spec: PowerGraphSpec, max_vertices: int,
-                       order_policy: str):
-    """Class bitmasks of the first-fit partition scanning vertices in
-    ascending index ("lex") or ascending weight, then index."""
-    masks = adjacency_masks(spec, max_vertices)
-    if order_policy == "lex":
-        return _lex_classes(spec)
-    if order_policy == "weight-then-lex":
-        params = spec.params
-        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
-        return _greedy_classes(masks, np.argsort(w, kind="stable").tolist())
-    raise ValueError(f"unknown order policy {order_policy!r}")
-
-
-def greedy_gv_code(spec: PowerGraphSpec,
-                   max_vertices: int = DEFAULT_MAX_VERTICES,
-                   order_policy: str = "lex") -> SrkCode:
-    """Sphere-covering witness: keep a vertex iff it is at distance > k
-    from everything kept so far.  Size >= ceil(|V| / ball_volume).  It is
-    class 0 of ``greedy_partition`` in the same order."""
-    kept = _partition_classes(spec, max_vertices, order_policy)[0]
-    return SrkCode(spec.params, tuple(_bits(kept)))
-
-
 def greedy_partition(spec: PowerGraphSpec,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
                      order_policy: str = "lex"):
-    """Greedy coloring: partition of the space into codes of minimum
-    distance >= k+1 (singletons allowed); at most D+1 classes.  Class 0 is
-    ``greedy_gv_code`` in the same order: a vertex joins it iff none of its
-    neighbours did before it.  The lex partition is built once per spec."""
-    return [SrkCode(spec.params, tuple(_bits(bits)))
-            for bits in _partition_classes(spec, max_vertices, order_policy)]
+    """Greedy colouring: first fit, scanning vertices in ascending index
+    ("lex") or ascending weight, then index, partitions the space into
+    codes of minimum distance >= k+1 (singletons allowed); at most D+1
+    classes.  Class 0 is the greedy sphere-covering code: a vertex joins
+    it iff it is at distance > k from every vertex that joined before it,
+    so it has at least ceil(|V| / ball_volume) words.  The lex partition
+    comes with the spec's adjacency record, built once per spec."""
+    masks = adjacency_masks(spec, max_vertices)
+    if order_policy == "lex":
+        classes = _adjacency(spec).lex
+    elif order_policy == "weight-then-lex":
+        params = spec.params
+        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
+        classes = _greedy_classes(masks, np.argsort(w, kind="stable").tolist())
+    else:
+        raise ValueError(f"unknown order policy {order_policy!r}")
+    return [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]
 
 
-def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
-                  max_vertices: int = DEFAULT_MAX_VERTICES) -> dict:
-    """Degree-regularity sweep (full, within budget) and sampled
-    translation-invariance checks of adjacency.  Degrees are read from the
-    weight histogram of the space (``_weight_histogram``, one build per
-    space serves every k).  The samples x, y, z are drawn as one
-    (sample_size, 3, L) array, which on numpy 2.4 gives the same draws as
-    three ``rng.integers(0, q, size=L)`` calls a sample, and weighed at
-    once."""
+def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,
+                  seed: int = 0) -> dict:
+    """Degree-regularity sweep (full, on spaces within
+    ``DEFAULT_MAX_VERTICES``) and sampled translation-invariance checks
+    of adjacency.  Degrees are read from the weight histogram of the
+    space (``_weight_histogram``, one build per space serves every k).
+    The samples x, y, z are drawn as one (sample_size, 3, L) array, which
+    on numpy 2.4 gives the same draws as three ``rng.integers(0, q,
+    size=L)`` calls a sample, and weighed at once."""
     params, k = spec.params, spec.k
     tab = _tables(params)
     F = params.field
@@ -704,7 +684,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64, seed: int = 0,
     report = {"params": params.describe(), "k": k, "expected_degree": D,
               "degree_violations": [], "translation_violations": [],
               "degrees_checked": 0, "translations_checked": 0}
-    if params.size() <= max_vertices:
+    if params.size() <= DEFAULT_MAX_VERTICES:
         degrees = _weight_histogram(params)[:, 1:k + 1].sum(axis=1)
         report["degrees_checked"] = len(degrees)
         report["degree_violations"] = [

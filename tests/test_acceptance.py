@@ -69,7 +69,7 @@ def test_criterion_05_cayley():
             continue
         for k in range(1, params.max_weight + 1):
             spec = PowerGraphSpec(params, k)
-            rep = verify_cayley(spec, sample_size=8, max_vertices=1024)
+            rep = verify_cayley(spec, sample_size=8)
             assert rep["ok"], rep
             assert rep["degrees_checked"] == params.size()
             assert rep["expected_degree"] == counting.ball_volume(params, k) - 1

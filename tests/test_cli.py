@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -81,6 +82,75 @@ def test_partition(capsys):
     payload = json.loads(out)
     assert payload["num_classes"] == 2
     assert sorted(payload["sizes"]) == [4, 4]
+
+
+# SHA-256 of what ``alpha`` prints, of the file of ``alpha -o`` and of the
+# files of ``partition -o`` in lex and in weight-then-lex order, per
+# (q, n, m, k): a change to the graph layer that moves one witness word or
+# one class member changes a digest.
+_PINNED = {
+    ("2", "2", "2", "1"): (
+        "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+        "a626287c5575662146cbcb738bd604fc46f9841ab799e3852b17047ecd7edd43",
+        "df3d2313fccefda7611885270806f403b46a985e936f49f987b9d7f706afa1b7",
+        "d54fb579e841268948eaf9d6a09b9b4c0a384a2c8eda57df849066de99438628"),
+    ("2", "3", "3", "1"): (
+        "913f5d1da2feaf4deeccc9e55cbb350a20f12b3f507e87be85dbb77fdd3cb9bc",
+        "eeca3d2518e0b5eb192b053e23cadb0eebc25745329333eb13e09bdd2d73e334",
+        "576d8070d4e1ac278c118351a771674359dc8594b01daf443fc1bac115b224f4",
+        "4198c79c9ed9ad4095219c2632e340f9189652f3a17f2463cd757868dad195db"),
+    ("2", "3", "4", "1"): (
+        "f16c302d5d30e1d3fbe955cf4f637f58a871adeba597922e3baad0aeeb13f656",
+        "b793eb9fe22904fa06b1e868fb758d4cf5d121f30d970d2128a53a6981fb0012",
+        "df84347f1ec951f25fab4dc1d50da39bd69c40f45f75c9b6aafbe7e212debceb",
+        "8869d2e63a03cb6f8dd2bd9d3ca6970287f33434b4a4a1f33036546372cee3b0"),
+    ("2", "1,2", "2,2", "1"): (
+        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+        "3aada5606f4f44b321884ceb9a56a98b46ab7f820f216a84e4566190eeaf370e",
+        "9e03cf0d71eec85510f8dd63209d78aabfa08b30cc6aec8775e36b5b39f913f0",
+        "4fc336ba7faa4d0ba80252cd3208195824e5d40c950fa71ffe197ab8c0eb3413"),
+    ("2", "2,2", "2,2", "2"): (
+        "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a",
+        "477f221c77740d97a4e9b6128233ef814caac3c2991af659fa02fa645eff8eab",
+        "ce8d140c9e30efbaea599e3ed7554e3b4ce5fba7db9406ebca8669841491712f",
+        "226fdfe85910b31ecd168065f101042f6d35eac674143377b132d448e6106002"),
+    ("2", "1,1,1,1,1,1,1", "1,1,1,1,1,1,1", "2"): (
+        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+        "d14f1e73881dd06decc8ea42edb0c26071e660c8299bec0761aef2a7311ae5ac",
+        "92024b309e19f4d58f8dcde2f1762b4eb8ec5aad0ce95bdee8fd87127e7ec435",
+        "92024b309e19f4d58f8dcde2f1762b4eb8ec5aad0ce95bdee8fd87127e7ec435"),
+    ("3", "1,1,1,1,1", "1,1,1,1,1", "2"): (
+        "7ee29791fc17e986b97128845622b077fb45e349fdb80523fac9dba879b4ad60",
+        "fcd85a831e2d59fa6aa8e6dd4b98f103c1e8c2e5ec2f9c79f3f5d0c407cacfa8",
+        "4f4554287f4cf10c01fbaa19688394594e13fbd3982e654ec128f6c184281fe4",
+        "beb51a28901f6b79190f9cfaa306c1ae839de822da8d8297b0375e67d5cc1105"),
+    ("3", "1,1", "2,2", "1"): (
+        "2e6d31a5983a91251bfae5aefa1c0a19d8ba3cf601d0e8a706b4cfa9661a6b8a",
+        "5325c7210efbd59b537d6dffc004cd70ddcb7a83979bb8df03bdee2b17fb5121",
+        "18a0ace7ea6eb6fbfe57074a70caeff786cff8708a687e06097edc9ee07c8fcf",
+        "18a0ace7ea6eb6fbfe57074a70caeff786cff8708a687e06097edc9ee07c8fcf"),
+    ("4", "1,1", "2,2", "1"): (
+        "e6c21e8d260fe71882debdb339d2402a2ca7648529bc2303f48649bce0380017",
+        "b0f3ead2d6e1dbb8c8ad90bb29e18fe027bca166eec39eb203b6bd1ca59ef2ab",
+        "16e97ddef2d8e65c8ed429d1cbc2979e294bc7091b764085b0997a1d003d9f81",
+        "16e97ddef2d8e65c8ed429d1cbc2979e294bc7091b764085b0997a1d003d9f81"),
+}
+
+
+@pytest.mark.parametrize("q,n,m,k", list(_PINNED))
+def test_alpha_and_partition_outputs_are_pinned(capsys, tmp_path, q, n, m, k):
+    spec = ["-q", q, "-n", n, "-m", m, "-k", k]
+    witness, lex, weight = (tmp_path / name for name in
+                            ("alpha.json", "lex.json", "weight.json"))
+    rc, out, _ = run(capsys, "alpha", *spec, "-o", str(witness))
+    assert rc == 0
+    for path, order in ((lex, "lex"), (weight, "weight-then-lex")):
+        assert run(capsys, "partition", *spec, "--order", order,
+                   "-o", str(path))[0] == 0
+    digests = [hashlib.sha256(data).hexdigest() for data in
+               (out.encode(), *(p.read_bytes() for p in (witness, lex,
+                                                        weight)))]
+    assert digests == list(_PINNED[q, n, m, k])
 
 
 def test_gv(capsys):
@@ -424,6 +494,7 @@ def test_ramsey_replay_mismatch_is_compute_error_under_python_O(tmp_path):
     {"q": 6, "n": [1], "m": [1]},
     {"q": 2, "n": [], "m": []},
     [2, [1], [1]],
+    {"q": 2, "n": [1, 2], "m": [2, 2], "dd": [2]},
 ])
 def test_report_bad_instance_is_usage_error(capsys, tmp_path, inst):
     cfg_path = tmp_path / "sweep.json"
@@ -438,6 +509,8 @@ def test_report_bad_instance_is_usage_error(capsys, tmp_path, inst):
     {"instances": "all"},
     [{"q": 2, "n": [1], "m": [1]}],
     {"d": [0], "instances": [{"q": 2, "n": [1], "m": [1]}]},
+    {"instances": [{"q": 2, "n": [1, 2], "m": [2, 2], "d": [2]}],
+     "budget": {"max_nodes": 0}},
 ])
 def test_report_bad_config_shape_is_usage_error(capsys, tmp_path, cfg):
     cfg_path = tmp_path / "sweep.json"

@@ -13,9 +13,8 @@ from srklab.gf import (BudgetError, FieldSpec, enumerate_matrices,
                        field_from_order, rank)
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
                              adjacency_masks, exact_T, gabidulin_indices,
-                             graph_stats, greedy_gv_code,
-                             greedy_partition, max_independent_set,
-                             verify_cayley)
+                             graph_stats, greedy_partition,
+                             max_independent_set, verify_cayley)
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight)
 from srklab.verify import default_sweep
@@ -156,7 +155,7 @@ def test_vertex_budget():
 
 
 def test_greedy_gv_code_cube():
-    code = greedy_gv_code(PowerGraphSpec(CUBE, 1))
+    code = greedy_partition(PowerGraphSpec(CUBE, 1))[0]
     assert len(code) == 4
     assert min_distance(code) >= 2
 
@@ -165,7 +164,7 @@ def test_greedy_meets_sphere_covering_floor():
     for q, n, m, k in [(2, (2,), (2,), 1), (2, (1, 2), (2, 2), 1),
                        (3, (1, 1), (1, 1), 1), (2, (1, 1, 1), (1, 1, 1), 2)]:
         params = make_params(q, n, m)
-        code = greedy_gv_code(PowerGraphSpec(params, k))
+        code = greedy_partition(PowerGraphSpec(params, k))[0]
         V = counting.space_size(params)
         ball = counting.ball_volume(params, k)
         assert len(code) >= -(-V // ball)
@@ -309,9 +308,13 @@ def test_largest_lex_class_seeds_the_search():
 def test_a_dependent_seed_class_is_refused(monkeypatch):
     # a class of all 16 vertices is the largest, and no code of distance 2
     spec = PowerGraphSpec(make_params(2, (2,), (2,)), 1)
-    real = graphlab._lex_classes
-    monkeypatch.setattr(graphlab, "_lex_classes",
-                        lambda spec: real(spec) + ((1 << 16) - 1,))
+    real = graphlab._adjacency
+
+    def with_full_class(spec):
+        adj = real(spec)
+        return adj._replace(lex=adj.lex + ((1 << 16) - 1,))
+
+    monkeypatch.setattr(graphlab, "_adjacency", with_full_class)
     with pytest.raises(ArithmeticError):
         max_independent_set(spec)
 
@@ -519,28 +522,32 @@ def test_largest_fields_hamming_T(q):
 
 def test_adjacency_masks_built_once_per_spec():
     spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     masks = adjacency_masks(spec, 4096)
     assert isinstance(masks, tuple)
     bounds.bound_report(spec.params, 2)
-    info = adjacency_masks.cache_info()
-    # hits: the greedy partition, its lex classes and the MIS
-    assert (info.misses, info.hits) == (1, 3)
-    # one lex partition serves the greedy columns and the MIS seed, and it
-    # goes with the masks it was built on
-    info = graphlab._lex_classes.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    adjacency_masks.cache_clear()
-    assert graphlab._lex_classes.cache_info().currsize == 0
+    # one build serves the masks, the greedy partition (its masks and lex
+    # classes) and the MIS (its masks and the record behind them)
+    info = graphlab._adjacency.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+    adj = graphlab._adjacency(spec)
+    assert adj.masks is masks and not adj.rows.flags.writeable
+    assert adj.rows.shape == (64, 8)
+    assert [int.from_bytes(row.tobytes(), "little") for row in adj.rows] \
+        == list(masks)
+    assert [sum(1 << i for i in c.indices)
+            for c in greedy_partition(spec)] == list(adj.lex)
+    graphlab._adjacency.cache_clear()
+    assert graphlab._adjacency.cache_info().currsize == 0
 
 
 def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
     spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     masks = adjacency_masks(spec, 4096)
     assert adjacency_masks(spec) is masks
     assert adjacency_masks(spec, max_vertices=64) is masks
-    info = adjacency_masks.cache_info()
+    info = graphlab._adjacency.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     with pytest.raises(BudgetError):   # a cached build does not lift it
         adjacency_masks(spec, 63)
@@ -551,7 +558,7 @@ def test_one_nonzero_ball_serves_exact_T_and_the_masks():
     build alike; each still checks its own budget against the shared,
     read-only build."""
     graphlab._nonzero_ball.cache_clear()
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     specs = [PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1),
              PowerGraphSpec(make_params(3, (2,), (2,)), 1)]
     for spec in specs:
@@ -572,7 +579,7 @@ def test_a_verify_pass_enumerates_each_ball_once():
     """The triangles suite (exact_T) and the gv-chain suite (the masks)
     each walk the 76 sweep specs; the second reads the first's balls."""
     graphlab._nonzero_ball.cache_clear()
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
     info = graphlab._nonzero_ball.cache_info()
     assert info.misses == info.currsize == 76
@@ -621,23 +628,23 @@ def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
     graphlab._weight_histogram.cache_clear()   # rebuilt in this chunk size
     for k in range(1, params.max_weight + 1):
         spec = PowerGraphSpec(params, k)
-        adjacency_masks.cache_clear()
+        graphlab._adjacency.cache_clear()
         assert adjacency_masks(spec, 4096) == _per_vertex_masks(spec)
         rep = verify_cayley(spec, sample_size=0)
         assert rep["degrees_checked"] == params.size()
         assert rep["ok"]
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
 
 
 def test_translated_masks_match_the_distance_path_at_4096_vertices():
     spec = PowerGraphSpec(make_params(2, (1,) * 12, (1,) * 12), 2)
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     masks = adjacency_masks(spec)
     assert len(masks) == 4096
     sample = sorted(np.random.default_rng(7).choice(4096, 64, replace=False)
                     .tolist())
     assert [masks[v] for v in sample] == list(_per_vertex_masks(spec, sample))
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
 
 
 def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
@@ -653,13 +660,13 @@ def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
     monkeypatch.setattr(FieldSpec, "add_array", recording)
     for chunk in (graphlab._ROW_CHUNK, 100, 1):
         monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
-        adjacency_masks.cache_clear()
+        graphlab._adjacency.cache_clear()
         adjacency_masks(spec)
         assert sum(r for r, _ in rows) == 729
         assert all(d == 72 for _, d in rows)
         assert all(r * d <= max(chunk, d) for r, d in rows)
         rows.clear()
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
 
 
 @pytest.mark.parametrize("q,n,m,k,cols", [
@@ -684,10 +691,10 @@ def test_a_wrong_sum_breaks_the_translated_masks(monkeypatch, q, n, m, k,
         return out
 
     monkeypatch.setattr(FieldSpec, "add_array", broken)
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
     with pytest.raises(ArithmeticError):
         adjacency_masks(PowerGraphSpec(make_params(q, n, m), k))
-    adjacency_masks.cache_clear()
+    graphlab._adjacency.cache_clear()
 
 
 def test_verify_cayley_does_not_read_the_adjacency_masks(monkeypatch):
@@ -695,35 +702,45 @@ def test_verify_cayley_does_not_read_the_adjacency_masks(monkeypatch):
         raise AssertionError("verify_cayley read the masks")
 
     monkeypatch.setattr(graphlab, "adjacency_masks", refuse)
-    monkeypatch.setattr(graphlab, "_translated_masks", refuse)
+    monkeypatch.setattr(graphlab, "_adjacency", refuse)
     rep = verify_cayley(PowerGraphSpec(make_params(3, (1, 1), (1, 2)), 1))
     assert rep["ok"] and rep["degrees_checked"] == 27
 
 
 @pytest.mark.parametrize("policy", ["lex", "weight-then-lex"])
 def test_greedy_partition_class_zero_is_the_greedy_code_on_the_sweep(policy):
+    """Class 0 is the greedy code: scanning in the policy's order, a vertex
+    is kept iff none of its neighbours (the per-vertex oracle) was."""
     specs = [PowerGraphSpec(p, d - 1) for p in default_sweep()
              for d in range(2, p.max_weight + 2)]
     assert len(specs) == 76
     for spec in specs:
         classes = greedy_partition(spec, order_policy=policy)
-        code = greedy_gv_code(spec, order_policy=policy)
-        assert classes[0] == code, spec
+        nbrs = _per_vertex_masks(spec)
+        order = range(len(nbrs))
+        if policy == "weight-then-lex":
+            w = [srk_weight(v) for v in enumerate_space(spec.params)]
+            order = sorted(order, key=w.__getitem__)
+        kept = 0
+        for v in order:
+            if nbrs[v] & kept == 0:
+                kept |= 1 << v
+        assert classes[0].indices == tuple(
+            v for v in range(len(nbrs)) if kept >> v & 1), spec
         if policy == "lex":
             # the report's greedy columns come from the lex partition
             rep = bounds.bound_report(spec.params, spec.k + 1,
                                       max_nodes=200_000)
             assert (rep.greedy_code_size, rep.num_classes) == (
-                len(code), len(classes)), spec
+                kept.bit_count(), len(classes)), spec
 
 
 def test_greedy_procedures_refuse_past_their_budgets():
     spec = PowerGraphSpec(make_params(2, (1, 1), (1, 2)), 1)
-    for greedy in (greedy_gv_code, greedy_partition):
-        with pytest.raises(BudgetError):
-            greedy(spec, max_vertices=4)
-        with pytest.raises(ValueError):
-            greedy(spec, order_policy="random")
+    with pytest.raises(BudgetError):
+        greedy_partition(spec, max_vertices=4)
+    with pytest.raises(ValueError):
+        greedy_partition(spec, order_policy="random")
     rep = bounds.bound_report(spec.params, 2, max_vertices=4)
     assert rep.greedy_code_size == rep.num_classes == bounds.NOT_COMPUTED
     assert any(n.startswith("greedy procedures skipped") for n in rep.notes)

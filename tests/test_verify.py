@@ -146,6 +146,9 @@ def test_fixed_x_histogram_equals_the_scalar_count(n):
 
 def test_every_default_sweep_space_is_within_the_suites_vertex_budget():
     """The cayley and gv-chain suites build every sweep space's adjacency
-    with the default vertex budget and skip none."""
+    with the default vertex budget and skip none; the triangles suite's
+    balls, none larger than its space, are all within the default ball
+    budget."""
     assert all(p.size() <= 1024 for p in verify.default_sweep())
     assert 1024 <= graphlab.DEFAULT_MAX_VERTICES
+    assert 1024 <= graphlab.DEFAULT_MAX_BALL
