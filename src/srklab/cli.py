@@ -27,6 +27,17 @@ def _parse_int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
 
+def _budget(text: str) -> int:
+    """A --max-* value: an integer >= 0 (0 admits no work)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a budget must be >= 0, got {value}")
+    return value
+
+
 def _check_field_order(q: int):
     """Exit with a usage error unless q is a prime power."""
     try:
@@ -75,7 +86,7 @@ BUDGETS = ("max_vertices", "max_ball", "max_nodes")
 def _add_budget_args(sp, *names):
     """One --max-* option for each budget the subcommand reads."""
     for name in names:
-        sp.add_argument("--" + name.replace("_", "-"), type=int,
+        sp.add_argument("--" + name.replace("_", "-"), type=_budget,
                         default=getattr(graphlab, "DEFAULT_" + name.upper()))
 
 
@@ -198,9 +209,9 @@ def _sweep_from_config(args):
             if key not in budgets:
                 raise ValueError(f"unknown budget {key!r}; "
                                  f"choose from {sorted(budgets)}")
-            if not _is_int(value):
+            if not _is_int(value) or value < 0:
                 raise ValueError(f"budget {key!r} is {value!r}, "
-                                 "not an integer")
+                                 "not an integer >= 0")
             budgets[key] = value
         if not isinstance(cfg["instances"], list):
             raise ValueError("instances must be a list, "

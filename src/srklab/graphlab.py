@@ -40,9 +40,9 @@ from . import counting, scheme
 
 DEFAULT_MAX_VERTICES = 4096
 DEFAULT_MAX_BALL = 20000
-# Difference rows weighed, or translated ball rows formed, at once when
-# building weight or adjacency rows; larger chunks buy little speed for
-# much more memory.
+# Difference rows weighed, or (vertex, ball row) translate indices formed,
+# at once when building weight or adjacency rows; larger chunks buy
+# little speed for much more memory.
 _ROW_CHUNK = 1 << 15
 # Full enumeration of a single block's matrix space; blocks beyond this
 # size make even ball-only statistics infeasible here.
@@ -245,38 +245,71 @@ class _Adjacency(NamedTuple):
     lex: tuple
 
 
+def _translates(params: SrkParams, ball: np.ndarray):
+    """Indices of the translates v + b of the ball rows b, a chunk of
+    vertices at a time: yields (start, nbr) with nbr[i, j] the index of
+    (start + i) + ball[j].  Split each vertex index at digit h as
+    v = v_hi q^h + v_lo; then index(v + b) = high[v_hi, b] + low[v_lo, b],
+    where ``low`` (q^h, |B*|) indexes the sums of the low prefixes and the
+    ball's last h digits, and ``high`` indexes those of the chunk's high
+    prefixes and the ball's first L - h digits, times q^h.  h starts at
+    L // 2 and drops until q^h |B*| <= ``_ROW_CHUNK``, and a chunk is a
+    run of whole high prefixes, so no array holds more than
+    max(``_ROW_CHUNK``, |B*|) (vertex, ball row) pairs."""
+    q, L = params.q, params.total_dim
+    D = len(ball)
+    add = params.field.add_array
+    h = L // 2
+    while h and q ** h * D > _ROW_CHUNK:
+        h -= 1
+    split, lo = L - h, q ** h
+
+    def table(first: int, stop: int, cols: slice) -> np.ndarray:
+        """Indices of the prefixes first..stop-1 plus each ball row's
+        digits in ``cols``: a (stop - first, |B*|) array."""
+        width = cols.stop - cols.start
+        prefixes = index_digits(np.arange(first, stop), q, width)
+        return digit_index(add(prefixes[:, None, :], ball[None, :, cols]), q)
+
+    low = table(0, lo, slice(split, L))
+    step = max(1, _ROW_CHUNK // (lo * D))   # high prefixes a chunk
+    top = q ** split
+    for hi in range(0, top, step):
+        high = table(hi, min(hi + step, top), slice(0, split)) * lo
+        yield hi * lo, (high[:, None, :] + low).reshape(-1, D)
+
+
 @lru_cache(maxsize=1)
 def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
     """The latest spec's adjacency record, so the greedy partition, its
     lex classes and the MIS share one build; callers check the vertex
     budget first (``adjacency_masks``).  The graph is a Cayley graph, so
     the neighbours of v are v + B*, B* the nonzero ball of radius k: each
-    row is a translate of the ball, and no difference is ranked.  As a
+    row is a translate of the ball, read from two half-digit tables a
+    chunk at a time (``_translates``), and no difference is ranked.  As a
     check, each row must have exactly |B*| bits and no loop; a wrong sum
-    or index encoding breaks one of these and raises ArithmeticError."""
+    or index encoding breaks one of these and raises ArithmeticError.
+    The lex classes grow one class at a time (``_greedy_classes``)."""
     params = spec.params
-    digits = digit_rows(params.q, params.total_dim)
-    V = len(digits)
+    V = params.size()
     ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
     D = len(ball)
-    step = max(1, _ROW_CHUNK // D)
     packed = np.empty((V, (V + 7) // 8), dtype=np.uint8)
-    for start in range(0, V, step):
-        block = digits[start:start + step]
-        nbr = params.field.add_array(block[:, None, :], ball[None, :, :])
-        rows = np.arange(len(block))
-        adj = np.zeros((len(block), V), dtype=bool)
-        adj[rows[:, None], digit_index(nbr, params.q)] = True
-        if (np.count_nonzero(adj) != len(block) * D
+    for start, nbr in _translates(params, ball):
+        rows = np.arange(len(nbr))
+        adj = np.zeros((len(nbr), V), dtype=bool)
+        adj[rows[:, None], nbr] = True
+        if (np.count_nonzero(adj) != nbr.size
                 or adj[rows, start + rows].any()):
             raise ArithmeticError(
                 f"a translate of the ball at vertices {start}.."
-                f"{start + len(block) - 1} does not have {D} neighbours")
-        packed[start:start + len(block)] = np.packbits(adj, axis=1,
-                                                      bitorder="little")
+                f"{start + len(nbr) - 1} does not have {D} neighbours")
+        packed[start:start + len(nbr)] = np.packbits(adj, axis=1,
+                                                    bitorder="little")
     packed.flags.writeable = False
     masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return _Adjacency(packed, masks, tuple(_greedy_classes(masks, range(V))))
+    return _Adjacency(packed, masks, tuple(_greedy_classes(masks,
+                                                           [(1 << V) - 1])))
 
 
 def _weight_rows(params: SrkParams, digits: np.ndarray):
@@ -631,19 +664,30 @@ def code_size(params: SrkParams, d: int,
     return max_independent_set(spec, max_vertices, max_nodes).alpha
 
 
-def _greedy_classes(masks, order) -> list:
-    """First-fit colouring as class bitmasks: each vertex, in ``order``,
-    joins the first class holding none of its neighbours."""
-    class_bits = []
-    for v in order:
-        m = masks[v]
-        for ci, bits in enumerate(class_bits):
-            if m & bits == 0:
-                class_bits[ci] = bits | (1 << v)
-                break
-        else:
-            class_bits.append(1 << v)
-    return class_bits
+def _greedy_classes(masks, layers) -> list:
+    """First-fit colouring as class bitmasks, for the vertex order that
+    scans the bitmasks ``layers`` in turn, each in ascending index (each
+    vertex, in that order, joins the first class holding none of its
+    neighbours).  Grown one class at a time: class c takes, in that order,
+    each vertex left over from the classes before it that has no
+    neighbour in c so far, which by induction on c is the class first fit
+    gives.  Each pick drops the vertex and its neighbours from the layer
+    being scanned, as ``_colour`` does: |V| picks in all."""
+    left = [layer for layer in layers if layer]
+    classes = []
+    while left:
+        bits = near = 0   # the class so far and its neighbours
+        for layer in left:
+            avail = layer & ~near
+            while avail:
+                low = avail & -avail
+                m = masks[low.bit_length() - 1]
+                bits |= low
+                near |= m
+                avail = (avail ^ low) & ~m
+        classes.append(bits)
+        left = [rest for layer in left if (rest := layer & ~bits)]
+    return classes
 
 
 def greedy_partition(spec: PowerGraphSpec,
@@ -654,15 +698,19 @@ def greedy_partition(spec: PowerGraphSpec,
     codes of minimum distance >= k+1 (singletons allowed); at most D+1
     classes.  Class 0 is the greedy sphere-covering code: a vertex joins
     it iff it is at distance > k from every vertex that joined before it,
-    so it has at least ceil(|V| / ball_volume) words.  The lex partition
-    comes with the spec's adjacency record, built once per spec."""
+    so it has at least ceil(|V| / ball_volume) words.  The classes grow
+    one at a time (``_greedy_classes``), scanning one layer of all
+    vertices ("lex") or one layer per weight, in ascending weight; the
+    lex partition comes with the spec's adjacency record, built once per
+    spec."""
     masks = adjacency_masks(spec, max_vertices)
     if order_policy == "lex":
         classes = _adjacency(spec).lex
     elif order_policy == "weight-then-lex":
         params = spec.params
         w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
-        classes = _greedy_classes(masks, np.argsort(w, kind="stable").tolist())
+        layers = _row_masks(w == np.arange(params.max_weight + 1)[:, None])
+        classes = _greedy_classes(masks, layers)
     else:
         raise ValueError(f"unknown order policy {order_policy!r}")
     return [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]

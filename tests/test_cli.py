@@ -220,6 +220,21 @@ def test_a_budget_the_command_does_not_read_is_a_usage_error(capsys, argv,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag,value", [
+    (["alpha", "-q", "2", "-n", "2", "-m", "2", "-k", "1"], "--max-nodes",
+     "-5"),
+    (["partition", *_CUBE], "--max-vertices", "-1"),
+    (["graph-stats", *_CUBE], "--max-ball", "-3"),
+])
+def test_a_negative_budget_is_a_usage_error(capsys, argv, flag, value):
+    """A negative budget is refused as a usage error (exit 2), not run
+    into a budget error (exit 1); zero stays a valid budget."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"a budget must be >= 0, got {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,flags", [
     (["graph-stats", *_CUBE], ["--max-ball"]),
     (["alpha", *_CUBE], ["--max-vertices", "--max-nodes"]),
@@ -432,7 +447,7 @@ def test_ramsey_zero_rate_upper_reads_the_code_size(capsys, tmp_path, chain,
 
 @pytest.mark.parametrize("budgets", [
     {"max_nodez": 10}, {"max_nodes": 1.5}, {"max_ball": "20000"},
-    {"max_vertices": True}, [["max_nodes", 10]]])
+    {"max_vertices": True}, [["max_nodes", 10]], {"max_nodes": -1}])
 def test_report_bad_budget_is_usage_error(capsys, tmp_path, budgets):
     cfg = {"instances": [{"q": 2, "n": [1], "m": [1], "d": [2]}],
            "budgets": budgets}

@@ -648,24 +648,39 @@ def test_translated_masks_match_the_distance_path_at_4096_vertices():
 
 
 def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
-    spec = PowerGraphSpec(make_params(3, (1,) * 6, (1,) * 6), 2)  # D = 72
+    """Every ``add_array`` output and every chunk's neighbour indices hold
+    at most max(chunk, |B*|) (vertex, ball row) pairs, and the chunks
+    cover the space in order.  One 1 x 1 block over GF(1024) splits at
+    h = 0, and forms no q x |B*| table either (q |B*| is above every
+    bound tried); at k = 1 it is the complete graph."""
     real = FieldSpec.add_array
-    rows = []
+    pairs = []
 
     def recording(self, a, b):
         out = real(self, a, b)
-        rows.append(out.shape[:2])
+        pairs.append(out.shape[:2])
         return out
 
     monkeypatch.setattr(FieldSpec, "add_array", recording)
-    for chunk in (graphlab._ROW_CHUNK, 100, 1):
-        monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
-        graphlab._adjacency.cache_clear()
-        adjacency_masks(spec)
-        assert sum(r for r, _ in rows) == 729
-        assert all(d == 72 for _, d in rows)
-        assert all(r * d <= max(chunk, d) for r, d in rows)
-        rows.clear()
+    for q, n, k, D in [(3, (1,) * 6, 2, 72), (1024, (1,), 1, 1023)]:
+        spec = PowerGraphSpec(make_params(q, n, n), k)
+        V = spec.params.size()
+        ball = graphlab._nonzero_ball(spec)
+        want = (_per_vertex_masks(spec) if q == 3 else
+                tuple(((1 << V) - 1) ^ 1 << v for v in range(V)))
+        for chunk in (graphlab._ROW_CHUNK, 100, 1):
+            monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
+            pairs.clear()
+            covered = 0
+            for start, nbr in graphlab._translates(spec.params, ball):
+                assert start == covered and nbr.shape[1] == D
+                assert nbr.size <= max(chunk, D)
+                covered += len(nbr)
+            assert covered == V
+            graphlab._adjacency.cache_clear()
+            assert adjacency_masks(spec) == want
+            assert pairs and all(d == D for _, d in pairs)
+            assert all(r * d <= max(chunk, D) for r, d in pairs)
     graphlab._adjacency.cache_clear()
 
 
@@ -733,6 +748,42 @@ def test_greedy_partition_class_zero_is_the_greedy_code_on_the_sweep(policy):
                                       max_nodes=200_000)
             assert (rep.greedy_code_size, rep.num_classes) == (
                 kept.bit_count(), len(classes)), spec
+
+
+def _first_fit(masks, order) -> list:
+    """First fit vertex by vertex, as class bitmasks: each vertex, in
+    ``order``, joins the first class holding none of its neighbours."""
+    class_bits = []
+    for v in order:
+        m = masks[v]
+        for ci, bits in enumerate(class_bits):
+            if m & bits == 0:
+                class_bits[ci] = bits | (1 << v)
+                break
+        else:
+            class_bits.append(1 << v)
+    return class_bits
+
+
+@pytest.mark.parametrize("policy", ["lex", "weight-then-lex"])
+def test_greedy_classes_grown_one_at_a_time_are_first_fit(policy):
+    """The partition grown one class at a time is the first-fit partition
+    of the policy's order, vertex by vertex: on every default-sweep spec,
+    on GF(2) 3 x 4 at k = 1 and on GF(3)^7 at k = 2."""
+    specs = [PowerGraphSpec(p, d - 1) for p in default_sweep()
+             for d in range(2, p.max_weight + 2)]
+    specs += [PowerGraphSpec(make_params(2, (3,), (4,)), 1),
+              PowerGraphSpec(make_params(3, (1,) * 7, (1,) * 7), 2)]
+    for spec in specs:
+        masks = adjacency_masks(spec)
+        order = range(len(masks))
+        if policy == "weight-then-lex":
+            w = [srk_weight(v) for v in enumerate_space(spec.params)]
+            order = sorted(order, key=w.__getitem__)
+        classes = greedy_partition(spec, order_policy=policy)
+        assert [sum(1 << v for v in c.indices) for c in classes] \
+            == _first_fit(masks, order), spec
+    graphlab._adjacency.cache_clear()
 
 
 def test_greedy_procedures_refuse_past_their_budgets():
