@@ -363,8 +363,9 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, entries: tuple, field: FieldSpec):
         # Written out instead of the generated frozen __init__, which sets
-        # each field through object.__setattr__: the Marsaglia suite builds
-        # ~200k of these a pass.
+        # each field through object.__setattr__: the Marsaglia suite makes
+        # ~200k of these a pass, one pair at a time, and drops each pair
+        # before the next.
         if len(entries) != rows * cols:
             raise ShapeError("entry count does not match rows*cols")
         d = self.__dict__
@@ -463,7 +464,11 @@ MAX_ORTH_SPACE = 1 << 10
 # Kernel bitset words (and row digits) held at once by rank_stack, 2 MB
 # each: a stack is ranked in chunks, whatever q^k and its shape are.
 _KERNEL_WORDS = 1 << 18
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# Bit counts of every uint16, read-only: entry (hi << 8) | lo is the count
+# of hi plus that of lo, one outer add of the byte table.
+_POPCOUNT16 = np.add.outer(_POPCOUNT8, _POPCOUNT8).ravel()
+_POPCOUNT16.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -517,9 +522,10 @@ def kernel_stack(A, F: FieldSpec) -> np.ndarray:
                           f"budget {MAX_ORTH_SPACE}")
     orth = _orthogonality_table(F.p, F.e, k)
     code = digit_index(A, F.q)
-    ker = orth[code[:, 0]]
+    # np.take copies whole table rows, several times faster than orth[idx]
+    ker = np.take(orth, code[:, 0], axis=0)
     for i in range(1, A.shape[1]):
-        np.bitwise_and(ker, orth[code[:, i]], out=ker)
+        np.bitwise_and(ker, np.take(orth, code[:, i], axis=0), out=ker)
     return ker
 
 
@@ -529,7 +535,9 @@ def kernel_rank(ker: np.ndarray, F: FieldSpec, k: int) -> np.ndarray:
     uint8 array.  As a certificate, each |kernel| must be q^j with
     j <= k, else ArithmeticError."""
     q = F.q
-    size = _POPCOUNT8[ker.view(np.uint8)].sum(axis=1)
+    # |kernel| counted 16 bits at a time
+    counts = np.take(_POPCOUNT16, ker.view(np.uint16))
+    size = counts.sum(axis=1, dtype=np.int64)
     nullity = np.full(q ** k + 1, -1, dtype=np.int64)
     nullity[q ** np.arange(k + 1)] = np.arange(k + 1)
     j = nullity[size]

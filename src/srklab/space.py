@@ -44,6 +44,9 @@ class SrkParams:
             if mi < ni:
                 raise ValueError(
                     f"m_i >= n_i required for every block (got {ni}x{mi})")
+        # |V| once per (frozen) space: every SrkCode checks its indices
+        # against it
+        object.__setattr__(self, "_size", self.q ** self.total_dim)
 
     @property
     def t(self) -> int:
@@ -62,7 +65,7 @@ class SrkParams:
         return sum(min(ni, mi) for ni, mi in zip(self.n, self.m))
 
     def size(self) -> int:
-        return self.q ** self.total_dim
+        return self._size
 
     def block_shapes(self):
         return list(zip(self.n, self.m))

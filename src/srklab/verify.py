@@ -4,8 +4,8 @@ independent brute-force oracle.  Each suite returns a report dict with
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import repeat
+from collections import Counter, deque
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -74,9 +74,9 @@ def _fixed_x_histogram(n: int, i: int) -> np.ndarray:
     """Over GF(2), X = diag(1^i, 0^(n-i)) and every n x n matrix Y: the
     (n+1, n+1) array whose entry (j, c) counts the Y with rk Y = j and
     dim(col X ∩ col Y) = c, both read from one ``_marsaglia_ranks`` call
-    over all Y (int64 entries, so X - Y cannot wrap around)."""
-    Y = digit_rows(2, n * n).astype(np.int64).reshape(-1, n, n)
-    X = np.broadcast_to(np.diag([1] * i + [0] * (n - i)), Y.shape)
+    over all Y."""
+    Y = digit_rows(2, n * n).reshape(-1, n, n)
+    X = np.broadcast_to(np.diag(np.arange(n) < i).astype(Y.dtype), Y.shape)
     _, rY, _, c, _ = _marsaglia_ranks(X, Y, field_make(2))
     return np.bincount(rY * (n + 1) + c,
                        minlength=(n + 1) ** 2).reshape(n + 1, n + 1)
@@ -121,7 +121,8 @@ def _marsaglia_ranks(X, Y, F):
     """rk X, rk Y, rk(X - Y), c = dim(col X ∩ col Y) and
     r = dim(row X ∩ row Y) for (N, n, n) stacks X, Y over the prime field
     F, as int64 arrays: kernel_rank returns uint8, on which a negative
-    difference would wrap around instead of failing the check.
+    difference would wrap around instead of failing the check.  X - Y is
+    the field's ``sub_array``, which does not wrap on unsigned entries.
 
     One ``kernel_stack`` call gives the kernels of X, Y, X^T, Y^T and
     X - Y; rk [X | Y] is read from ker X^T & ker Y^T and rk [X ; Y] from
@@ -130,8 +131,8 @@ def _marsaglia_ranks(X, Y, F):
     ArithmeticError."""
     N, n = X.shape[:2]
     ker = kernel_stack(np.concatenate((X, Y, X.transpose(0, 2, 1),
-                                       Y.transpose(0, 2, 1), (X - Y) % F.q)),
-                       F)
+                                       Y.transpose(0, 2, 1),
+                                       F.sub_array(X, Y))), F)
     ranks = kernel_rank(ker, F, n).astype(np.int64)
     rX, rY, rXt, rYt, rD = ranks.reshape(5, N)
     kX, kY, kXt, kYt = ker.reshape(5, N, -1)[:4]
@@ -165,18 +166,22 @@ def suite_marsaglia(random_pairs: int = 100_000, seed: int = 0):
     for start in range(0, random_pairs, MARSAGLIA_CHUNK):
         n = min(MARSAGLIA_CHUNK, random_pairs - start)
         draw = rng.integers(0, 3, size=(n, 2, 16))
-        # X0, Y0, X1, Y1, ...: two Matrix objects per pair, in draw order;
-        # zip builds each entry tuple straight from the columns' lists
-        mats = list(map(Matrix, repeat(4), repeat(4),
-                        zip(*draw.reshape(2 * n, 16).T.tolist()), repeat(F3)))
-        stacks = draw.reshape(n, 2, 4, 4)
+        # field indices in uint8: an eighth of the bytes to stack and code
+        stacks = draw.reshape(n, 2, 4, 4).astype(np.uint8)
         rX, rY, rD, c, r = _marsaglia_ranks(stacks[:, 0], stacks[:, 1], F3)
         bad = np.flatnonzero(rD < rX + rY - c - r)
+        # X0, Y0, X1, Y1, ...: two Matrix objects per pair, in draw order,
+        # made one at a time (zip builds each entry tuple straight from the
+        # columns' lists) and dropped up to the first failing pair, so no
+        # chunk of them outlives its construction
+        mats = map(Matrix, repeat(4), repeat(4),
+                   zip(*draw.reshape(2 * n, 16).T.tolist()), repeat(F3))
+        i = int(bad[0]) if bad.size else n
+        deque(islice(mats, 2 * i), maxlen=0)
         if bad.size:
-            i = int(bad[0])
+            X, Y = islice(mats, 2)
             return _report("marsaglia", checked + start + i + 1,
-                           {"X": mats[2 * i].entries,
-                            "Y": mats[2 * i + 1].entries})
+                           {"X": X.entries, "Y": Y.entries})
     return _report("marsaglia", checked + max(random_pairs, 0))
 
 

@@ -400,6 +400,31 @@ def test_rank_stack_refuses_an_orthogonality_table_beyond_its_budget():
         1, 12)
 
 
+def test_popcount16_is_the_bit_count_of_every_uint16():
+    table = gf._POPCOUNT16
+    assert table.shape == (1 << 16,)
+    assert table.tolist() == [bin(x).count("1") for x in range(1 << 16)]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+def test_kernel_rank_counts_every_word_of_a_kernel():
+    """GF(3)^4 has 81 vectors, two uint64 words a kernel: the zero matrix
+    (81 vectors) and the identity (the zero vector) rank 0 and 4, and one
+    bit flipped in either kernel's second word is caught."""
+    F3 = field_make(3)
+    A = np.stack([np.zeros((4, 4), np.uint8), np.eye(4, dtype=np.uint8)])
+    ker = kernel_stack(A, F3)
+    assert ker.shape == (2, 2)
+    assert kernel_rank(ker, F3, 4).tolist() == [0, 4]
+    for i, bit in ((0, 5), (1, 20)):
+        bad = ker.copy()
+        bad[i, 1] ^= np.uint64(1 << bit)
+        with pytest.raises(ArithmeticError, match=f"kernel {i} "):
+            kernel_rank(bad, F3, 4)
+
+
 def test_rank_stack_certifies_every_kernel_size(monkeypatch):
     """A corrupted orthogonality table, or a patched kernel, gives a
     kernel whose size is no power of q: ArithmeticError, not a rank."""

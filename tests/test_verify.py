@@ -3,6 +3,7 @@ replaced: same seeded pairs, same per-pair ranks, same count and the
 same first counterexample; and the stacked fixed-X oracle of the
 q-identity suite against the scalar-rank count it replaced."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -52,6 +53,30 @@ def test_chunked_draws_equal_the_scalar_draws(monkeypatch, random_pairs):
         rep, pairs = _recorded_pairs(monkeypatch, random_pairs, seed)
         assert pairs == _scalar_pairs(random_pairs, seed)
         assert rep["ok"] and rep["checked"] == EXHAUSTIVE + random_pairs
+
+
+def test_at_most_one_pair_of_matrix_objects_is_alive(monkeypatch):
+    """The 4x4 Matrix objects are made one pair at a time and dropped
+    before the next pair: never more than two alive at a construction."""
+    random_pairs, seed = 2 * CHUNK + 5, 4
+    built, alive = [], []
+    live = weakref.WeakSet()
+    original = verify.Matrix
+
+    def record(rows, cols, entries, field):
+        mat = original(rows, cols, entries, field)
+        if rows == 4:
+            built.append(entries)
+            live.add(mat)
+            alive.append(len(live))
+        return mat
+
+    monkeypatch.setattr(verify, "Matrix", record)
+    rep = verify.suite_marsaglia(random_pairs=random_pairs, seed=seed)
+    assert rep["ok"] and rep["checked"] == EXHAUSTIVE + random_pairs
+    assert len(alive) == 2 * random_pairs and max(alive) <= 2
+    assert list(zip(built[0::2], built[1::2])) == _scalar_pairs(random_pairs,
+                                                                seed)
 
 
 def test_batched_ranks_equal_scalar_ranks():
