@@ -6,7 +6,9 @@ Vertices are identified with canonical vector indices.  All heavy loops
 run over numpy digit tables with per-block rank lookup tables, so no
 explicit edge list is ever built; the MIS solver and the greedy
 partition read one adjacency record per spec instead (``_adjacency``:
-packed rows, their bitmask ints and the lex first-fit partition).
+packed rows, their bitmask ints and the lex first-fit partition).  One
+first-fit routine (``_greedy_classes``) colours both partition orders and
+every candidate set of the exact search, for its bounds and branch order.
 
 - The rank table of a block shape comes from one kernel count over the
   stack of all its matrices (``gf.rank_stack``).
@@ -112,14 +114,6 @@ class SpaceTables:
 @lru_cache(maxsize=32)
 def _tables(params: SrkParams) -> SpaceTables:
     return SpaceTables(params)
-
-
-def _vertex_budget(params: SrkParams, max_vertices) -> int:
-    """|V|; BudgetError beyond max_vertices."""
-    V = params.size()
-    if V > max_vertices:
-        raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
-    return V
 
 
 def ball_digits(spec: PowerGraphSpec,
@@ -229,8 +223,10 @@ def adjacency_masks(spec: PowerGraphSpec,
                     max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
     """Per-vertex neighbour bitmasks over the whole (budgeted) space: the
     masks of the spec's adjacency record (``_adjacency``), which is built
-    once whatever budget admitted it."""
-    _vertex_budget(spec.params, max_vertices)
+    once whatever budget admitted it; BudgetError when |V| exceeds
+    max_vertices."""
+    if (V := spec.params.size()) > max_vertices:
+        raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
     return _adjacency(spec).masks
 
 
@@ -396,24 +392,6 @@ class MisResult:
         return iter((self.alpha, self.witness))
 
 
-def _colour(P: int, nbr):
-    """Greedy colouring of P in ascending vertex order: parallel lists of
-    vertices and their (non-decreasing) colour numbers."""
-    order, colours = [], []
-    colour = 0
-    while P:
-        colour += 1
-        avail = P
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            order.append(v)
-            colours.append(colour)
-            P ^= low
-            avail &= ~nbr[v] & ~low
-    return order, colours
-
-
 class _Search:
     """One exact MIS run: a single node budget over every sub-search, the
     best independent set so far (size lb) and the proven bound ub, with
@@ -447,18 +425,21 @@ class _Search:
     def clique(self, nbr, verts, base_size: int, base_bits: int):
         """Colouring branch and bound (Tomita's MCQ, explicit stack) for
         cliques of ``nbr`` that extend the independent set ``base_bits``;
-        local vertex i is vertex ``verts[i]`` of the graph.  Records every
-        improvement on lb and returns early once lb reaches ub."""
+        local vertex i is vertex ``verts[i]`` of the graph.  A frame holds
+        its candidates' first-fit classes (``_greedy_classes``) as the bits
+        not yet tried, emptied classes dropped from the end: it branches
+        from the last class to the first, each class from its highest
+        vertex down, and is dropped once r_size + (classes left) <= best,
+        since every vertex left has colour at most that count.  Records
+        every improvement on lb and returns early once lb reaches ub."""
         best = self.lb - base_size
         target = self.ub - base_size
-        frames = []
+        frames = []   # [r_size, r_set, P, classes]
         r_size, r_set, P = 0, 0, (1 << len(nbr)) - 1
         while True:
             self.tick()
             if P:
-                order, colours = _colour(P, nbr)
-                frames.append([r_size, r_set, P, order, colours,
-                               len(order) - 1])
+                frames.append([r_size, r_set, P, _greedy_classes(nbr, [P])])
             elif r_size > best:
                 best = r_size
                 self.offer(base_size + best, base_bits | _index_bits(
@@ -467,12 +448,14 @@ class _Search:
                     return
             while frames:
                 f = frames[-1]
-                i = f[5]
-                if i < 0 or f[0] + f[4][i] <= best:
+                classes = f[3]
+                if not classes or f[0] + len(classes) <= best:
                     frames.pop()
                     continue
-                v = f[3][i]
-                f[5] = i - 1
+                v = classes[-1].bit_length() - 1
+                classes[-1] ^= 1 << v
+                if not classes[-1]:
+                    classes.pop()
                 r_size, r_set, P = f[0] + 1, f[1] | (1 << v), f[2] & nbr[v]
                 f[2] &= ~(1 << v)
                 break
@@ -634,8 +617,7 @@ def max_independent_set(spec: PowerGraphSpec,
             bits = _index_bits(cand)
             cand.sort(key=lambda v: (masks[v] & bits).bit_count())
             nbr = _row_masks(comp[np.ix_(cand, cand)])
-            colours = _colour((1 << len(nbr)) - 1, nbr)[1]
-            bound = 2 + (colours[-1] if colours else 0)
+            bound = 2 + len(_greedy_classes(nbr, [(1 << len(nbr)) - 1]))
             subs.append((bound, int(rep), cand, nbr))
         search.bound(max((b for b, *_ in subs), default=1), "colouring")
     start = search.lb, search.ub, search.ub_source
@@ -672,13 +654,18 @@ def _greedy_classes(masks, layers) -> list:
     each vertex left over from the classes before it that has no
     neighbour in c so far, which by induction on c is the class first fit
     gives.  Each pick drops the vertex and its neighbours from the layer
-    being scanned, as ``_colour`` does: |V| picks in all."""
-    left = [layer for layer in layers if layer]
+    being scanned: one pick per vertex in all.  Serves the greedy
+    partition in both orders and, with ``masks`` the complement's rows of
+    a candidate set and one layer, the colouring of each node of the exact
+    search (``_Search.clique``)."""
+    todo = 0   # the vertices in no class yet
+    for layer in layers:
+        todo |= layer
     classes = []
-    while left:
+    while todo:
         bits = near = 0   # the class so far and its neighbours
-        for layer in left:
-            avail = layer & ~near
+        for layer in layers:
+            avail = layer & todo & ~near
             while avail:
                 low = avail & -avail
                 m = masks[low.bit_length() - 1]
@@ -686,7 +673,7 @@ def _greedy_classes(masks, layers) -> list:
                 near |= m
                 avail = (avail ^ low) & ~m
         classes.append(bits)
-        left = [rest for layer in left if (rest := layer & ~bits)]
+        todo ^= bits
     return classes
 
 

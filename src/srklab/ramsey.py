@@ -31,7 +31,8 @@ class RamseyTable:
     def from_json(cls, data: dict) -> "RamseyTable":
         """ValueError unless data is an object whose ``entries`` is a list
         of objects with integer ``k r s lo hi`` (bools are not integers
-        here) and, where given, a string ``source``."""
+        here) and, where given, a string ``source``, no two with the same
+        (k, r, s)."""
         if not (isinstance(data, dict)
                 and isinstance(data.get("entries"), list)):
             raise ValueError(f"table must be an object with a list of "
@@ -55,6 +56,8 @@ class RamseyTable:
                 raise ValueError(f"table entry {key} has lo > hi")
             if not (key[0] >= 3 and key[1] > key[2] >= 1):
                 raise ValueError(f"table entry {key} violates k>=3, r>s>=1")
+            if key in entries:
+                raise ValueError(f"table has two entries for R{key}")
             entries[key] = (lo, hi)
             sources[key] = ent.get("source", "")
         return cls(entries, sources)

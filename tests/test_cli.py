@@ -415,6 +415,8 @@ def test_malformed_ramsey_chain_is_usage_error(capsys, tmp_path, chain):
     {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6}]},
     {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6, "hi": "6"}]},
     {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6, "hi": 6, "source": 2}]},
+    {"entries": [{"k": 3, "r": 2, "s": 1, "lo": 6, "hi": 6},
+                 {"k": 3, "r": 2, "s": 1, "lo": 7, "hi": 7}]},
 ])
 def test_malformed_ramsey_table_is_usage_error(capsys, tmp_path, table):
     table_path = tmp_path / "table.json"

@@ -293,6 +293,49 @@ def test_solver_budget_error_carries_bounds():
     assert (exc.lb, exc.ub, exc.ub_source) == (82, 145, "lp")
 
 
+_BRANCHING_SEARCHES = [
+    # (q, n, m, k, alpha, nodes, lb, ub, ub_source, witness)
+    (2, (2, 2), (2, 2), 2, 9, 31, 4, 10, "lp",
+     [0, 22, 93, 100, 115, 142, 184, 201, 239]),
+    (3, (1,) * 3, (1,) * 3, 1, 9, 9, 7, 9, "anticode",
+     [0, 4, 8, 10, 14, 15, 20, 21, 25]),
+    (3, (1,) * 4, (1,) * 4, 1, 27, 126, 21, 27, "anticode",
+     [0, 4, 8, 10, 14, 15, 20, 21, 25, 29, 30, 34, 36, 40, 44, 46, 50, 51,
+      55, 59, 60, 65, 66, 70, 72, 76, 80]),
+    (3, (1,) * 5, (1,) * 5, 1, 81, 81, 61, 81, "anticode",
+     [0, 4, 8, 10, 14, 15, 20, 21, 25, 28, 32, 33, 38, 39, 43, 45, 49, 53,
+      56, 57, 61, 63, 67, 71, 73, 77, 78, 82, 86, 87, 92, 93, 97, 99, 103,
+      107, 110, 111, 115, 117, 121, 125, 127, 131, 132, 135, 139, 143, 145,
+      149, 150, 155, 156, 160, 164, 165, 169, 171, 175, 179, 181, 185, 186,
+      189, 193, 197, 199, 203, 204, 209, 210, 214, 217, 221, 222, 227, 228,
+      232, 234, 238, 242]),
+]
+
+
+@pytest.mark.parametrize("q,n,m,k,alpha,nodes,lb,ub,source,witness",
+                         _BRANCHING_SEARCHES)
+def test_branching_searches_are_pinned(q, n, m, k, alpha, nodes, lb, ub,
+                                       source, witness):
+    """The four default-sweep specs whose search branches: the node count
+    and the witness follow the colouring's branch order and bounds, so a
+    change to either shows here."""
+    result = max_independent_set(PowerGraphSpec(make_params(q, n, m), k))
+    assert (result.alpha, result.nodes, result.lb, result.ub,
+            result.ub_source) == (alpha, nodes, lb, ub, source)
+    assert list(result.witness.indices) == witness
+
+
+def test_a_budget_stop_after_branching_is_pinned():
+    """GF(2) (2,2) x (3,3) at k = 1 stops after 500 nodes; by then the
+    branching has raised lb from the seed's 256 to 355."""
+    spec = PowerGraphSpec(make_params(2, (2, 2), (3, 3)), 1)
+    with pytest.raises(SolverBudgetError) as info:
+        max_independent_set(spec, max_nodes=500)
+    exc = info.value
+    assert (exc.nodes, exc.lb, exc.ub, exc.ub_source) \
+        == (501, 355, 512, "anticode")
+
+
 def test_largest_lex_class_seeds_the_search():
     # the largest class of the lex partition of GF(3)^5 at k = 2 has
     # A_3(5, 3) = 18 words and meets the LP bound: no branching

@@ -54,7 +54,9 @@ def test_table_validation():
                 {"entries": {"k": 3}}, {"entries": [missing_hi]},
                 {"entries": [{**good, "lo": 6.0}]},
                 {"entries": [{**good, "hi": True}]},
-                {"entries": [{**good, "source": 1}]}):
+                {"entries": [{**good, "source": 1}]},
+                # a repeated (k, r, s): the later entry would win silently
+                {"entries": [good, {**good, "lo": 7, "hi": 7}]}):
         with pytest.raises(ValueError):
             RamseyTable.from_json(bad)
     table = RamseyTable.from_json({"entries": [good, {
