@@ -107,8 +107,9 @@ def bound_report(params: SrkParams, d: int, *,
                  improved_eps=None) -> BoundReport:
     """Evaluate every bound whose budget allows; sub-bounds that do not
     fit are recorded as 'not computed' rather than failing the report.
-    The greedy columns come from one lex-order ``graphlab.greedy_partition``:
-    its class 0 is the greedy code, and its classes count the partition."""
+    The greedy columns come from the class bitmasks of the lex-order
+    greedy partition (``graphlab.greedy_class_masks``): class 0 is the
+    greedy code, and the classes count the partition."""
     ratio = gv_exact_ratio(params, d)
     V = counting.space_size(params)
     ball = counting.ball_volume(params, d - 1)
@@ -137,8 +138,9 @@ def bound_report(params: SrkParams, d: int, *,
         rep.notes.append(f"graph stats skipped: {exc}")
 
     try:
-        classes = graphlab.greedy_partition(spec, max_vertices)
-        rep.greedy_code_size, rep.num_classes = len(classes[0]), len(classes)
+        classes = graphlab.greedy_class_masks(spec, max_vertices)
+        rep.greedy_code_size = classes[0].bit_count()
+        rep.num_classes = len(classes)
         rep.avg_class_size = V / rep.num_classes
     except BudgetError as exc:
         rep.notes.append(f"greedy procedures skipped: {exc}")

@@ -236,9 +236,15 @@ def cmd_report(args) -> int:
         sweep, budgets = _sweep_from_config(args)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _usage(f"bad sweep config: {exc}")
-    reports = []
-    for params, d in sweep:
-        reports.append(bounds.bound_report(params, d, **budgets))
+    # space by space, each from its largest d down, so that the first row
+    # of a space builds the ball record its other rows read
+    first = {}
+    for i, (params, d) in enumerate(sweep):
+        first.setdefault(params, i)
+    reports = [None] * len(sweep)
+    for i in sorted(range(len(sweep)),
+                    key=lambda i: (first[sweep[i][0]], -sweep[i][1])):
+        reports[i] = bounds.bound_report(*sweep[i], **budgets)
     if args.format == "json":
         payload = [r.to_json() for r in reports]
         text = json.dumps(payload, indent=1, sort_keys=True)

@@ -71,9 +71,11 @@ def rank_distribution(n: int, m: int, q: int) -> tuple:
                  for r in range(min(n, m) + 1))
 
 
-def weight_enumerator(params: SrkParams):
+@lru_cache(maxsize=None)
+def weight_enumerator(params: SrkParams) -> tuple:
     """coeffs[w] = number of vectors of sum-rank weight w, via convolution
-    of the per-block rank distributions."""
+    of the per-block rank distributions; cached per space, since ball
+    volumes, degrees and GV ratios all read it."""
     q = params.q
     acc = [1]
     for ni, mi in params.block_shapes():
@@ -83,7 +85,7 @@ def weight_enumerator(params: SrkParams):
             for b, cb in enumerate(dist):
                 nxt[a + b] += ca * cb
         acc = nxt
-    return acc
+    return tuple(acc)
 
 
 def space_size(params: SrkParams) -> int:

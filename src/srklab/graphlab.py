@@ -18,16 +18,22 @@ every candidate set of the exact search, for its bounds and branch order.
 - Digit rows and vertex indices convert through the codec of ``gf``
   (``digit_index``/``index_digits``, ``int_digits``/``digits_int``), the
   one place that knows the canonical order.
-- ``ball_digits`` returns the nonzero ball, built once per spec block by
-  block with numpy index arithmetic, in canonical order.
+- ``ball_digits`` returns the nonzero ball in canonical order, read from
+  the space's one ball record (``_BallRecord``): the ball at the largest
+  radius asked so far, built block by block with numpy index arithmetic,
+  with each row's weight; the ball of a smaller radius is its rows of
+  weight <= k.
 - ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
   of the maps fixing 0, the orbits the MIS search branches on; a second
-  member of each orbit is counted as a check.
+  member of each orbit is counted as a check.  One labelling of the
+  record and one distance pass per orbit member give T for every radius
+  up to the record's.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -120,32 +126,100 @@ def ball_digits(spec: PowerGraphSpec,
                 max_ball: int = DEFAULT_MAX_BALL) -> np.ndarray:
     """B*, the digit rows of every nonzero vector with srk weight <= k in
     canonical order; BudgetError when the ball of radius k has more than
-    max_ball vectors.  The rows are read-only and shared: one build per
-    spec (``_nonzero_ball``) serves every call that the budget admits."""
+    max_ball vectors.  The rows are read-only and shared: the space's ball
+    record (``_nonzero_ball``) serves every call that the budget admits."""
     vol = counting.ball_volume(spec.params, spec.k)
     if vol > max_ball:
         raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
     return _nonzero_ball(spec)
 
 
-@lru_cache(maxsize=128)
-def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
-    """The build behind ``ball_digits``, cached without a budget check:
-    the mask build reads it directly, within its vertex budget.  The
-    cache holds the balls of all 76 specs of the default sweep, so passes
-    that walk the sweep spec by spec, one after the other, enumerate each
-    ball once.  A row count other than the ball volume raises
+class _BallRecord:
+    """The nonzero ball of one space at radius ``radius``: its digit rows
+    in canonical order and the weight of each, both read-only, with the
+    rows of weight <= k (``within``) and the triangle counts T_k
+    (``triangles``) for every k <= radius, each made once when first
+    asked."""
+
+    def __init__(self, params: SrkParams, radius: int):
+        self.params, self.radius = params, radius
+        self.rows, self.weight = _enumerate_ball(params, radius)
+        self._within = {radius: self.rows}
+        self._triangles = None
+
+    def within(self, k: int) -> np.ndarray:
+        """The rows of weight <= k, read-only; a count other than the
+        nonzero ball volume raises ArithmeticError."""
+        rows = self._within.get(k)
+        if rows is None:
+            rows = self.rows[self.weight <= k]
+            if len(rows) != (vol := counting.ball_volume(self.params, k) - 1):
+                raise ArithmeticError(f"{len(rows)} ball rows have weight "
+                                      f"<= {k}, the volume is {vol + 1}")
+            rows.flags.writeable = False
+            self._within[k] = rows
+        return rows
+
+    def triangles(self) -> list:
+        """T_k for k = 0..radius, counted once, when first asked.
+
+        The maps fixing 0 (``_profile_classes``) preserve the metric and
+        each ball, and are transitive on each orbit, so the count c_k(X)
+        of X's neighbours in B*_k is constant on an orbit and T_k = 1/2 *
+        sum over the orbits of weight <= k of |orbit| * c_k(rep).  One
+        distance pass from X over the rows gives c_k(X) for every k at
+        once, as the rows of weight <= k at distance <= k.  As a
+        certificate, c_k is also computed on a second member of each
+        orbit that has one; a disagreement or an odd sum, at any k,
+        raises ArithmeticError."""
+        if self._triangles is not None:
+            return self._triangles
+        params, rows, weight = self.params, self.rows, self.weight
+        W = self.radius + 1
+        tab = _tables(params)
+        sub = params.field.sub_array
+        slot = weight * W
+
+        def close(i: int) -> list:
+            """c_k(rows[i]) for k = 0..radius."""
+            dist = tab.weights_of(sub(rows, rows[i]))
+            near = dist < W
+            hist = np.bincount(slot[near] + dist[near], minlength=W * W)
+            counts = hist.reshape(W, W).cumsum(axis=0).cumsum(axis=1)
+            return (np.diagonal(counts) - 1).tolist()   # not rows[i] itself
+
+        label = _profile_classes(params, rows)
+        _, first, size = np.unique(label, return_index=True,
+                                   return_counts=True)
+        last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
+        total = [0] * W
+        for i, j, n in zip(first.tolist(), last.tolist(), size.tolist()):
+            w = int(weight[i])
+            c = close(i)
+            if j != i and (cj := close(j))[w:] != c[w:]:
+                raise ArithmeticError(f"rows {i} and {j} of one orbit have "
+                                      f"{c} and {cj} neighbours in the balls")
+            for k in range(w, W):
+                total[k] += n * c[k]
+        if any(t % 2 for t in total):
+            raise ArithmeticError(f"odd neighbour sum over a ball: {total}")
+        self._triangles = [t // 2 for t in total]
+        return self._triangles
+
+
+def _enumerate_ball(params: SrkParams, radius: int):
+    """(rows, weight) of the nonzero ball of ``radius``, in canonical
+    order; a row count other than the ball volume raises
     ArithmeticError."""
-    params, k = spec.params, spec.k
     tab = _tables(params)
     # Rows as per-block matrix indices, one block at a time: each partial
     # row is followed by every block matrix of rank <= the weight it has
     # left, in ascending index order, which keeps the rows in canonical
     # order.
-    left = np.array([k], dtype=np.int64)
+    left = np.array([radius], dtype=np.int64)
     picks = []
     for off, ln, ranks in tab.blocks:
-        allowed = [np.flatnonzero(ranks <= r) for r in range(k + 1)]
+        allowed = [np.flatnonzero(ranks <= r) for r in range(radius + 1)]
         start = np.cumsum([0] + [len(a) for a in allowed])
         counts = np.diff(start)[left]
         parent = np.repeat(np.arange(len(left)), counts)
@@ -154,52 +228,58 @@ def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
         idx = np.concatenate(allowed)[start[left[parent]] + pos]
         picks = [pick[parent] for pick in picks] + [idx]
         left = left[parent] - ranks[idx]
-    out = np.concatenate([index_digits(idx, tab.q, ln)
-                          for (off, ln, ranks), idx in zip(tab.blocks, picks)],
-                         axis=1)
-    vol = counting.ball_volume(params, k)
-    if out.shape[0] != vol:
+    rows = np.concatenate([index_digits(idx, tab.q, ln)
+                           for (off, ln, ranks), idx in zip(tab.blocks, picks)],
+                          axis=1)
+    vol = counting.ball_volume(params, radius)
+    if rows.shape[0] != vol:
         raise ArithmeticError(
-            f"ball enumeration gives {out.shape[0]} vectors, volume is {vol}")
-    out = out[1:]  # zero vector is the first row in canonical order
-    out.flags.writeable = False
-    return out
+            f"ball enumeration gives {rows.shape[0]} vectors, volume is {vol}")
+    # the zero vector is the first row in canonical order
+    rows, weight = rows[1:], radius - left[1:]
+    rows.flags.writeable = weight.flags.writeable = False
+    return rows, weight
+
+
+# The ball records of the latest ``_MAX_BALLS`` spaces, by params, the
+# latest used last.  It holds the records of all 26 spaces of the default
+# sweep, so the verify suites that walk the sweep one after the other read
+# the records the first one built.
+_BALLS = OrderedDict()
+_MAX_BALLS = 32
+
+
+def _ball_record(spec: PowerGraphSpec) -> _BallRecord:
+    """The space's ball record if its radius is at least k, or else a new
+    one of radius k in its place: a report that asks each space's largest
+    radius first enumerates one ball per space."""
+    rec = _BALLS.pop(spec.params, None)
+    if rec is None or rec.radius < spec.k:
+        rec = _BallRecord(spec.params, spec.k)
+    _BALLS[spec.params] = rec
+    if len(_BALLS) > _MAX_BALLS:
+        _BALLS.popitem(last=False)
+    return rec
+
+
+def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
+    """The build behind ``ball_digits``, without a budget check: the mask
+    build reads it directly, within its vertex budget.
+    ``_nonzero_ball.cache_clear()`` drops every ball record."""
+    return _ball_record(spec).within(spec.k)
+
+
+_nonzero_ball.cache_clear = _BALLS.clear
 
 
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     """Edges inside the neighborhood of 0: unordered pairs {X, Y} of
     distinct nonzero ball elements with srk(X - Y) <= k.  Valid for every
-    vertex by transitivity.
-
-    The maps fixing 0 (``_profile_classes``) preserve the metric and the
-    ball B*, and are transitive on each orbit, so the count c(X) of X's
-    neighbours in B* is constant on an orbit and
-    T = 1/2 * sum over orbits of |orbit| * c(rep): one pass over B* per
-    orbit.  As a certificate, c is also computed on a second member of
-    each orbit that has one; a disagreement or an odd sum raises
-    ArithmeticError."""
-    tab = _tables(spec.params)
-    rows = ball_digits(spec, max_ball)
-    k = spec.k
-    sub = spec.params.field.sub_array
-
-    def close(i: int) -> int:
-        w = tab.weights_of(sub(rows, rows[i]))
-        return int(np.count_nonzero(w <= k)) - 1   # not rows[i] itself
-
-    label = _profile_classes(spec.params, rows)
-    _, first, size = np.unique(label, return_index=True, return_counts=True)
-    last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
-    total = 0
-    for i, j, n in zip(first.tolist(), last.tolist(), size.tolist()):
-        c = close(i)
-        if j != i and (cj := close(j)) != c:
-            raise ArithmeticError(f"rows {i} and {j} of one orbit have {c} "
-                                  f"and {cj} neighbours in the ball")
-        total += n * c
-    if total % 2:
-        raise ArithmeticError(f"odd neighbour sum {total} over the ball")
-    return total // 2
+    vertex by transitivity.  Read from the space's ball record, which
+    counts T for every radius up to its own (``_BallRecord.triangles``);
+    the budget is checked against the ball of radius k."""
+    ball_digits(spec, max_ball)
+    return _ball_record(spec).triangles()[spec.k]
 
 
 def graph_stats(spec: PowerGraphSpec,
@@ -677,6 +757,22 @@ def _greedy_classes(masks, layers) -> list:
     return classes
 
 
+def greedy_class_masks(spec: PowerGraphSpec,
+                       max_vertices: int = DEFAULT_MAX_VERTICES,
+                       order_policy: str = "lex") -> tuple:
+    """The classes of the greedy partition (``greedy_partition``) as
+    vertex bitmasks, class 0 first."""
+    masks = adjacency_masks(spec, max_vertices)
+    if order_policy == "lex":
+        return _adjacency(spec).lex
+    if order_policy == "weight-then-lex":
+        params = spec.params
+        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
+        layers = _row_masks(w == np.arange(params.max_weight + 1)[:, None])
+        return tuple(_greedy_classes(masks, layers))
+    raise ValueError(f"unknown order policy {order_policy!r}")
+
+
 def greedy_partition(spec: PowerGraphSpec,
                      max_vertices: int = DEFAULT_MAX_VERTICES,
                      order_policy: str = "lex"):
@@ -689,18 +785,9 @@ def greedy_partition(spec: PowerGraphSpec,
     one at a time (``_greedy_classes``), scanning one layer of all
     vertices ("lex") or one layer per weight, in ascending weight; the
     lex partition comes with the spec's adjacency record, built once per
-    spec."""
-    masks = adjacency_masks(spec, max_vertices)
-    if order_policy == "lex":
-        classes = _adjacency(spec).lex
-    elif order_policy == "weight-then-lex":
-        params = spec.params
-        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
-        layers = _row_masks(w == np.arange(params.max_weight + 1)[:, None])
-        classes = _greedy_classes(masks, layers)
-    else:
-        raise ValueError(f"unknown order policy {order_policy!r}")
-    return [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]
+    spec.  The codes are read from ``greedy_class_masks``."""
+    return [SrkCode(spec.params, tuple(_bits(bits)))
+            for bits in greedy_class_masks(spec, max_vertices, order_policy)]
 
 
 def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,

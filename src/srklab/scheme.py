@@ -12,8 +12,9 @@ scheme gives
 - ``spectral_T``: the triangle count T from the eigenvalues of the power
   graph, 2T|V| = sum_I m_I theta_I^3;
 - ``delsarte_lp``: Delsarte's linear-programming upper bound on the size
-  of a code of minimum distance d, solved by an exact rational simplex
-  and accepted only after its dual vector is re-checked.
+  of a code of minimum distance d, solved in integer variables by a
+  fraction-free (Bareiss) simplex and accepted only after its dual
+  vector is re-checked in integers over a common denominator.
 
 The scheme is self-dual, so eigenspaces are indexed like classes and the
 multiplicity of eigenspace I is the valency v_I.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .space import SrkParams
 from . import counting
@@ -149,66 +150,87 @@ class LpBound:
 
 
 def _lp_rows(params: SrkParams, d: int):
-    """The classes of weight >= d and, per eigenspace I != 0, the
-    coefficients -P_A(I)/v_A of the constraint sum_A (-P_A(I)/v_A) x_A
-    <= 1 over them."""
+    """The LP in the scaled variables x'_A = x_A / v_A, all integers: the
+    classes ``far`` of weight >= d, their valencies v_A (the objective is
+    sum_A v_A x'_A) and, per eigenspace I != 0, the coefficients -P_A(I)
+    of the constraint sum_A -P_A(I) x'_A <= 1."""
     S = symmetrised_scheme(params)
     far = [A for A, w in enumerate(S.weights) if w >= d]
-    v = S.valencies
-    rows = [[Fraction(-row[A], v[A]) for A in far] for row in S.P[1:]]
-    return far, rows
+    v = [S.valencies[A] for A in far]
+    rows = [[-row[A] for A in far] for row in S.P[1:]]
+    return far, v, rows
 
 
 def check_dual(params: SrkParams, d: int, dual) -> Fraction:
     """Re-check a dual vector of the LP in exact arithmetic and return the
-    bound 1 + sum(dual) it proves.  Needs y >= 0 and, for every class A of
-    weight >= d, sum_I y_I (-P_A(I)/v_A) >= 1; then weak duality gives
+    bound 1 + sum(dual) it proves.  With the entries over a common
+    denominator, y = Y / den, it needs Y >= 0 and, for every class A of
+    weight >= d, sum_I Y_I (-P_A(I)) >= den v_A; then weak duality gives
     |C| - 1 = sum_A x_A <= sum_A x_A sum_I y_I (-P_A(I)/v_A) <= sum_I y_I
     for the inner distribution x of any code C of minimum distance >= d.
     Raises ArithmeticError otherwise."""
-    far, rows = _lp_rows(params, d)
-    y = [Fraction(v) for v in dual]
+    far, v, rows = _lp_rows(params, d)
+    y = [Fraction(x) for x in dual]
     if len(y) != len(rows):
         raise ArithmeticError(f"dual vector has {len(y)} entries, the LP "
                               f"has {len(rows)} constraints")
-    if any(v < 0 for v in y):
+    den = lcm(*(x.denominator for x in y))
+    Y = [x.numerator * (den // x.denominator) for x in y]
+    if any(x < 0 for x in Y):
         raise ArithmeticError("dual vector has a negative entry")
     for col, A in enumerate(far):
-        lhs = sum(yi * row[col] for yi, row in zip(y, rows))
-        if lhs < 1:
-            raise ArithmeticError(f"dual constraint of class {A} is {lhs} < 1")
-    return 1 + sum(y)
+        lhs = sum(x * row[col] for x, row in zip(Y, rows))
+        if lhs < den * v[col]:
+            raise ArithmeticError(f"dual constraint of class {A} is "
+                                  f"{Fraction(lhs, den * v[col])} < 1")
+    return 1 + Fraction(sum(Y), den)
 
 
 def _simplex_max(rows, c):
-    """max c.x subject to rows.x <= 1, x >= 0, by the tableau simplex in
-    Fractions with Bland's rule (no cycling).  The origin is feasible, so
-    no phase 1 is needed.  Returns (optimum, dual y) or raises
-    ArithmeticError if the LP is unbounded."""
+    """max c.x subject to rows.x <= 1, x >= 0, for integer rows and c, by
+    the tableau simplex with Bland's rule (no cycling; min-ratio ties go
+    to the lowest basis index).  The origin is feasible, so no phase 1 is
+    needed.  Fraction-free: the tableau is held as integers over the
+    common denominator ``den``, the last pivot, and a pivot on p divides
+    each new entry p x - g y exactly by the old ``den`` (Bareiss).  Every
+    pivot is positive, so the signs of the entries are those of the
+    rational tableau, and the pivots are the same.  Returns (optimum,
+    dual y) as Fractions or raises ArithmeticError if the LP is
+    unbounded."""
     nv, nr = len(c), len(rows)
-    tab = [list(row) + [Fraction(int(r == i)) for r in range(nr)]
-           + [Fraction(1)] for i, row in enumerate(rows)]
-    obj = [Fraction(x) for x in c] + [Fraction(0)] * (nr + 1)
+    tab = [list(row) + [int(r == i) for r in range(nr)] + [1]
+           for i, row in enumerate(rows)]
+    obj = list(c) + [0] * (nr + 1)
     basis = list(range(nv, nv + nr))
+    den = 1
     while True:
         enter = next((j for j in range(nv + nr) if obj[j] > 0), None)
         if enter is None:
-            return -obj[-1], [-obj[nv + i] for i in range(nr)]
+            return (Fraction(-obj[-1], den),
+                    [Fraction(-obj[nv + i], den) for i in range(nr)])
         leave = None
         for i, row in enumerate(tab):
             if row[enter] > 0:
-                key = (row[-1] / row[enter], basis[i])
-                if leave is None or key < best:
-                    leave, best = i, key
+                # row[-1] / row[enter] against the best ratio so far
+                if leave is None:
+                    leave = i
+                    continue
+                best = tab[leave]
+                lhs, rhs = row[-1] * best[enter], best[-1] * row[enter]
+                if lhs < rhs or lhs == rhs and basis[i] < basis[leave]:
+                    leave = i
         if leave is None:
             raise ArithmeticError("Delsarte LP is unbounded")
         piv = tab[leave]
-        f = piv[enter]
-        piv[:] = [x / f for x in piv]
+        p = piv[enter]
         for row in tab + [obj]:
-            if row is not piv and row[enter] != 0:
+            if row is not piv:
                 g = row[enter]
-                row[:] = [x - g * p for x, p in zip(row, piv)]
+                if g:
+                    row[:] = [(p * x - g * y) // den for x, y in zip(row, piv)]
+                elif p != den:
+                    row[:] = [p * x // den for x in row]
+        den = p
         basis[leave] = enter
 
 
@@ -218,12 +240,14 @@ def delsarte_lp(params: SrkParams, d: int) -> LpBound:
     maximise 1 + sum x_A over the classes A of weight >= d subject to
     x >= 0 and 1 + sum_A x_A P_A(I)/v_A >= 0 for every eigenspace I.
     Averaging a code's inner distribution over the maps fixing 0 keeps it
-    feasible, so the symmetrised LP bounds every code.  The optimum's dual
-    vector is returned only after ``check_dual`` accepts it."""
+    feasible, so the symmetrised LP bounds every code.  It is solved in
+    the integer variables of ``_lp_rows``, whose optimum and dual are
+    those of x; the dual vector is returned only after ``check_dual``
+    accepts it."""
     if d < 1:
         raise ValueError("distance must be at least 1")
-    far, rows = _lp_rows(params, d)
-    opt, dual = _simplex_max(rows, [1] * len(far))
+    far, v, rows = _lp_rows(params, d)
+    opt, dual = _simplex_max(rows, v)
     value = check_dual(params, d, dual)
     if value != 1 + opt:
         raise ArithmeticError(f"dual bound {value} differs from the primal "

@@ -21,7 +21,8 @@ from itertools import product
 import numpy as np
 
 from .gf import (BudgetError, FieldSpec, Matrix, ShapeError, digit_dtype,
-                 digit_index, digits_int, field_make, int_digits, rank,
+                 digit_index, digits_int, field_make, index_digits,
+                 int_digits, rank,
                  DEFAULT_ENUM_BUDGET)
 
 
@@ -290,12 +291,17 @@ def min_distance(*codes: SrkCode) -> int:
     the codes given: the classes of a partition are certified in one call,
     and a code of one word (no pair) adds nothing.
 
-    The block differences of the pairs inside each code are taken on one
-    digit array read from the codes' indices, and each distinct difference
-    of a block is ranked once with the scalar `rank` (one memo per block,
-    local to this call); a pair's distance is the sum of its blocks' ranks.
-    The rank tables of the graph layer are not used, since they build the
-    adjacency whose codes this certifies."""
+    The differences of the pairs inside each code are taken on one digit
+    array read from the codes' indices, one chunk of pairs at a time, and
+    each distinct difference of a block is ranked once with the scalar
+    `rank` (one memo per block, local to this call); a pair's distance is
+    the sum of its blocks' ranks.  The blocks of one shape find their
+    distinct differences together, once a chunk, each tagged with its
+    block's slot, so each block still sees its own: by a count of the
+    keys offset by slot where there are no more keys than rows, and by
+    one `np.unique` over the rows otherwise.  The rank tables of
+    the graph layer are not used, since they build the adjacency whose
+    codes this certifies."""
     codes = [c for c in codes if len(c) >= 2]
     if not codes:
         raise ValueError("minimum distance needs a code of at least two "
@@ -307,32 +313,51 @@ def min_distance(*codes: SrkCode) -> int:
     digits = np.array([int_digits(i, q, L)[::-1]
                        for c in codes for i in c.indices],
                       dtype=digit_dtype(q))
-    blocks = []
+    groups = {}   # block shape -> the digit columns of its blocks
     off = 0
     for ni, mi in params.block_shapes():
-        ln = ni * mi
-        blocks.append((ni, mi, digits[:, off:off + ln], q ** ln < 1 << 63, {}))
-        off += ln
+        groups.setdefault((ni, mi), []).extend(range(off, off + ni * mi))
+        off += ni * mi
+    groups = [(ni, mi, np.array(cols), [{} for _ in cols[::ni * mi]])
+              for (ni, mi), cols in groups.items()]
     best = params.max_weight
     for i, j in _pair_chunks([len(c) for c in codes]):
-        dist = np.zeros(len(i), dtype=np.int64)
-        for ni, mi, X, keyed, memo in blocks:
-            diff = F.sub_array(X[i], X[j])
-            if keyed:
-                _, first, inv = np.unique(digit_index(diff, q),
-                                          return_index=True,
-                                          return_inverse=True)
+        P = len(i)
+        diff = F.sub_array(digits[i], digits[j])
+        dist = np.zeros(P, dtype=np.int64)
+        for ni, mi, cols, memos in groups:
+            g, ln = len(memos), ni * mi
+            size = q ** ln
+            block = diff[:, cols].reshape(P, g, ln)
+            if size <= P:   # no more keys than pairs: count them
+                keys = digit_index(block, q) + np.arange(g) * size
+                uniq = np.flatnonzero(np.bincount(keys.ravel(),
+                                                  minlength=g * size))
+                slots = (uniq // size).tolist()
+                diffs = index_digits(uniq % size, q, ln).tolist()
             else:
-                _, first, inv = np.unique(diff, axis=0, return_index=True,
-                                          return_inverse=True)
-            ranks = np.empty(len(first), dtype=np.int64)
-            for u, row in enumerate(diff[first].tolist()):
+                slot = np.arange(g, dtype=np.promote_types(
+                    block.dtype, np.min_scalar_type(g)))
+                tagged = np.concatenate(
+                    [np.broadcast_to(slot[:, None], (P, g, 1)),
+                     block.astype(slot.dtype)], axis=2)
+                uniq, inv = np.unique(tagged.reshape(P * g, ln + 1), axis=0,
+                                      return_inverse=True)
+                slots, diffs = uniq[:, 0].tolist(), uniq[:, 1:].tolist()
+            ranks = np.empty(len(uniq), dtype=np.int64)
+            for u, (s, row) in enumerate(zip(slots, diffs)):
                 key = tuple(row)
+                memo = memos[s]
                 r = memo.get(key)
                 if r is None:
                     r = memo[key] = rank(Matrix(ni, mi, key, F))
                 ranks[u] = r
-            dist += ranks[inv.ravel()]
+            if size <= P:
+                lookup = np.zeros(g * size, dtype=np.int64)
+                lookup[uniq] = ranks
+                dist += lookup[keys].sum(axis=1)
+            else:
+                dist += ranks[inv.ravel()].reshape(P, g).sum(axis=1)
         best = min(best, int(dist.min()))
         if best == 1:
             return 1

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -289,6 +290,40 @@ def test_report_json_to_file(capsys, tmp_path):
     assert len(payload) == 1
     assert payload[0]["V"] == 9
     assert payload[0]["alpha"] == 3  # MDS-like: q^{t-d+1}
+
+
+def _report_rows(capsys, monkeypatch, *argv) -> tuple:
+    """The rows of ``report --format json`` and the number of ball records
+    it built."""
+    builds = []
+    enumerate_ball = graphlab._enumerate_ball
+    monkeypatch.setattr(graphlab, "_enumerate_ball", lambda params, radius: (
+        builds.append(radius), enumerate_ball(params, radius))[1])
+    graphlab._nonzero_ball.cache_clear()
+    rc, out, _ = run(capsys, "report", "--format", "json", *argv)
+    assert rc == 0
+    return json.loads(out), len(builds)
+
+
+def test_a_report_builds_one_ball_per_space(capsys, monkeypatch, tmp_path):
+    """The default report and the same 76 rows shuffled in a config each
+    build 26 ball records, one per space, and give the same rows."""
+    rows, builds = _report_rows(capsys, monkeypatch)
+    assert len(rows) == 76 and builds == 26
+    order = [(r["q"], r["n"], r["m"], r["d"]) for r in rows]
+    random.Random(5).shuffle(order)
+    cfg = {"instances": [{"q": q, "n": [int(x) for x in n.split("|")],
+                          "m": [int(x) for x in m.split("|")], "d": [d]}
+                         for q, n, m, d in order],
+           "budgets": {"max_nodes": 200_000}}
+    path = tmp_path / "shuffled.json"
+    path.write_text(json.dumps(cfg))
+    shuffled, builds = _report_rows(capsys, monkeypatch, "--config", str(path))
+    assert builds == 26
+    assert [(r["q"], r["n"], r["m"], r["d"]) for r in shuffled] == order
+    key = {(r["q"], r["n"], r["m"], r["d"]): r for r in rows}
+    assert all(key[r["q"], r["n"], r["m"], r["d"]] == r for r in shuffled)
+    graphlab._nonzero_ball.cache_clear()
 
 
 def test_report_bad_config(capsys, tmp_path):

@@ -18,7 +18,7 @@ from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight)
 from srklab.verify import default_sweep
-from srklab import bounds, counting, gf, graphlab, verify
+from srklab import bounds, counting, gf, graphlab, scheme, verify
 
 
 # -- independent oracles ----------------------------------------------------
@@ -520,6 +520,7 @@ def test_orbit_T_certificate_catches_a_broken_orbit(monkeypatch):
         return np.zeros(len(real(params, digits)), dtype=np.int64)
 
     monkeypatch.setattr(graphlab, "_profile_classes", merged)
+    graphlab._nonzero_ball.cache_clear()   # a cached record has its T_k
     with pytest.raises(ArithmeticError):
         exact_T(spec)
 
@@ -596,17 +597,31 @@ def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
         adjacency_masks(spec, 63)
 
 
-def test_one_nonzero_ball_serves_exact_T_and_the_masks():
+def _count_ball_builds(monkeypatch) -> list:
+    """A list that gets one (params, radius) entry per ball record built."""
+    builds = []
+    enumerate_ball = graphlab._enumerate_ball
+
+    def counted(params, radius):
+        builds.append((params, radius))
+        return enumerate_ball(params, radius)
+
+    monkeypatch.setattr(graphlab, "_enumerate_ball", counted)
+    return builds
+
+
+def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
     """A report enumerates each spec's ball once, for exact_T and the mask
     build alike; each still checks its own budget against the shared,
     read-only build."""
+    builds = _count_ball_builds(monkeypatch)
     graphlab._nonzero_ball.cache_clear()
     graphlab._adjacency.cache_clear()
     specs = [PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1),
              PowerGraphSpec(make_params(3, (2,), (2,)), 1)]
     for spec in specs:
         bounds.bound_report(spec.params, spec.k + 1)
-    assert graphlab._nonzero_ball.cache_info().misses == len(specs)
+    assert len(builds) == len(specs)
     spec = specs[-1]
     assert not graphlab.ball_digits(spec).flags.writeable
     vol = counting.ball_volume(spec.params, spec.k)
@@ -615,17 +630,18 @@ def test_one_nonzero_ball_serves_exact_T_and_the_masks():
     with pytest.raises(BudgetError):
         adjacency_masks(spec, spec.params.size() - 1)
     assert exact_T(spec, vol) == graph_stats(spec).T
-    assert graphlab._nonzero_ball.cache_info().misses == len(specs)
+    assert len(builds) == len(specs)
 
 
-def test_a_verify_pass_enumerates_each_ball_once():
+def test_a_verify_pass_enumerates_each_ball_once(monkeypatch):
     """The triangles suite (exact_T) and the gv-chain suite (the masks)
-    each walk the 76 sweep specs; the second reads the first's balls."""
+    each walk the 76 sweep specs in ascending k; the first enumerates each
+    spec's ball once, and the second reads the 26 records it left."""
+    builds = _count_ball_builds(monkeypatch)
     graphlab._nonzero_ball.cache_clear()
     graphlab._adjacency.cache_clear()
     assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
-    info = graphlab._nonzero_ball.cache_info()
-    assert info.misses == info.currsize == 76
+    assert len(builds) == 76 and len(graphlab._BALLS) == 26
 
 
 def test_a_cached_ball_still_checks_its_budget():
@@ -640,6 +656,65 @@ def test_a_cached_ball_still_checks_its_budget():
     assert not ball.flags.writeable and ball.any(axis=1).all()
     with pytest.raises(ValueError):
         ball[0, 0] = 1
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_T_from_one_record_matches_fresh_counts(monkeypatch, order):
+    """On every space of the default sweep, T_k read from the ball record
+    of the largest radius asked so far equals exact_T on fresh caches
+    (a record of radius k) and the spectral T, whatever order the radii
+    are asked in; asked from the top down, each space builds one ball."""
+    fresh = {}
+    for params in default_sweep():
+        for k in range(1, params.max_weight + 1):
+            graphlab._nonzero_ball.cache_clear()
+            fresh[params, k] = exact_T(PowerGraphSpec(params, k))
+    builds = _count_ball_builds(monkeypatch)
+    graphlab._nonzero_ball.cache_clear()
+    rng = np.random.default_rng(21)
+    for params in default_sweep():
+        ks = list(range(1, params.max_weight + 1))
+        if order == "descending":
+            ks.reverse()
+        elif order == "shuffled":
+            rng.shuffle(ks)
+        for k in ks:
+            T = exact_T(PowerGraphSpec(params, k))
+            assert T == fresh[params, k] == scheme.spectral_T(params, k), \
+                (params.describe(), k, order)
+    want = {"ascending": len(fresh), "descending": 26}.get(order)
+    assert len(builds) == want if want else 26 < len(builds) < len(fresh)
+    graphlab._nonzero_ball.cache_clear()
+
+
+def test_a_smaller_radius_reads_the_larger_record():
+    """A record of radius K serves k < K with the rows of weight <= k, in
+    canonical order, read-only and cached; a larger radius replaces it."""
+    params = make_params(3, (1, 2), (1, 2))
+    graphlab._nonzero_ball.cache_clear()
+    whole = graphlab._nonzero_ball(PowerGraphSpec(params, 3))
+    tab = graphlab._tables(params)
+    for k in (1, 2):
+        spec = PowerGraphSpec(params, k)
+        rows = graphlab.ball_digits(spec)
+        assert graphlab.ball_digits(spec) is rows and not rows.flags.writeable
+        assert rows.tolist() == whole[tab.weights_of(whole) <= k].tolist()
+        assert len(rows) == counting.ball_volume(params, k) - 1
+    assert graphlab._BALLS[params].radius == 3
+    graphlab._nonzero_ball.cache_clear()
+    graphlab._nonzero_ball(PowerGraphSpec(params, 1))
+    graphlab._nonzero_ball(PowerGraphSpec(params, 2))
+    assert graphlab._BALLS[params].radius == 2
+    graphlab._nonzero_ball.cache_clear()
+
+
+def test_greedy_codes_are_the_class_masks():
+    for policy in ("lex", "weight-then-lex"):
+        spec = PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1)
+        masks = graphlab.greedy_class_masks(spec, order_policy=policy)
+        codes = greedy_partition(spec, order_policy=policy)
+        assert [c.indices for c in codes] == [
+            tuple(graphlab._bits(bits)) for bits in masks]
 
 
 # -- batched adjacency rows --------------------------------------------------

@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import json
+import math
 import pathlib
 from fractions import Fraction
 
@@ -196,17 +198,51 @@ def test_tampered_dual_is_rejected(tamper):
         scheme.check_dual(params, 3, y)
 
 
+# SHA-256 of one line per default-sweep (space, d) pair, d = 2..max+1:
+# "<describe> <d> <value> <dual as a list of strings>", as the rational
+# simplex gave them before the LP was solved in integers
+_SWEEP_LP_SHA256 = \
+    "ec223528f05a6b58f3f4222b37fc72a30ca635cfd06b059ea23cfaf423500f7d"
+
+
+def test_sweep_lp_bounds_are_pinned():
+    lines = []
+    for params in default_sweep():
+        for d in range(2, params.max_weight + 2):
+            lp = scheme.delsarte_lp(params, d)
+            lines.append(f"{params.describe()} {d} {lp.value} "
+                         f"{[str(y) for y in lp.dual]}\n")
+    assert len(lines) == 76
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == _SWEEP_LP_SHA256
+
+
+def test_a_dual_over_a_wrong_denominator_is_rejected():
+    """The dual's entries over their common denominator pass; the same
+    numerators over any larger denominator leave a tight class constraint
+    short and are refused."""
+    params = make_params(3, (1,) * 5, (1,) * 5)
+    lp = scheme.delsarte_lp(params, 3)
+    den = math.lcm(*(y.denominator for y in lp.dual))
+    Y = [y * den for y in lp.dual]
+    assert all(x.denominator == 1 for x in Y) and any(Y)
+    assert scheme.check_dual(params, 3, [x / den for x in Y]) == lp.value
+    for wrong in (den + 1, 2 * den):
+        with pytest.raises(ArithmeticError):
+            scheme.check_dual(params, 3, [x / wrong for x in Y])
+
+
 def test_negative_dual_entry_is_rejected():
     # eigenspace row 1 of two 2x2 blocks at d = 3 has no positive
     # coefficient, so lowering its y keeps every class constraint >= 1
     # while the claimed bound drops below the true LP value
     params = make_params(2, (2, 2), (2, 2))
-    far, rows = scheme._lp_rows(params, 3)
+    far, v, rows = scheme._lp_rows(params, 3)
     assert all(c <= 0 for c in rows[1])
     y = list(scheme.delsarte_lp(params, 3).dual)
     y[1] -= 1
     assert y[1] < 0
-    assert all(sum(yi * row[col] for yi, row in zip(y, rows)) >= 1
+    assert all(sum(yi * row[col] for yi, row in zip(y, rows)) >= v[col]
                for col in range(len(far)))
     with pytest.raises(ArithmeticError):
         scheme.check_dual(params, 3, y)
