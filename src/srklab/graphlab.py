@@ -4,9 +4,11 @@ partitions of the space into codes.
 
 Vertices are identified with canonical vector indices.  All heavy loops
 run over numpy digit tables with per-block rank lookup tables, so no
-explicit edge list is ever built; the MIS solver and the greedy
-partition read one adjacency record per spec instead (``_adjacency``:
-packed rows, their bitmask ints and the lex first-fit partition).  One
+explicit edge list is ever built.  Three caches hold every build: the
+rank table of each block shape (``_block_rank_table``), one record per
+space (``_tables``, a ``SpaceTables``) and one adjacency record per spec
+(``_adjacency``: packed rows, their bitmask ints and the lex first-fit
+partition), which the MIS solver and the greedy partition read.  One
 first-fit routine (``_greedy_classes``) colours both partition orders and
 every candidate set of the exact search, for its bounds and branch order.
 
@@ -19,23 +21,22 @@ every candidate set of the exact search, for its bounds and branch order.
   (``digit_index``/``index_digits``, ``int_digits``/``digits_int``), the
   one place that knows the canonical order.
 - ``ball_digits`` returns the nonzero ball in canonical order, read from
-  the space's one ball record (``_BallRecord``): the ball at the largest
-  radius asked so far, built block by block with numpy index arithmetic,
-  with each row's weight; the ball of a smaller radius is its rows of
-  weight <= k.
+  the space's record: the ball at the largest radius asked so far, built
+  block by block with numpy index arithmetic, with each row's weight; the
+  ball of a smaller radius is its rows of weight <= k.
 - ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
   of the maps fixing 0, the orbits the MIS search branches on; a second
-  member of each orbit is counted as a check.  One labelling of the
-  record and one distance pass per orbit member give T for every radius
-  up to the record's.
+  member of each orbit is counted as a check.  One labelling of the ball
+  and one distance pass per orbit member give T for every radius up to
+  the ball's.  The MIS search reads the orbit labels of the whole space,
+  and ``verify_cayley`` its weight histogram, from the same record.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -94,20 +95,27 @@ def _block_rank_table(ni: int, mi: int, p: int, e: int):
 
 
 class SpaceTables:
-    """Shared numpy lookup tables for one parameter set: the rank table of
-    each block shape.  Field addition and subtraction need no table, since
-    both act on the base-p coefficients of the field indices one by one."""
+    """The one record of a parameter set.  Built at once: the rank table of
+    each block shape (field addition and subtraction need no table, since
+    both act on the base-p coefficients of the field indices one by one).
+    Built when first asked, each kept until ``_tables.cache_clear()``:
+
+    - the nonzero ball at the largest radius asked so far (``radius``):
+      its digit rows in canonical order and the weight of each, both
+      read-only, replaced only when a larger radius is asked; the rows of
+      weight <= k (``ball``) and T_k (``triangles``) for every k <= radius;
+    - the orbit labels of the whole space (``labels``);
+    - the weight histogram of the whole space (``histogram``)."""
 
     def __init__(self, params: SrkParams):
         F = params.field
+        self.params = params
         self.q = F.q
         self.dtype = digit_dtype(F.q)
-        self.blocks = []
-        off = 0
-        for ni, mi in params.block_shapes():
-            ln = ni * mi
-            self.blocks.append((off, ln, _block_rank_table(ni, mi, F.p, F.e)))
-            off += ln
+        off = params.block_offsets()
+        self.blocks = [(off[i], ni * mi, _block_rank_table(ni, mi, F.p, F.e))
+                       for i, (ni, mi) in enumerate(params.block_shapes())]
+        self.radius = -1   # no ball yet
 
     def weights_of(self, digits: np.ndarray) -> np.ndarray:
         """Sum-rank weights of row vectors of a (N, L) digit array."""
@@ -116,40 +124,15 @@ class SpaceTables:
             w += ranks[digit_index(digits[:, off:off + ln], self.q)]
         return w
 
-
-@lru_cache(maxsize=32)
-def _tables(params: SrkParams) -> SpaceTables:
-    return SpaceTables(params)
-
-
-def ball_digits(spec: PowerGraphSpec,
-                max_ball: int = DEFAULT_MAX_BALL) -> np.ndarray:
-    """B*, the digit rows of every nonzero vector with srk weight <= k in
-    canonical order; BudgetError when the ball of radius k has more than
-    max_ball vectors.  The rows are read-only and shared: the space's ball
-    record (``_nonzero_ball``) serves every call that the budget admits."""
-    vol = counting.ball_volume(spec.params, spec.k)
-    if vol > max_ball:
-        raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
-    return _nonzero_ball(spec)
-
-
-class _BallRecord:
-    """The nonzero ball of one space at radius ``radius``: its digit rows
-    in canonical order and the weight of each, both read-only, with the
-    rows of weight <= k (``within``) and the triangle counts T_k
-    (``triangles``) for every k <= radius, each made once when first
-    asked."""
-
-    def __init__(self, params: SrkParams, radius: int):
-        self.params, self.radius = params, radius
-        self.rows, self.weight = _enumerate_ball(params, radius)
-        self._within = {radius: self.rows}
-        self._triangles = None
-
-    def within(self, k: int) -> np.ndarray:
-        """The rows of weight <= k, read-only; a count other than the
-        nonzero ball volume raises ArithmeticError."""
+    def ball(self, k: int) -> np.ndarray:
+        """The nonzero ball of radius k: the rows of weight <= k of the
+        space's ball, read-only; a count other than the nonzero ball
+        volume raises ArithmeticError.  A report that asks each space's
+        largest radius first enumerates one ball per space."""
+        if k > self.radius:
+            self.rows, self.weight = _enumerate_ball(self.params, k)
+            self.radius, self._within = k, {k: self.rows}
+            self._triangles = None
         rows = self._within.get(k)
         if rows is None:
             rows = self.rows[self.weight <= k]
@@ -160,8 +143,8 @@ class _BallRecord:
             self._within[k] = rows
         return rows
 
-    def triangles(self) -> list:
-        """T_k for k = 0..radius, counted once, when first asked.
+    def triangles(self, k: int) -> int:
+        """T_k, read from T_0..T_radius, which are counted once a ball.
 
         The maps fixing 0 (``_profile_classes``) preserve the metric and
         each ball, and are transitive on each orbit, so the count c_k(X)
@@ -172,23 +155,23 @@ class _BallRecord:
         certificate, c_k is also computed on a second member of each
         orbit that has one; a disagreement or an odd sum, at any k,
         raises ArithmeticError."""
+        self.ball(k)
         if self._triangles is not None:
-            return self._triangles
-        params, rows, weight = self.params, self.rows, self.weight
+            return self._triangles[k]
+        rows, weight = self.rows, self.weight
         W = self.radius + 1
-        tab = _tables(params)
-        sub = params.field.sub_array
+        sub = self.params.field.sub_array
         slot = weight * W
 
         def close(i: int) -> list:
             """c_k(rows[i]) for k = 0..radius."""
-            dist = tab.weights_of(sub(rows, rows[i]))
+            dist = self.weights_of(sub(rows, rows[i]))
             near = dist < W
             hist = np.bincount(slot[near] + dist[near], minlength=W * W)
             counts = hist.reshape(W, W).cumsum(axis=0).cumsum(axis=1)
             return (np.diagonal(counts) - 1).tolist()   # not rows[i] itself
 
-        label = _profile_classes(params, rows)
+        label = _profile_classes(self.params, rows)
         _, first, size = np.unique(label, return_index=True,
                                    return_counts=True)
         last = len(label) - 1 - np.unique(label[::-1], return_index=True)[1]
@@ -199,12 +182,63 @@ class _BallRecord:
             if j != i and (cj := close(j))[w:] != c[w:]:
                 raise ArithmeticError(f"rows {i} and {j} of one orbit have "
                                       f"{c} and {cj} neighbours in the balls")
-            for k in range(w, W):
-                total[k] += n * c[k]
+            for r in range(w, W):
+                total[r] += n * c[r]
         if any(t % 2 for t in total):
             raise ArithmeticError(f"odd neighbour sum over a ball: {total}")
         self._triangles = [t // 2 for t in total]
-        return self._triangles
+        return self._triangles[k]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """The orbit label (``_profile_classes``) of every vertex, by
+        index, read-only (the caller checks the vertex budget)."""
+        label = _profile_classes(self.params,
+                                 digit_rows(self.q, self.params.total_dim))
+        label.flags.writeable = False
+        return label
+
+    @cached_property
+    def histogram(self) -> np.ndarray:
+        """hist[v, w] = #{u : srk(u - v) = w} over the whole space,
+        read-only: one pass over the distance path serves the degree sweep
+        of every k (the caller checks the vertex budget).  A row that does
+        not count |V| vertices raises ArithmeticError."""
+        params = self.params
+        digits = digit_rows(self.q, params.total_dim)
+        V = len(digits)
+        W = params.max_weight + 1
+        parts = []
+        for w in _weight_rows(params, digits):
+            slot = w + W * np.arange(len(w))[:, None]
+            parts.append(np.bincount(slot.ravel(), minlength=len(w) * W)
+                         .reshape(len(w), W))
+        hist = np.concatenate(parts)
+        if (hist.sum(axis=1) != V).any():
+            raise ArithmeticError(f"a weight row does not count {V} vertices")
+        hist.flags.writeable = False
+        return hist
+
+
+@lru_cache(maxsize=32)
+def _tables(params: SrkParams) -> SpaceTables:
+    """The record of a space; it holds all 26 spaces of the default sweep,
+    so the verify suites that walk the sweep one after the other read the
+    balls the first one built.  ``_tables.cache_clear()`` drops every
+    per-space build."""
+    return SpaceTables(params)
+
+
+def ball_digits(spec: PowerGraphSpec,
+                max_ball: int = DEFAULT_MAX_BALL) -> np.ndarray:
+    """B*, the digit rows of every nonzero vector with srk weight <= k in
+    canonical order; BudgetError when the ball of radius k has more than
+    max_ball vectors.  The rows are read-only and shared: the space's
+    record (``_nonzero_ball``) serves every call that the budget admits."""
+    vol = counting.ball_volume(spec.params, spec.k)
+    if vol > max_ball:
+        raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
+    return _nonzero_ball(spec)
 
 
 def _enumerate_ball(params: SrkParams, radius: int):
@@ -241,45 +275,20 @@ def _enumerate_ball(params: SrkParams, radius: int):
     return rows, weight
 
 
-# The ball records of the latest ``_MAX_BALLS`` spaces, by params, the
-# latest used last.  It holds the records of all 26 spaces of the default
-# sweep, so the verify suites that walk the sweep one after the other read
-# the records the first one built.
-_BALLS = OrderedDict()
-_MAX_BALLS = 32
-
-
-def _ball_record(spec: PowerGraphSpec) -> _BallRecord:
-    """The space's ball record if its radius is at least k, or else a new
-    one of radius k in its place: a report that asks each space's largest
-    radius first enumerates one ball per space."""
-    rec = _BALLS.pop(spec.params, None)
-    if rec is None or rec.radius < spec.k:
-        rec = _BallRecord(spec.params, spec.k)
-    _BALLS[spec.params] = rec
-    if len(_BALLS) > _MAX_BALLS:
-        _BALLS.popitem(last=False)
-    return rec
-
-
 def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
     """The build behind ``ball_digits``, without a budget check: the mask
-    build reads it directly, within its vertex budget.
-    ``_nonzero_ball.cache_clear()`` drops every ball record."""
-    return _ball_record(spec).within(spec.k)
-
-
-_nonzero_ball.cache_clear = _BALLS.clear
+    build reads it directly, within its vertex budget."""
+    return _tables(spec.params).ball(spec.k)
 
 
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
     """Edges inside the neighborhood of 0: unordered pairs {X, Y} of
     distinct nonzero ball elements with srk(X - Y) <= k.  Valid for every
-    vertex by transitivity.  Read from the space's ball record, which
-    counts T for every radius up to its own (``_BallRecord.triangles``);
-    the budget is checked against the ball of radius k."""
+    vertex by transitivity.  Read from the space's record, which counts T
+    for every radius up to its ball's (``SpaceTables.triangles``); the
+    budget is checked against the ball of radius k."""
     ball_digits(spec, max_ball)
-    return _ball_record(spec).triangles()[spec.k]
+    return _tables(spec.params).triangles(spec.k)
 
 
 def graph_stats(spec: PowerGraphSpec,
@@ -383,7 +392,7 @@ def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
         packed[start:start + len(nbr)] = np.packbits(adj, axis=1,
                                                     bitorder="little")
     packed.flags.writeable = False
-    masks = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    masks = tuple(_row_masks(packed))
     return _Adjacency(packed, masks, tuple(_greedy_classes(masks,
                                                            [(1 << V) - 1])))
 
@@ -401,27 +410,6 @@ def _weight_rows(params: SrkParams, digits: np.ndarray):
         block = digits[start:start + step]
         diff = params.field.sub_array(digits[None, :, :], block[:, None, :])
         yield tab.weights_of(diff.reshape(-1, L)).reshape(len(block), V)
-
-
-@lru_cache(maxsize=1)
-def _weight_histogram(params: SrkParams) -> np.ndarray:
-    """hist[v, w] = #{u : srk(u - v) = w} over the whole space, read-only:
-    one pass over the distance path per space serves the degree sweep of
-    every k (the caller checks the vertex budget).  A row that does not
-    count |V| vertices raises ArithmeticError."""
-    digits = digit_rows(params.q, params.total_dim)
-    V = len(digits)
-    W = params.max_weight + 1
-    parts = []
-    for w in _weight_rows(params, digits):
-        slot = w + W * np.arange(len(w))[:, None]
-        parts.append(np.bincount(slot.ravel(), minlength=len(w) * W)
-                     .reshape(len(w), W))
-    hist = np.concatenate(parts)
-    if (hist.sum(axis=1) != V).any():
-        raise ArithmeticError(f"a weight row does not count {V} vertices")
-    hist.flags.writeable = False
-    return hist
 
 
 def _bits(mask: int):
@@ -544,9 +532,11 @@ class _Search:
 
 
 def _row_masks(mat: np.ndarray) -> list:
-    """Bitmask ints of the rows of a boolean matrix."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    """Bitmask ints of the rows of a boolean matrix, or of the same rows
+    packed (uint8, little bit order)."""
+    if mat.dtype == bool:
+        mat = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in mat]
 
 
 def _anticode(params: SrkParams, k: int) -> list:
@@ -554,8 +544,7 @@ def _anticode(params: SrkParams, k: int) -> list:
     supported on a fixed set of min(k, sum n_i) rows, taken from the
     widest blocks.  Any two of its vectors differ on those rows only, so
     they are at distance <= k: a clique of the power graph."""
-    offsets = np.cumsum([0] + [ni * mi for ni, mi in params.block_shapes()]
-                        ).tolist()
+    offsets = params.block_offsets()
     positions = []
     left = k
     for i in sorted(range(params.t), key=lambda i: -params.m[i]):
@@ -612,12 +601,9 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     tab = _tables(params)
     R = np.stack([ranks[digit_index(digits[:, off:off + ln], tab.q)]
                   for off, ln, ranks in tab.blocks], axis=1)
-    groups = {}
-    for i, shape in enumerate(params.block_shapes()):
-        groups.setdefault(shape, []).append(i)
     key = np.concatenate([R.sum(axis=1, keepdims=True)]
-                         + [np.sort(R[:, g], axis=1) for g in groups.values()],
-                         axis=1)
+                         + [np.sort(R[:, list(g)], axis=1)
+                            for _, g in params.shape_groups()], axis=1)
     return np.unique(key, axis=0, return_inverse=True)[1].ravel()
 
 
@@ -685,8 +671,7 @@ def max_independent_set(spec: PowerGraphSpec,
         comp = np.unpackbits(adj.rows, axis=1, count=V,
                              bitorder="little") == 0
         np.fill_diagonal(comp, False)
-        label = _profile_classes(params,
-                                 digit_rows(params.q, params.total_dim))
+        label = _tables(params).labels
         outside = np.flatnonzero(comp[0])
         for c in np.flatnonzero(np.bincount(label[outside])):
             later = outside[label[outside] >= c]
@@ -795,7 +780,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,
     """Degree-regularity sweep (full, on spaces within
     ``DEFAULT_MAX_VERTICES``) and sampled translation-invariance checks
     of adjacency.  Degrees are read from the weight histogram of the
-    space (``_weight_histogram``, one build per space serves every k).
+    space (``SpaceTables.histogram``, one build per space serves every k).
     The samples x, y, z are drawn as one (sample_size, 3, L) array, which
     on numpy 2.4 gives the same draws as three ``rng.integers(0, q,
     size=L)`` calls a sample, and weighed at once."""
@@ -807,7 +792,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,
               "degree_violations": [], "translation_violations": [],
               "degrees_checked": 0, "translations_checked": 0}
     if params.size() <= DEFAULT_MAX_VERTICES:
-        degrees = _weight_histogram(params)[:, 1:k + 1].sum(axis=1)
+        degrees = tab.histogram[:, 1:k + 1].sum(axis=1)
         report["degrees_checked"] = len(degrees)
         report["degree_violations"] = [
             {"vertex": v, "degree": int(degrees[v])}

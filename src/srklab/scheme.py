@@ -100,10 +100,8 @@ def symmetrised_scheme(params: SrkParams) -> Scheme:
     """The product of the blocks' schemes with the classes merged into
     rank-profile orbits.  P_A(I) = prod over groups of the group values;
     the valencies are checked to sum to |V|."""
-    groups = {}
-    for shape in params.block_shapes():
-        groups[shape] = groups.get(shape, 0) + 1
-    parts = [_group_matrix(n, m, params.q, g) for (n, m), g in groups.items()]
+    parts = [_group_matrix(n, m, params.q, len(blocks))
+             for (n, m), blocks in params.shape_groups()]
     index = list(product(*[range(len(classes)) for classes, _ in parts]))
     weights = tuple(sum(sum(classes[a]) for (classes, _), a in zip(parts, A))
                     for A in index)

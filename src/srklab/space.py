@@ -39,15 +39,22 @@ class SrkParams:
         object.__setattr__(self, "m", tuple(int(x) for x in self.m))
         if len(self.n) != len(self.m) or not self.n:
             raise ValueError("n and m must be nonempty tuples of equal length")
-        for ni, mi in zip(self.n, self.m):
+        offsets, groups = [0], {}
+        for i, (ni, mi) in enumerate(zip(self.n, self.m)):
             if ni < 1 or mi < 1:
                 raise ValueError("block dimensions must be positive")
             if mi < ni:
                 raise ValueError(
                     f"m_i >= n_i required for every block (got {ni}x{mi})")
-        # |V| once per (frozen) space: every SrkCode checks its indices
-        # against it
-        object.__setattr__(self, "_size", self.q ** self.total_dim)
+            offsets.append(offsets[-1] + ni * mi)
+            groups.setdefault((ni, mi), []).append(i)
+        # The block layout and |V| once per (frozen) space, outside the
+        # fields, so equality and hashing see (field, n, m) only; every
+        # SrkCode checks its indices against |V|.
+        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_groups", tuple(
+            (shape, tuple(blocks)) for shape, blocks in groups.items()))
+        object.__setattr__(self, "_size", self.q ** offsets[-1])
 
     @property
     def t(self) -> int:
@@ -59,7 +66,7 @@ class SrkParams:
 
     @property
     def total_dim(self) -> int:
-        return sum(ni * mi for ni, mi in zip(self.n, self.m))
+        return self._offsets[-1]
 
     @property
     def max_weight(self) -> int:
@@ -70,6 +77,14 @@ class SrkParams:
 
     def block_shapes(self):
         return list(zip(self.n, self.m))
+
+    def block_offsets(self) -> tuple:
+        """The digit offset of each block, then the total dimension."""
+        return self._offsets
+
+    def shape_groups(self) -> tuple:
+        """((n_i, m_i), block indices) per shape, first appearance first."""
+        return self._groups
 
     def describe(self) -> str:
         return (f"q={self.q} n=({','.join(map(str, self.n))}) "
@@ -118,11 +133,8 @@ class SrkVector:
 
 def _split_blocks(params: SrkParams, digits) -> list:
     """A word's entries in canonical order, cut into one slice per block."""
-    out, pos = [], 0
-    for ni, mi in params.block_shapes():
-        out.append(digits[pos:pos + ni * mi])
-        pos += ni * mi
-    return out
+    off = params.block_offsets()
+    return [digits[a:b] for a, b in zip(off, off[1:])]
 
 
 def vector_from_digits(params: SrkParams, digits) -> SrkVector:
@@ -313,13 +325,12 @@ def min_distance(*codes: SrkCode) -> int:
     digits = np.array([int_digits(i, q, L)[::-1]
                        for c in codes for i in c.indices],
                       dtype=digit_dtype(q))
-    groups = {}   # block shape -> the digit columns of its blocks
-    off = 0
-    for ni, mi in params.block_shapes():
-        groups.setdefault((ni, mi), []).extend(range(off, off + ni * mi))
-        off += ni * mi
-    groups = [(ni, mi, np.array(cols), [{} for _ in cols[::ni * mi]])
-              for (ni, mi), cols in groups.items()]
+    off = params.block_offsets()
+    # per block shape: the digit columns of its blocks, one memo a block
+    groups = [(ni, mi, np.array([c for b in blocks
+                                 for c in range(off[b], off[b + 1])]),
+               [{} for _ in blocks])
+              for (ni, mi), blocks in params.shape_groups()]
     best = params.max_weight
     for i, j in _pair_chunks([len(c) for c in codes]):
         P = len(i)

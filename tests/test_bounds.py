@@ -128,7 +128,7 @@ rep = bounds.bound_report(make_params(2, (2,), (2,)), 2)
 print(sys.flags.optimize, rep.exact_alpha, rep.D, rep.T)
 volume = counting.ball_volume
 counting.ball_volume = lambda params, k: volume(params, k) + 1
-graphlab._nonzero_ball.cache_clear()  # the report above cached this ball
+graphlab._tables.cache_clear()  # the report above cached this ball
 try:
     graphlab.ball_digits(graphlab.PowerGraphSpec(make_params(2, (2,), (2,)), 1))
 except ArithmeticError:

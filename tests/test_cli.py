@@ -293,13 +293,13 @@ def test_report_json_to_file(capsys, tmp_path):
 
 
 def _report_rows(capsys, monkeypatch, *argv) -> tuple:
-    """The rows of ``report --format json`` and the number of ball records
-    it built."""
+    """The rows of ``report --format json`` and the number of balls it
+    enumerated."""
     builds = []
     enumerate_ball = graphlab._enumerate_ball
     monkeypatch.setattr(graphlab, "_enumerate_ball", lambda params, radius: (
         builds.append(radius), enumerate_ball(params, radius))[1])
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
     rc, out, _ = run(capsys, "report", "--format", "json", *argv)
     assert rc == 0
     return json.loads(out), len(builds)
@@ -307,7 +307,7 @@ def _report_rows(capsys, monkeypatch, *argv) -> tuple:
 
 def test_a_report_builds_one_ball_per_space(capsys, monkeypatch, tmp_path):
     """The default report and the same 76 rows shuffled in a config each
-    build 26 ball records, one per space, and give the same rows."""
+    enumerate 26 balls, one per space, and give the same rows."""
     rows, builds = _report_rows(capsys, monkeypatch)
     assert len(rows) == 76 and builds == 26
     order = [(r["q"], r["n"], r["m"], r["d"]) for r in rows]
@@ -323,7 +323,28 @@ def test_a_report_builds_one_ball_per_space(capsys, monkeypatch, tmp_path):
     assert [(r["q"], r["n"], r["m"], r["d"]) for r in shuffled] == order
     key = {(r["q"], r["n"], r["m"], r["d"]): r for r in rows}
     assert all(key[r["q"], r["n"], r["m"], r["d"]] == r for r in shuffled)
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
+
+
+def test_a_report_labels_each_space_at_most_once(capsys, monkeypatch):
+    """The exact search branches on the orbit labels of the whole space,
+    read from the space's record: a default report labels each space whose
+    search branches once, and a second report labels none."""
+    labelled = []
+    profile_classes = graphlab._profile_classes
+
+    def counted(params, digits):
+        if len(digits) == params.size():   # a nonzero ball has fewer rows
+            labelled.append(params)
+        return profile_classes(params, digits)
+
+    monkeypatch.setattr(graphlab, "_profile_classes", counted)
+    graphlab._tables.cache_clear()
+    for _ in range(2):
+        rc, out, _ = run(capsys, "report", "--format", "json")
+        assert rc == 0 and len(json.loads(out)) == 76
+        assert labelled and len(set(labelled)) == len(labelled)
+    graphlab._tables.cache_clear()
 
 
 def test_report_bad_config(capsys, tmp_path):

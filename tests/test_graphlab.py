@@ -520,7 +520,7 @@ def test_orbit_T_certificate_catches_a_broken_orbit(monkeypatch):
         return np.zeros(len(real(params, digits)), dtype=np.int64)
 
     monkeypatch.setattr(graphlab, "_profile_classes", merged)
-    graphlab._nonzero_ball.cache_clear()   # a cached record has its T_k
+    graphlab._tables.cache_clear()   # a cached record has its T_k
     with pytest.raises(ArithmeticError):
         exact_T(spec)
 
@@ -598,7 +598,7 @@ def test_adjacency_masks_cache_ignores_how_the_budget_is_passed():
 
 
 def _count_ball_builds(monkeypatch) -> list:
-    """A list that gets one (params, radius) entry per ball record built."""
+    """A list that gets one (params, radius) entry per ball enumerated."""
     builds = []
     enumerate_ball = graphlab._enumerate_ball
 
@@ -615,7 +615,7 @@ def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
     build alike; each still checks its own budget against the shared,
     read-only build."""
     builds = _count_ball_builds(monkeypatch)
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
     graphlab._adjacency.cache_clear()
     specs = [PowerGraphSpec(make_params(2, (1, 2), (2, 2)), 1),
              PowerGraphSpec(make_params(3, (2,), (2,)), 1)]
@@ -638,10 +638,10 @@ def test_a_verify_pass_enumerates_each_ball_once(monkeypatch):
     each walk the 76 sweep specs in ascending k; the first enumerates each
     spec's ball once, and the second reads the 26 records it left."""
     builds = _count_ball_builds(monkeypatch)
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
     graphlab._adjacency.cache_clear()
     assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
-    assert len(builds) == 76 and len(graphlab._BALLS) == 26
+    assert len(builds) == 76 and graphlab._tables.cache_info().currsize == 26
 
 
 def test_a_cached_ball_still_checks_its_budget():
@@ -667,10 +667,10 @@ def test_T_from_one_record_matches_fresh_counts(monkeypatch, order):
     fresh = {}
     for params in default_sweep():
         for k in range(1, params.max_weight + 1):
-            graphlab._nonzero_ball.cache_clear()
+            graphlab._tables.cache_clear()
             fresh[params, k] = exact_T(PowerGraphSpec(params, k))
     builds = _count_ball_builds(monkeypatch)
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
     rng = np.random.default_rng(21)
     for params in default_sweep():
         ks = list(range(1, params.max_weight + 1))
@@ -684,14 +684,14 @@ def test_T_from_one_record_matches_fresh_counts(monkeypatch, order):
                 (params.describe(), k, order)
     want = {"ascending": len(fresh), "descending": 26}.get(order)
     assert len(builds) == want if want else 26 < len(builds) < len(fresh)
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
 
 
 def test_a_smaller_radius_reads_the_larger_record():
     """A record of radius K serves k < K with the rows of weight <= k, in
     canonical order, read-only and cached; a larger radius replaces it."""
     params = make_params(3, (1, 2), (1, 2))
-    graphlab._nonzero_ball.cache_clear()
+    graphlab._tables.cache_clear()
     whole = graphlab._nonzero_ball(PowerGraphSpec(params, 3))
     tab = graphlab._tables(params)
     for k in (1, 2):
@@ -700,12 +700,39 @@ def test_a_smaller_radius_reads_the_larger_record():
         assert graphlab.ball_digits(spec) is rows and not rows.flags.writeable
         assert rows.tolist() == whole[tab.weights_of(whole) <= k].tolist()
         assert len(rows) == counting.ball_volume(params, k) - 1
-    assert graphlab._BALLS[params].radius == 3
-    graphlab._nonzero_ball.cache_clear()
+    assert graphlab._tables(params).radius == 3
+    graphlab._tables.cache_clear()
     graphlab._nonzero_ball(PowerGraphSpec(params, 1))
     graphlab._nonzero_ball(PowerGraphSpec(params, 2))
-    assert graphlab._BALLS[params].radius == 2
-    graphlab._nonzero_ball.cache_clear()
+    assert graphlab._tables(params).radius == 2
+    graphlab._tables.cache_clear()
+
+
+def test_clearing_the_space_records_drops_every_per_space_build(
+        monkeypatch):
+    """After ``_tables.cache_clear()`` the next ball, T, orbit labels and
+    weight histogram of a space each rerun their build once; repeat calls
+    rerun none.  T_1, counted first on the ball of radius 2, is T_1."""
+    calls = []
+    for name in ("_enumerate_ball", "_profile_classes", "_weight_rows"):
+        monkeypatch.setattr(graphlab, name, lambda *args, _name=name,
+                            _real=getattr(graphlab, name): (
+                                calls.append(_name), _real(*args))[1])
+    params = make_params(2, (1, 2), (2, 2))
+    spec, spec1 = PowerGraphSpec(params, 2), PowerGraphSpec(params, 1)
+    steps = [("_enumerate_ball", lambda: graphlab.ball_digits(spec)),
+             ("_profile_classes", lambda: exact_T(spec1)),
+             ("_profile_classes", lambda: graphlab._tables(params).labels),
+             ("_weight_rows", lambda: graphlab._tables(params).histogram)]
+    for _ in range(2):
+        graphlab._tables.cache_clear()
+        for name, step in steps:
+            calls.clear()
+            first = step()
+            assert calls == [name]
+            assert step() is first and calls == [name]
+        assert exact_T(spec1) == scheme.spectral_T(params, 1)
+    graphlab._tables.cache_clear()
 
 
 def test_greedy_codes_are_the_class_masks():
@@ -743,7 +770,7 @@ def test_batched_adjacency_masks_match_per_vertex_oracle(monkeypatch, q, n,
     if chunk is not None:
         monkeypatch.setattr(graphlab, "_ROW_CHUNK", chunk)
     params = make_params(q, n, m)
-    graphlab._weight_histogram.cache_clear()   # rebuilt in this chunk size
+    graphlab._tables.cache_clear()   # rebuilt in this chunk size
     for k in range(1, params.max_weight + 1):
         spec = PowerGraphSpec(params, k)
         graphlab._adjacency.cache_clear()
@@ -973,9 +1000,9 @@ def test_verify_cayley_reports_a_wrong_degree(monkeypatch):
             yield w
 
     monkeypatch.setattr(graphlab, "_weight_rows", one_edge_short)
-    graphlab._weight_histogram.cache_clear()
+    graphlab._tables.cache_clear()
     rep = verify_cayley(spec, sample_size=0)
-    graphlab._weight_histogram.cache_clear()
+    graphlab._tables.cache_clear()
     assert not rep["ok"]
     assert rep["degree_violations"] == [{"vertex": 3,
                                          "degree": rep["expected_degree"] - 1}]
@@ -991,7 +1018,7 @@ def test_histogram_degrees_equal_the_boolean_sweep(params):
     of a boolean adjacency sweep on the distances, one vertex at a time."""
     tab = graphlab._tables(params)
     digits = gf.digit_rows(params.q, params.total_dim)
-    hist = graphlab._weight_histogram(params)
+    hist = graphlab._tables(params).histogram
     assert not hist.flags.writeable
     for v in range(0, len(digits), max(1, len(digits) // 64)):
         w = tab.weights_of(params.field.sub_array(digits, digits[v]))
@@ -1015,7 +1042,7 @@ def test_a_weight_row_that_miscounts_is_refused(monkeypatch):
             yield w
 
     monkeypatch.setattr(graphlab, "_weight_rows", out_of_range)
-    graphlab._weight_histogram.cache_clear()
+    graphlab._tables.cache_clear()
     with pytest.raises(ArithmeticError):
-        graphlab._weight_histogram(params)
-    graphlab._weight_histogram.cache_clear()
+        graphlab._tables(params).histogram
+    graphlab._tables.cache_clear()
