@@ -1,4 +1,5 @@
-"""Bound evaluators and per-instance comparison reports.
+"""Bound evaluators, per-instance comparison reports and the walk of a
+sweep's rows.
 
 The GV quotient is kept both as an exact rational and as its ceiling (the
 claimed code size).  The triangle-based lower bound and the log-improved
@@ -152,3 +153,19 @@ def bound_report(params: SrkParams, d: int, *,
         rep.notes.append(f"exact alpha skipped: {exc}")
 
     return rep
+
+
+def sweep_walk(instances) -> list:
+    """The rows of a sweep as (i, params, d), i the row's place in the
+    report: each (params, distances) instance's d in turn, "all" meaning
+    2..max_weight+1.  They are walked space by space, each from its
+    largest d down, since a space's record keeps the ball of the largest
+    radius asked so far and reads each smaller one from it."""
+    rows = [(params, d) for params, ds in instances
+            for d in (range(2, params.max_weight + 2) if ds == "all" else ds)]
+    first = {}
+    for params, _ in rows:
+        first.setdefault(params, len(first))
+    order = sorted(range(len(rows)),
+                   key=lambda i: (first[rows[i][0]], -rows[i][1]))
+    return [(i, *rows[i]) for i in order]

@@ -195,7 +195,6 @@ def _config_instance(inst, default_d):
 
 def _sweep_from_config(args):
     budgets = {name: getattr(args, name) for name in BUDGETS}
-    rows = []
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -223,28 +222,17 @@ def _sweep_from_config(args):
         instances = [(p, "all") for p in verify.default_sweep()]
         budgets["max_nodes"] = min(budgets["max_nodes"],
                                    verify.SWEEP_MAX_NODES)
-    for params, ds in instances:
-        if ds == "all":
-            ds = list(range(2, params.max_weight + 2))
-        for d in ds:
-            rows.append((params, d))
-    return rows, budgets
+    return bounds.sweep_walk(instances), budgets
 
 
 def cmd_report(args) -> int:
     try:
-        sweep, budgets = _sweep_from_config(args)
+        walk, budgets = _sweep_from_config(args)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         return _usage(f"bad sweep config: {exc}")
-    # space by space, each from its largest d down, so that the first row
-    # of a space builds the ball record its other rows read
-    first = {}
-    for i, (params, d) in enumerate(sweep):
-        first.setdefault(params, i)
-    reports = [None] * len(sweep)
-    for i in sorted(range(len(sweep)),
-                    key=lambda i: (first[sweep[i][0]], -sweep[i][1])):
-        reports[i] = bounds.bound_report(*sweep[i], **budgets)
+    reports = [None] * len(walk)
+    for i, params, d in walk:
+        reports[i] = bounds.bound_report(params, d, **budgets)
     if args.format == "json":
         payload = [r.to_json() for r in reports]
         text = json.dumps(payload, indent=1, sort_keys=True)

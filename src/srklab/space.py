@@ -305,15 +305,14 @@ def min_distance(*codes: SrkCode) -> int:
 
     The differences of the pairs inside each code are taken on one digit
     array read from the codes' indices, one chunk of pairs at a time, and
-    each distinct difference of a block is ranked once with the scalar
-    `rank` (one memo per block, local to this call); a pair's distance is
+    each distinct difference of a block shape is ranked once with the
+    scalar `rank` (one memo per shape, local to this call: a difference
+    has the same rank in every block of its shape); a pair's distance is
     the sum of its blocks' ranks.  The blocks of one shape find their
-    distinct differences together, once a chunk, each tagged with its
-    block's slot, so each block still sees its own: by a count of the
-    keys offset by slot where there are no more keys than rows, and by
-    one `np.unique` over the rows otherwise.  The rank tables of
-    the graph layer are not used, since they build the adjacency whose
-    codes this certifies."""
+    distinct differences together, once a chunk: by a count of their keys
+    where there are no more keys than pairs, and by one `np.unique` over
+    the rows otherwise.  The rank tables of the graph layer are not used,
+    since they build the adjacency whose codes this certifies."""
     codes = [c for c in codes if len(c) >= 2]
     if not codes:
         raise ValueError("minimum distance needs a code of at least two "
@@ -326,49 +325,41 @@ def min_distance(*codes: SrkCode) -> int:
                        for c in codes for i in c.indices],
                       dtype=digit_dtype(q))
     off = params.block_offsets()
-    # per block shape: the digit columns of its blocks, one memo a block
+    # per block shape: the digit columns of its blocks and one rank memo
     groups = [(ni, mi, np.array([c for b in blocks
-                                 for c in range(off[b], off[b + 1])]),
-               [{} for _ in blocks])
+                                 for c in range(off[b], off[b + 1])]), {})
               for (ni, mi), blocks in params.shape_groups()]
     best = params.max_weight
     for i, j in _pair_chunks([len(c) for c in codes]):
         P = len(i)
         diff = F.sub_array(digits[i], digits[j])
         dist = np.zeros(P, dtype=np.int64)
-        for ni, mi, cols, memos in groups:
-            g, ln = len(memos), ni * mi
+        for ni, mi, cols, memo in groups:
+            ln = ni * mi
             size = q ** ln
-            block = diff[:, cols].reshape(P, g, ln)
+            block = diff[:, cols].reshape(P, -1, ln)
             if size <= P:   # no more keys than pairs: count them
-                keys = digit_index(block, q) + np.arange(g) * size
+                keys = digit_index(block, q)
                 uniq = np.flatnonzero(np.bincount(keys.ravel(),
-                                                  minlength=g * size))
-                slots = (uniq // size).tolist()
-                diffs = index_digits(uniq % size, q, ln).tolist()
+                                                  minlength=size))
+                diffs = index_digits(uniq, q, ln).tolist()
             else:
-                slot = np.arange(g, dtype=np.promote_types(
-                    block.dtype, np.min_scalar_type(g)))
-                tagged = np.concatenate(
-                    [np.broadcast_to(slot[:, None], (P, g, 1)),
-                     block.astype(slot.dtype)], axis=2)
-                uniq, inv = np.unique(tagged.reshape(P * g, ln + 1), axis=0,
+                uniq, inv = np.unique(block.reshape(-1, ln), axis=0,
                                       return_inverse=True)
-                slots, diffs = uniq[:, 0].tolist(), uniq[:, 1:].tolist()
-            ranks = np.empty(len(uniq), dtype=np.int64)
-            for u, (s, row) in enumerate(zip(slots, diffs)):
+                diffs = uniq.tolist()
+            ranks = np.empty(len(diffs), dtype=np.int64)
+            for u, row in enumerate(diffs):
                 key = tuple(row)
-                memo = memos[s]
                 r = memo.get(key)
                 if r is None:
                     r = memo[key] = rank(Matrix(ni, mi, key, F))
                 ranks[u] = r
             if size <= P:
-                lookup = np.zeros(g * size, dtype=np.int64)
+                lookup = np.zeros(size, dtype=np.int64)
                 lookup[uniq] = ranks
                 dist += lookup[keys].sum(axis=1)
             else:
-                dist += ranks[inv.ravel()].reshape(P, g).sum(axis=1)
+                dist += ranks[inv.ravel()].reshape(P, -1).sum(axis=1)
         best = min(best, int(dist.min()))
         if best == 1:
             return 1

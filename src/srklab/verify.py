@@ -12,8 +12,7 @@ import numpy as np
 from .gf import (Matrix, enumerate_matrices, field_make, rank, kernel_stack,
                  kernel_rank, digit_rows, col_space_intersection_dim,
                  row_space_intersection_dim)
-from .space import (SrkParams, make_params, wt_preservation_check,
-                    min_distance)
+from .space import make_params, wt_preservation_check, min_distance
 from . import bounds, counting, graphlab
 
 # Branch-and-bound nodes of each exact-alpha attempt on the default sweep:
@@ -211,20 +210,20 @@ def suite_bridge_inequality():
                           make_params(2, (2, 1), (2, 2))))
 
 
-def _feasible_ks(params: SrkParams):
-    return range(1, params.max_weight + 1)
+def _default_walk():
+    """The rows of the default report, in the order it evaluates them."""
+    return bounds.sweep_walk([(p, "all") for p in default_sweep()])
 
 
 def suite_cayley():
     """Degree regularity and translation invariance across the sweep."""
     checked = 0
-    for params in default_sweep():
-        for k in _feasible_ks(params):
-            spec = graphlab.PowerGraphSpec(params, k)
-            rep = graphlab.verify_cayley(spec, sample_size=16)
-            checked += rep["degrees_checked"] + rep["translations_checked"]
-            if not rep["ok"]:
-                return _report("cayley", checked, rep)
+    for _, params, d in _default_walk():
+        spec = graphlab.PowerGraphSpec(params, d - 1)
+        rep = graphlab.verify_cayley(spec, sample_size=16)
+        checked += rep["degrees_checked"] + rep["translations_checked"]
+        if not rep["ok"]:
+            return _report("cayley", checked, rep)
     return _report("cayley", checked)
 
 
@@ -232,72 +231,64 @@ def suite_triangles():
     """3*Delta = T*|V| as an exact integer identity, plus T <= T_upper
     for leading-square-block instances."""
     checked = 0
-    for params in default_sweep():
-        for k in _feasible_ks(params):
-            spec = graphlab.PowerGraphSpec(params, k)
-            stats = graphlab.graph_stats(spec)
+    for _, params, d in _default_walk():
+        k = d - 1
+        stats = graphlab.graph_stats(graphlab.PowerGraphSpec(params, k))
+        checked += 1
+        if 3 * stats.Delta != stats.T * stats.num_vertices:
+            return _report("triangles", checked,
+                           {"params": params.describe(), "k": k})
+        if params.n[0] == params.m[0] and k <= params.n[0]:
+            cap = counting.T_upper(params, k)
             checked += 1
-            if 3 * stats.Delta != stats.T * stats.num_vertices:
+            if stats.T > cap:
                 return _report("triangles", checked,
-                               {"params": params.describe(), "k": k})
-            if params.n[0] == params.m[0] and k <= params.n[0]:
-                cap = counting.T_upper(params, k)
-                checked += 1
-                if stats.T > cap:
-                    return _report("triangles", checked,
-                                   {"params": params.describe(), "k": k,
-                                    "T": stats.T, "T_upper": cap})
+                               {"params": params.describe(), "k": k,
+                                "T": stats.T, "T_upper": cap})
     return _report("triangles", checked)
 
 
 def suite_gv_chain():
-    """gv <= greedy <= alpha (alpha within ``SWEEP_MAX_NODES``; the
-    solver certifies its own witness); partition classes all keep minimum
-    distance >= k+1 and the average class size clears the GV floor.  The
-    greedy code is class 0 of the lex partition, and all classes are
-    certified in one ``min_distance`` call."""
-    checked = 0
-    alpha_solved = 0
-    for params in default_sweep():
-        for k in _feasible_ks(params):
-            d = k + 1
-            spec = graphlab.PowerGraphSpec(params, k)
-            gv = bounds.gv_lower(params, d)
-            classes = graphlab.greedy_partition(spec)
-            greedy = classes[0]
+    """gv <= greedy <= alpha and the average class size of the greedy
+    partition >= the GV floor, on the very rows the default report prints
+    (``bounds.bound_report`` within ``SWEEP_MAX_NODES``; alpha where the
+    solver finishes, which certifies its own witness), plus the
+    partition's certificate: the lex classes are the report's, cover V
+    once each and keep minimum distance >= d (one ``min_distance`` call)."""
+    checked = alpha_solved = 0
+    for _, params, d in _default_walk():
+        rep = bounds.bound_report(params, d, max_nodes=SWEEP_MAX_NODES)
+        classes = graphlab.greedy_partition(
+            graphlab.PowerGraphSpec(params, d - 1))
+        where = {"params": params.describe(), "d": d}
+        greedy = rep.greedy_code_size
+        checked += 1
+        if not rep.gv <= greedy:
+            return _report("gv-chain", checked,
+                           {**where, "gv": rep.gv, "greedy": greedy})
+        if rep.exact_alpha != bounds.NOT_COMPUTED:
+            alpha_solved += 1
             checked += 1
-            if not gv <= len(greedy):
+            if not greedy <= rep.exact_alpha:
                 return _report("gv-chain", checked,
-                               {"params": params.describe(), "d": d,
-                                "gv": gv, "greedy": len(greedy)})
-            try:
-                alpha = graphlab.max_independent_set(
-                    spec, max_nodes=SWEEP_MAX_NODES).alpha
-                alpha_solved += 1
-                checked += 1
-                if not len(greedy) <= alpha:
-                    return _report("gv-chain", checked,
-                                   {"params": params.describe(), "d": d,
-                                    "greedy": len(greedy), "alpha": alpha})
-            except graphlab.SolverBudgetError:
-                pass
-            V = params.size()
-            if sorted(i for c in classes for i in c.indices) != list(range(V)):
-                return _report("gv-chain", checked,
-                               {"params": params.describe(), "d": d,
-                                "reason": "classes do not partition"})
-            if (any(len(c) >= 2 for c in classes)
-                    and min_distance(*classes) < d):
-                return _report("gv-chain", checked,
-                               {"params": params.describe(), "d": d,
-                                "reason": "partition class distance"})
-            ratio = bounds.gv_exact_ratio(params, d)
-            avg = V / len(classes)
-            checked += 1
-            if avg < int(ratio):  # floor of the exact rational
-                return _report("gv-chain", checked,
-                               {"params": params.describe(), "d": d,
-                                "avg": avg, "gv_floor": int(ratio)})
+                               {**where, "greedy": greedy,
+                                "alpha": rep.exact_alpha})
+        if sorted(i for c in classes for i in c.indices) != list(range(rep.V)):
+            return _report("gv-chain", checked,
+                           {**where, "reason": "classes do not partition"})
+        if (any(len(c) >= 2 for c in classes)
+                and min_distance(*classes) < d):
+            return _report("gv-chain", checked,
+                           {**where, "reason": "partition class distance"})
+        if (len(classes), len(classes[0])) != (rep.num_classes, greedy):
+            return _report("gv-chain", checked,
+                           {**where, "reason": "classes are not the report's"})
+        floor = int(rep.gv_exact_ratio)
+        checked += 1
+        if rep.avg_class_size < floor:
+            return _report("gv-chain", checked,
+                           {**where, "avg": rep.avg_class_size,
+                            "gv_floor": floor})
     return _report("gv-chain", checked, extra={"alpha_solved": alpha_solved})
 
 

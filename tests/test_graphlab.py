@@ -634,14 +634,16 @@ def test_one_nonzero_ball_serves_exact_T_and_the_masks(monkeypatch):
 
 
 def test_a_verify_pass_enumerates_each_ball_once(monkeypatch):
-    """The triangles suite (exact_T) and the gv-chain suite (the masks)
-    each walk the 76 sweep specs in ascending k; the first enumerates each
-    spec's ball once, and the second reads the 26 records it left."""
+    """The triangles suite (exact_T) and the gv-chain suite (the report's
+    rows) each walk the 76 sweep specs as the report does, each space from
+    its largest d down; the first enumerates one ball per space, at its
+    largest radius, and the second reads the 26 records it left."""
     builds = _count_ball_builds(monkeypatch)
     graphlab._tables.cache_clear()
     graphlab._adjacency.cache_clear()
     assert verify.suite_triangles()["ok"] and verify.suite_gv_chain()["ok"]
-    assert len(builds) == 76 and graphlab._tables.cache_info().currsize == 26
+    assert len(builds) == 26 and graphlab._tables.cache_info().currsize == 26
+    assert set(builds) == {(p, p.max_weight) for p in default_sweep()}
 
 
 def test_a_cached_ball_still_checks_its_budget():
@@ -977,6 +979,27 @@ def test_gv_chain_refuses_a_class_with_a_close_pair(monkeypatch):
     rep = verify.suite_gv_chain()
     assert not rep["ok"]
     assert rep["counterexample"]["reason"] == "partition class distance"
+
+
+def test_gv_chain_refuses_classes_that_are_not_the_reports(monkeypatch):
+    # splitting the largest class keeps a partition whose classes keep
+    # their distance, but not the partition whose classes the report counts
+    real = graphlab.greedy_partition
+
+    def split(spec, *args, **kwargs):
+        classes = real(spec, *args, **kwargs)
+        big = max(range(len(classes)), key=lambda i: len(classes[i]))
+        if len(classes[big]) < 2:
+            return classes
+        first, *rest = classes[big].indices
+        return (classes[:big] + [SrkCode(spec.params, (first,)),
+                                 SrkCode(spec.params, rest)]
+                + classes[big + 1:])
+
+    monkeypatch.setattr(graphlab, "greedy_partition", split)
+    rep = verify.suite_gv_chain()
+    assert not rep["ok"]
+    assert rep["counterexample"]["reason"] == "classes are not the report's"
 
 
 def test_weight_chunks_stay_within_the_row_budget():

@@ -118,6 +118,16 @@ def test_spectral_T_matches_exact_T_on_the_sweep():
             exact_T(PowerGraphSpec(params, k)), (params.describe(), k)
 
 
+def test_spectral_T_beyond_the_max_weight_is_the_complete_graphs():
+    """From the max weight on, the power graph is complete: T is the
+    number of pairs of the |V| - 1 nonzero vectors."""
+    for params in (make_params(2, (1, 2), (2, 2)), make_params(3, (2,), (2,))):
+        V = params.size()
+        for k in (params.max_weight, params.max_weight + 2):
+            assert scheme.spectral_T(params, k) == (V - 1) * (V - 2) // 2 \
+                == exact_T(PowerGraphSpec(params, k))
+
+
 @pytest.mark.parametrize("n", [6, 9, 12, 15])
 def test_spectral_T_under_T_upper_beyond_the_ball_budget(n):
     params = make_params(2, (n,), (n,))

@@ -243,9 +243,12 @@ def _pairwise_min_distance(code):
 
 
 def _distinct_block_differences(code):
+    """Distinct block differences over the pairs of a code, counted once
+    per block shape: a difference has one rank in every block of its
+    shape."""
     return sum(len({x.blocks[b].sub(y.blocks[b]).entries
-                    for x, y in combinations(code.words, 2)})
-               for b in range(code.params.t))
+                    for x, y in combinations(code.words, 2) for b in blocks})
+               for _, blocks in code.params.shape_groups())
 
 
 def _random_code(params, size, seed):
@@ -382,15 +385,15 @@ def test_min_distance_needs_a_code_of_two_words():
 def test_min_distance_stops_at_one(monkeypatch):
     p = make_params(3, (1, 1, 1), (1, 1, 1))
     whole = SrkCode.of(p, tuple(enumerate_space(p)))
-    assert _distinct_block_differences(whole) == 9
+    assert _distinct_block_differences(whole) == 3
     calls = []
     rank = space.rank
     monkeypatch.setattr(space, "rank", lambda M: calls.append(M) or rank(M))
     monkeypatch.setattr(space, "_PAIR_CHUNK", 2)
     assert min_distance(whole) == 1
     # the first chunk, (000, 001) and (000, 002), already has distance 1:
-    # it ranks 0 in the first two blocks and 2, 1 in the third
-    assert len(calls) == 4
+    # its blocks, all of one shape, differ by 0, 2 and 1, ranked once each
+    assert len(calls) == 3
 
 
 def test_min_distance_rejects_a_word_from_another_space():

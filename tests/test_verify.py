@@ -3,13 +3,14 @@ replaced: same seeded pairs, same per-pair ranks, same count and the
 same first counterexample; and the stacked fixed-X oracle of the
 q-identity suite against the scalar-rank count it replaced."""
 
+import inspect
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from srklab import graphlab, verify
+from srklab import bounds, cli, graphlab, verify
 from srklab.gf import (Matrix, col_space_intersection_dim,
                        enumerate_matrices, field_make, rank,
                        row_space_intersection_dim)
@@ -177,3 +178,29 @@ def test_every_default_sweep_space_is_within_the_suites_vertex_budget():
     assert all(p.size() <= 1024 for p in verify.default_sweep())
     assert 1024 <= graphlab.DEFAULT_MAX_VERTICES
     assert 1024 <= graphlab.DEFAULT_MAX_BALL
+
+
+def test_gv_chain_evaluates_the_default_reports_rows(monkeypatch, capsys):
+    """gv-chain reads its chain from the very rows the default report
+    prints: the same 76 (params, d) rows, in the same order, with the same
+    budgets (200,000 search nodes)."""
+    calls = []
+    real = bounds.bound_report
+
+    def recorded(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "bound_report", recorded)
+    assert cli.main(["report", "--format", "json"]) == 0
+    capsys.readouterr()
+    report = calls.copy()
+    calls.clear()
+    assert verify.suite_gv_chain()["ok"]
+    assert calls == report and len(calls) == 76
+    assert {c["max_nodes"] for c in calls} == {200_000}
+    assert {(c["params"], c["d"]) for c in calls} == {
+        (p, d) for p in verify.default_sweep()
+        for d in range(2, p.max_weight + 2)}
