@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
 
@@ -94,20 +94,6 @@ class Scheme:
     def valencies(self) -> tuple:
         return self.P[0]
 
-    @cached_property
-    def walks(self) -> tuple:
-        """walks[k][e] = sum_I m_I theta_I^e, e = 0..3, for every power k
-        up to the max weight (see ``spectral_T``), in one pass over the
-        classes by weight."""
-        theta, out = [0] * len(self.P), []
-        for k in range(max(self.weights) + 1):
-            ring = [A for A, w in enumerate(self.weights) if w == k > 0]
-            theta = [t + sum(row[A] for A in ring)
-                     for t, row in zip(theta, self.P)]
-            out.append([sum(v * t ** e for v, t in zip(self.valencies, theta))
-                        for e in range(4)])
-        return tuple(out)
-
 
 @lru_cache(maxsize=32)
 def symmetrised_scheme(params: SrkParams) -> Scheme:
@@ -132,13 +118,16 @@ def spectral_T(params: SrkParams, k: int) -> int:
     """T of the k-th power graph from its spectrum.  The graph's eigenvalue
     on eigenspace I is theta_I = sum of P_A(I) over the classes of weight
     1..k, with multiplicity m_I = v_I; closed walks of length 3 give
-    2T|V| = sum_I m_I theta_I^3.  The walk sums of every k are counted
-    once a space (``Scheme.walks``).  The walks of length 0, 1 and 2 are
+    2T|V| = sum_I m_I theta_I^3.  The walks of length 0, 1 and 2 are
     checked first (|V|, 0 and |V| D); any failed identity or non-exact
     division raises ArithmeticError."""
+    S = symmetrised_scheme(params)
     V = params.size()
     D = counting.degree_D(params, k)
-    walks = symmetrised_scheme(params).walks[min(k, params.max_weight)]
+    near = [A for A, w in enumerate(S.weights) if 1 <= w <= k]
+    theta = [sum(row[A] for A in near) for row in S.P]
+    mult = S.valencies
+    walks = [sum(mI * t ** e for mI, t in zip(mult, theta)) for e in range(4)]
     if walks[:3] != [V, 0, V * D]:
         raise ArithmeticError(f"spectrum of {params.describe()} at k={k} "
                               f"gives walk counts {walks[:3]}, expected "

@@ -383,16 +383,18 @@ def test_min_distance_needs_a_code_of_two_words():
 
 
 def test_min_distance_stops_at_one(monkeypatch):
-    p = make_params(3, (1, 1, 1), (1, 1, 1))
+    p = make_params(5, (1, 1, 1), (1, 1, 1))
     whole = SrkCode.of(p, tuple(enumerate_space(p)))
-    assert _distinct_block_differences(whole) == 3
+    # all five field elements are block differences of the whole space ...
+    assert _distinct_block_differences(whole) == 5
     calls = []
     rank = space.rank
     monkeypatch.setattr(space, "rank", lambda M: calls.append(M) or rank(M))
     monkeypatch.setattr(space, "_PAIR_CHUNK", 2)
     assert min_distance(whole) == 1
-    # the first chunk, (000, 001) and (000, 002), already has distance 1:
-    # its blocks, all of one shape, differ by 0, 2 and 1, ranked once each
+    # ... but the first chunk, (000, 001) and (000, 002), already has
+    # distance 1: its blocks, all of one shape, differ by only three
+    # elements, each ranked once, and no later chunk is ranked
     assert len(calls) == 3
 
 
