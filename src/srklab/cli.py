@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 computational failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import sys
 
 from .gf import BudgetError, FieldError, factor_prime_power
-from .space import code_to_json, make_params, save_code
+from .space import (_check_ints, _check_keys, _is_int, code_to_json,
+                    make_params, save_code)
 from . import bounds, counting, graphlab, ramsey, verify
 
 USAGE_ERROR = 2
@@ -152,45 +154,24 @@ def cmd_gv(args) -> int:
     return 0
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_ints(obj: dict, ints=(), lists=()):
-    """ValueError unless each key of ``ints`` that obj has is an int and
-    each key of ``lists`` that it has is a list of ints (bools are not
-    ints here)."""
-    for key in ints:
-        if key in obj and not _is_int(obj[key]):
-            raise ValueError(f"{key} is {obj[key]!r}, not an integer")
-    for key in lists:
-        if key in obj and not (isinstance(obj[key], list)
-                               and all(map(_is_int, obj[key]))):
-            raise ValueError(f"{key} is {obj[key]!r}, not a list of integers")
-
-
-def _check_keys(obj: dict, allowed, what: str):
-    """ValueError if obj has a key that ``allowed`` does not name."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}; "
-                         f"choose from {sorted(allowed)}")
+def _distances(ds):
+    """ds; ValueError unless "all" or a list of ints >= 1 (bools are not)."""
+    if ds != "all" and not (isinstance(ds, list) and all(
+            _is_int(d) and d >= 1 for d in ds)):
+        raise ValueError(f"d is {ds!r}, not 'all' or a list of integers >= 1")
+    return ds
 
 
 def _config_instance(inst, default_d):
     """(params, distances) of one sweep-config instance; ValueError unless
     its keys are among q, n, m and d, q is an int, n and m are lists of
-    ints and d is "all" or a list of ints >= 1 (bools are not ints
-    here)."""
+    ints and d passes ``_distances``."""
     if not isinstance(inst, dict):
         raise ValueError(f"instance {inst!r} is not an object")
     _check_keys(inst, ("q", "n", "m", "d"), "instance")
     _check_ints(inst, ("q",), ("n", "m"))
-    ds = inst.get("d", default_d)
-    if ds != "all" and not (isinstance(ds, list) and all(
-            _is_int(d) and d >= 1 for d in ds)):
-        raise ValueError(f"d is {ds!r}, not 'all' or a list of integers >= 1")
-    return make_params(inst["q"], inst["n"], inst["m"]), ds
+    return (make_params(inst["q"], inst["n"], inst["m"]),
+            _distances(inst.get("d", default_d)))
 
 
 def _sweep_from_config(args):
@@ -215,7 +196,7 @@ def _sweep_from_config(args):
         if not isinstance(cfg["instances"], list):
             raise ValueError("instances must be a list, "
                              f"got {cfg['instances']!r}")
-        default_d = cfg.get("d", "all")
+        default_d = _distances(cfg.get("d", "all"))
         instances = [_config_instance(inst, default_d)
                      for inst in cfg["instances"]]
     else:
@@ -233,22 +214,15 @@ def cmd_report(args) -> int:
     reports = [None] * len(walk)
     for i, params, d in walk:
         reports[i] = bounds.bound_report(params, d, **budgets)
-    if args.format == "json":
-        payload = [r.to_json() for r in reports]
-        text = json.dumps(payload, indent=1, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        if args.format == "json":
+            out.write(json.dumps([r.to_json() for r in reports], indent=1,
+                                 sort_keys=True) + "\n")
         else:
-            print(text)
-    else:
-        out = open(args.out, "w", newline="") if args.out else sys.stdout
-        writer = csv.DictWriter(out, fieldnames=bounds.BoundReport.CSV_COLUMNS)
-        writer.writeheader()
-        for r in reports:
-            writer.writerow(r.to_row())
-        if args.out:
-            out.close()
+            writer = csv.DictWriter(out, bounds.BoundReport.CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(r.to_row() for r in reports)
     return 0
 
 

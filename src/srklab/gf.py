@@ -586,12 +586,12 @@ def row_space_intersection_dim(X: Matrix, Y: Matrix) -> int:
     return col_space_intersection_dim(X.transpose(), Y.transpose())
 
 
-def enumerate_matrices(rows: int, cols: int, field: FieldSpec,
-                       budget: int = DEFAULT_ENUM_BUDGET):
-    """All q^(rows*cols) matrices exactly once, lexicographic entry order."""
+def enumerate_matrices(rows: int, cols: int, field: FieldSpec):
+    """All q^(rows*cols) matrices exactly once, lexicographic entry order;
+    BudgetError beyond DEFAULT_ENUM_BUDGET of them."""
     total = field.q ** (rows * cols)
-    if total > budget:
-        raise BudgetError(
-            f"{total} matrices exceed enumeration budget {budget}")
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetError(f"{total} matrices exceed enumeration budget "
+                          f"{DEFAULT_ENUM_BUDGET}")
     for ent in product(range(field.q), repeat=rows * cols):
         yield Matrix(rows, cols, ent, field)

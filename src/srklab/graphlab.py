@@ -234,11 +234,11 @@ def ball_digits(spec: PowerGraphSpec,
     """B*, the digit rows of every nonzero vector with srk weight <= k in
     canonical order; BudgetError when the ball of radius k has more than
     max_ball vectors.  The rows are read-only and shared: the space's
-    record (``_nonzero_ball``) serves every call that the budget admits."""
+    record (``SpaceTables.ball``) serves every call the budget admits."""
     vol = counting.ball_volume(spec.params, spec.k)
     if vol > max_ball:
         raise BudgetError(f"ball volume {vol} exceeds budget {max_ball}")
-    return _nonzero_ball(spec)
+    return _tables(spec.params).ball(spec.k)
 
 
 def _enumerate_ball(params: SrkParams, radius: int):
@@ -273,12 +273,6 @@ def _enumerate_ball(params: SrkParams, radius: int):
     rows, weight = rows[1:], radius - left[1:]
     rows.flags.writeable = weight.flags.writeable = False
     return rows, weight
-
-
-def _nonzero_ball(spec: PowerGraphSpec) -> np.ndarray:
-    """The build behind ``ball_digits``, without a budget check: the mask
-    build reads it directly, within its vertex budget."""
-    return _tables(spec.params).ball(spec.k)
 
 
 def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
@@ -377,7 +371,7 @@ def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
     The lex classes grow one class at a time (``_greedy_classes``)."""
     params = spec.params
     V = params.size()
-    ball = _nonzero_ball(spec)   # |B*| < |V|, within the vertex budget
+    ball = _tables(params).ball(spec.k)  # |B*| < |V|, in the vertex budget
     D = len(ball)
     packed = np.empty((V, (V + 7) // 8), dtype=np.uint8)
     for start, nbr in _translates(params, ball):

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .space import SrkParams
+from .space import SrkParams, _is_int
 from . import bounds, counting, graphlab
 
 
@@ -44,7 +44,7 @@ class RamseyTable:
                 raise ValueError(f"table entry {ent!r} is not an object")
             for name in ("k", "r", "s", "lo", "hi"):
                 x = ent.get(name)
-                if not isinstance(x, int) or isinstance(x, bool):
+                if not _is_int(x):
                     raise ValueError(
                         f"table entry field {name!r} is {x!r}, not an integer")
             if not isinstance(ent.get("source", ""), str):

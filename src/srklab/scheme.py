@@ -232,7 +232,6 @@ def _simplex_max(rows, c):
         basis[leave] = enter
 
 
-@lru_cache(maxsize=32)
 def delsarte_lp(params: SrkParams, d: int) -> LpBound:
     """Delsarte's LP bound on codes of minimum sum-rank distance d:
     maximise 1 + sum x_A over the classes A of weight >= d subject to

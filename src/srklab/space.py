@@ -22,8 +22,32 @@ import numpy as np
 
 from .gf import (BudgetError, FieldSpec, Matrix, ShapeError, digit_dtype,
                  digit_index, digits_int, field_make, index_digits,
-                 int_digits, rank,
-                 DEFAULT_ENUM_BUDGET)
+                 int_digits, rank, DEFAULT_ENUM_BUDGET)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_ints(obj: dict, ints=(), lists=()):
+    """ValueError unless each key of ``ints`` that obj has is an int and
+    each key of ``lists`` that it has is a list of ints (bools are not
+    ints here)."""
+    for key in ints:
+        if key in obj and not _is_int(obj[key]):
+            raise ValueError(f"{key} is {obj[key]!r}, not an integer")
+    for key in lists:
+        if key in obj and not (isinstance(obj[key], list)
+                               and all(map(_is_int, obj[key]))):
+            raise ValueError(f"{key} is {obj[key]!r}, not a list of integers")
+
+
+def _check_keys(obj: dict, allowed, what: str):
+    """ValueError if obj has a key that ``allowed`` does not name."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; "
+                         f"choose from {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +59,8 @@ class SrkParams:
     m: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(x) for x in self.n))
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        object.__setattr__(self, "n", tuple(map(operator.index, self.n)))
+        object.__setattr__(self, "m", tuple(map(operator.index, self.m)))
         if len(self.n) != len(self.m) or not self.n:
             raise ValueError("n and m must be nonempty tuples of equal length")
         offsets, groups = [0], {}
@@ -157,20 +181,21 @@ def srk_distance(x: SrkVector, y: SrkVector) -> int:
     return srk_weight(x.sub(y))
 
 
-def enumerate_space(params: SrkParams, budget: int = DEFAULT_ENUM_BUDGET):
-    """Every vector exactly once, ascending canonical index."""
+def enumerate_space(params: SrkParams):
+    """Every vector exactly once, ascending canonical index; BudgetError
+    beyond DEFAULT_ENUM_BUDGET of them."""
     total = params.size()
-    if total > budget:
-        raise BudgetError(f"space of size {total} exceeds budget {budget}")
+    if total > DEFAULT_ENUM_BUDGET:
+        raise BudgetError(f"space of size {total} exceeds budget "
+                          f"{DEFAULT_ENUM_BUDGET}")
     L = params.total_dim
     for digits in product(range(params.q), repeat=L):
         yield vector_from_digits(params, digits)
 
 
-def enumerate_sphere(params: SrkParams, w: int,
-                     budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_sphere(params: SrkParams, w: int):
     """Every vector of sum-rank weight exactly w, canonical order."""
-    for x in enumerate_space(params, budget):
+    for x in enumerate_space(params):
         if srk_weight(x) == w:
             yield x
 
@@ -215,8 +240,7 @@ def f_map(x: SrkVector) -> HammingVector:
         digits_int(blk.row(r), q) for blk in x.blocks for r in range(blk.rows)))
 
 
-def wt_preservation_check(params: SrkParams,
-                          budget: int = DEFAULT_ENUM_BUDGET) -> dict:
+def wt_preservation_check(params: SrkParams) -> dict:
     """Exhaustively check srk(X) <= wt_H(f(X)); equality is additionally
     required when n = (1,...,1) and all m_i coincide.  Also records
     injectivity of f over the swept space."""
@@ -225,7 +249,7 @@ def wt_preservation_check(params: SrkParams,
     images = set()
     injective = True
     checked = 0
-    for x in enumerate_space(params, budget):
+    for x in enumerate_space(params):
         w = srk_weight(x)
         img = f_map(x)
         wh = img.hamming_weight()
@@ -390,7 +414,7 @@ def _word_index(word, params: SrkParams) -> int:
         if not isinstance(ent, (list, tuple)) or len(ent) != ni * mi:
             raise ValueError(f"block {ent!r} does not have {ni * mi} entries")
         for x in ent:
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < q:
+            if not (_is_int(x) and 0 <= x < q):
                 raise ValueError(f"field entry {x!r} is not an integer "
                                  f"in [0, {q})")
         digits += ent
@@ -398,6 +422,14 @@ def _word_index(word, params: SrkParams) -> int:
 
 
 def code_from_json(data: dict) -> SrkCode:
+    """The code of a code file (``code_to_json``); ValueError unless it is
+    an object of ints q, p, e, lists of ints n, m and a list of words."""
+    if not (isinstance(data, dict)
+            and set(data) == {"q", "p", "e", "n", "m", "words"}
+            and isinstance(data["words"], list)):
+        raise ValueError("a code file is an object of q, p, e, n, m and "
+                         "a list of words")
+    _check_ints(data, ("q", "p", "e"), ("n", "m"))
     fld = field_make(data["p"], data["e"])
     if fld.q != data["q"]:
         raise ValueError("inconsistent q, p, e in code file")

@@ -292,6 +292,20 @@ def test_report_json_to_file(capsys, tmp_path):
     assert payload[0]["alpha"] == 3  # MDS-like: q^{t-d+1}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_out_writes_the_bytes_of_stdout(capsys, tmp_path, fmt):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"instances": [
+        {"q": 2, "n": [1, 1, 1], "m": [1, 1, 1], "d": [2, 3]}]}))
+    rc, out, _ = run(capsys, "report", "--config", str(cfg_path),
+                     "--format", fmt)
+    out_path = tmp_path / f"report.{fmt}"
+    rc2, printed, _ = run(capsys, "report", "--config", str(cfg_path),
+                          "--format", fmt, "--out", str(out_path))
+    assert rc == rc2 == 0 and printed == "" and out.count("\n") > 2
+    assert out_path.read_bytes() == out.encode()
+
+
 def _report_rows(capsys, monkeypatch, *argv) -> tuple:
     """The rows of ``report --format json`` and the number of balls it
     enumerated."""
@@ -584,6 +598,8 @@ def test_report_bad_instance_is_usage_error(capsys, tmp_path, inst):
     {"d": [0], "instances": [{"q": 2, "n": [1], "m": [1]}]},
     {"instances": [{"q": 2, "n": [1, 2], "m": [2, 2], "d": [2]}],
      "budget": {"max_nodes": 0}},
+    {"instances": [{"q": 2, "n": [1], "m": [1], "d": [2]}], "d": "bogus"},
+    {"instances": [], "d": 7},
 ])
 def test_report_bad_config_shape_is_usage_error(capsys, tmp_path, cfg):
     cfg_path = tmp_path / "sweep.json"

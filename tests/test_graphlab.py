@@ -694,7 +694,7 @@ def test_a_smaller_radius_reads_the_larger_record():
     canonical order, read-only and cached; a larger radius replaces it."""
     params = make_params(3, (1, 2), (1, 2))
     graphlab._tables.cache_clear()
-    whole = graphlab._nonzero_ball(PowerGraphSpec(params, 3))
+    whole = graphlab._tables(params).ball(3)
     tab = graphlab._tables(params)
     for k in (1, 2):
         spec = PowerGraphSpec(params, k)
@@ -704,8 +704,8 @@ def test_a_smaller_radius_reads_the_larger_record():
         assert len(rows) == counting.ball_volume(params, k) - 1
     assert graphlab._tables(params).radius == 3
     graphlab._tables.cache_clear()
-    graphlab._nonzero_ball(PowerGraphSpec(params, 1))
-    graphlab._nonzero_ball(PowerGraphSpec(params, 2))
+    graphlab._tables(params).ball(1)
+    graphlab._tables(params).ball(2)
     assert graphlab._tables(params).radius == 2
     graphlab._tables.cache_clear()
 
@@ -812,7 +812,7 @@ def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
     for q, n, k, D in [(3, (1,) * 6, 2, 72), (1024, (1,), 1, 1023)]:
         spec = PowerGraphSpec(make_params(q, n, n), k)
         V = spec.params.size()
-        ball = graphlab._nonzero_ball(spec)
+        ball = graphlab._tables(spec.params).ball(k)
         want = (_per_vertex_masks(spec) if q == 3 else
                 tuple(((1 << V) - 1) ^ 1 << v for v in range(V)))
         for chunk in (graphlab._ROW_CHUNK, 100, 1):

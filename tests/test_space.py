@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from srklab.counting import weight_enumerator
 from srklab import space
-from srklab.gf import Matrix, ShapeError, field_make
-from srklab.space import (HammingVector, SrkCode, SrkVector, code_from_json,
+from srklab.gf import BudgetError, Matrix, ShapeError, field_make
+from srklab.space import (HammingVector, SrkCode, SrkParams, SrkVector,
+                          code_from_json,
                           code_to_json, enumerate_space, enumerate_sphere,
                           f_map, make_params, min_distance, srk_distance, srk_weight, vector_from_digits,
                           vector_from_index, wt_preservation_check)
@@ -27,6 +28,8 @@ def test_params_validation():
         make_params(2, (1, 1), (1,))
     p = make_params(2, (1, 2), (2, 2))
     assert p.t == 2 and p.total_dim == 6 and p.max_weight == 3
+    with pytest.raises(TypeError):
+        SrkParams(field_make(2), (1.9,), (2,))
 
 
 def test_srk_weight_examples():
@@ -95,6 +98,16 @@ def test_enumerate_sphere_counts():
     assert len(sphere) == 2
     assert {v.serialize() for v in sphere} == {(1, 0), (0, 1)}
     assert [v.serialize() for v in enumerate_sphere(p2, 0)] == [(0, 0)]
+
+
+def test_object_enumerators_check_the_enumeration_budget():
+    """2^21 vectors are over gf.DEFAULT_ENUM_BUDGET = 2^20."""
+    p = make_params(2, (1,) * 21, (1,) * 21)
+    for walk in (lambda: next(enumerate_space(p)),
+                 lambda: next(enumerate_sphere(p, 1)),
+                 lambda: wt_preservation_check(p)):
+        with pytest.raises(BudgetError):
+            walk()
 
 
 @pytest.mark.parametrize("q,n,m", [(2, (1, 2), (2, 2)), (3, (1, 1), (2, 1)),
@@ -429,6 +442,27 @@ def test_code_json_rejects_entries_outside_the_field():
             code_from_json(data)
     data["words"] = [[[0, 1]]]
     assert code_from_json(data).words[0].serialize() == (0, 1)
+
+
+_CODE_FILE = {"q": 2, "p": 2, "e": 1, "n": [1], "m": [2],
+              "words": [[[0, 1]]]}
+
+
+@pytest.mark.parametrize("bad", [
+    {**_CODE_FILE, **change} for change in (
+        {"n": [1.9]}, {"n": [True]}, {"n": "1"}, {"m": [2.0]}, {"q": 2.0},
+        {"p": 2.0}, {"e": True}, {"e": 1.0}, {"q": 4}, {"words": 5},
+        {"name": "c"})] + [
+    {k: v for k, v in _CODE_FILE.items() if k != key} for key in _CODE_FILE
+] + [[_CODE_FILE]])
+def test_code_json_refuses_a_malformed_header(bad):
+    """Integers are ints (bools are not), n and m lists of them, and the
+    keys are exactly those ``code_to_json`` writes; a cached GF(2) does
+    not let p = 2.0 through."""
+    field_make(2, 1)
+    assert code_from_json(_CODE_FILE).indices == (1,)
+    with pytest.raises(ValueError):
+        code_from_json(bad)
 
 
 def test_code_json_rejects_a_wrong_block_or_entry_count():
