@@ -41,7 +41,8 @@ def _budget(text: str) -> int:
 
 
 def _check_field_order(q: int):
-    """Exit with a usage error unless q is a prime power."""
+    """Exit with a usage error unless q is a prime power (``count`` and
+    ``qtable``; ``make_params`` checks the order of a space)."""
     try:
         factor_prime_power(q)
     except FieldError as exc:
@@ -49,7 +50,6 @@ def _check_field_order(q: int):
 
 
 def _params_from_args(args):
-    _check_field_order(args.q)
     try:
         return make_params(args.q, args.n, args.m)
     except ValueError as exc:

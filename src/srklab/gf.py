@@ -9,6 +9,7 @@ on-the-fly polynomial arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -187,13 +188,14 @@ class FieldSpec:
     """GF(p^e) with deterministic modulus and table-driven arithmetic."""
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if e < 1:
             raise FieldError("exponent must be >= 1")
+        # e <= 16 first, so that p ** e stays small for any p
+        if e > 16 or p ** e > MAX_FIELD_SIZE:
+            raise FieldError(f"field size {p}^{e} exceeds {MAX_FIELD_SIZE}")
+        if not is_prime(p):
+            raise FieldError(f"{p} is not prime")
         q = p ** e
-        if q > MAX_FIELD_SIZE:
-            raise FieldError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
         self.p = p
         self.e = e
         self.q = q
@@ -336,18 +338,28 @@ def field_make(p: int, e: int = 1) -> FieldSpec:
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Split a prime power q into (p, e); raises FieldError otherwise."""
-    primes = _prime_factors(q)
-    if len(primes) != 1:
+    """Split a prime power q into (p, e); raises FieldError otherwise.
+    Trial division runs only to 2^20: a q with no factor up to there is
+    prime if q < 2^40, and refused as uncertified if not."""
+    if q < 2:
         raise FieldError(f"{q} is not a prime power")
-    p, = primes
-    e = 1
-    while p ** e < q:
+    p = next((f for f in range(2, min(math.isqrt(q), 1 << 20) + 1)
+              if q % f == 0), q)
+    if p == q and q >= 1 << 40:
+        raise FieldError(f"cannot certify {q} as a prime power: "
+                         f"it has no factor up to 2^20")
+    rest, e = q, 0
+    while rest % p == 0:
+        rest //= p
         e += 1
+    if rest != 1:
+        raise FieldError(f"{q} is not a prime power")
     return p, e
 
 
 def field_from_order(q: int) -> FieldSpec:
+    if q > MAX_FIELD_SIZE:
+        raise FieldError(f"field size {q} exceeds {MAX_FIELD_SIZE}")
     p, e = factor_prime_power(q)
     return field_make(p, e)
 

@@ -18,8 +18,8 @@ every candidate set of the exact search, for its bounds and branch order.
   digits (XOR for p = 2), so no q x q table is built and the graph layer
   works for every field up to GF(2^16).
 - Digit rows and vertex indices convert through the codec of ``gf``
-  (``digit_index``/``index_digits``, ``int_digits``/``digits_int``), the
-  one place that knows the canonical order.
+  (``digit_index``/``index_digits``, ``int_digits``), the one place that
+  knows the canonical order.
 - ``ball_digits`` returns the nonzero ball in canonical order, read from
   the space's record: the ball at the largest radius asked so far, built
   block by block with numpy index arithmetic, with each row's weight; the
@@ -37,13 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .gf import (BudgetError, digit_dtype, digit_index, digit_rows,
-                 digits_int, field_make, index_digits, int_digits, rank_stack)
+                 field_make, index_digits, int_digits, rank_stack)
 from .space import SrkCode, SrkParams, min_distance
 from . import counting, scheme
 
@@ -558,8 +557,10 @@ def gabidulin_indices(params: SrkParams, d: int):
 
     Codewords are (f(g_1), ..., f(g_n)) for the q-linearized polynomials
     f = sum_{i < n-d+1} a_i x^(q^i) over GF(q^m), evaluated at g_j =
-    alpha^j; entry j becomes row j through its coefficient vector.  It
-    has q^(m(n-d+1)) words, the Singleton-type maximum (an MRD code)."""
+    alpha^j; entry j becomes row j through its coefficient vector.  It is
+    the GF(q)-span of the m(n-d+1) words f = alpha^b x^(q^i): every GF(q)
+    combination of their digit rows, q^(m(n-d+1)) words, the
+    Singleton-type maximum (an MRD code)."""
     if params.t != 1 or params.field.e != 1 or d < 1:
         return None
     (n, m), = params.block_shapes()
@@ -568,23 +569,13 @@ def gabidulin_indices(params: SrkParams, d: int):
         return None
     q = params.q
     E = field_make(q, m)
-    # frob[j][i] = g_j^(q^i), with g_j = alpha^j encoded as q^j
-    frob = []
-    for j in range(n):
-        row = [q ** j]
-        for _ in range(dim - 1):
-            row.append(E.pow(row[-1], q))
-        frob.append(row)
-    out = []
-    for coeffs in product(range(E.q), repeat=dim):
-        digits = []   # row j holds the coefficients of f(g_j)
-        for j in range(n):
-            c = 0
-            for a, g in zip(coeffs, frob[j]):
-                c = E.add(c, E.mul(a, g))
-            digits += int_digits(c, q, m)
-        out.append(digits_int(digits[::-1], q))
-    return out
+    # basis word (i, b) is f = alpha^b x^(q^i): row j holds the
+    # coefficients of alpha^b g_j^(q^i), with alpha^b encoded as q^b
+    basis = np.array([[c for j in range(n) for c in int_digits(
+        E.mul(q ** b, E.pow(q ** j, q ** i)), q, m)]
+        for i in range(dim) for b in range(m)], dtype=np.int64)
+    words = digit_rows(q, dim * m).astype(np.int64) @ basis % q
+    return digit_index(words, q).tolist()
 
 
 def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:

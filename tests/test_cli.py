@@ -181,6 +181,45 @@ def test_bad_field_order_or_power_is_usage_error(capsys, argv):
     assert out.out == "" and out.err.startswith("error: ")
 
 
+_BIG_PRIME = 10 ** 18 + 3   # no factor up to 2^20, above 2^40
+
+
+def test_a_huge_field_order_is_refused_at_once(capsys, tmp_path):
+    """Refused by the size check before any factoring: a space's order in
+    an option, a sweep config and a chain file each exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["graph-stats", "-q", str(_BIG_PRIME), "-n", "1", "-m", "1",
+              "-k", "1"])
+    assert exc.value.code == 2
+    assert "exceeds 65536" in capsys.readouterr().err
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(
+        {"instances": [{"q": _BIG_PRIME, "n": [1], "m": [1]}]}))
+    rc, out, err = run(capsys, "report", "--config", str(cfg_path))
+    assert rc == 2 and out == "" and "exceeds 65536" in err
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps({**_SRK, "q": _BIG_PRIME}))
+    rc, out, err = run(capsys, "ramsey", str(chain_path),
+                       str(_write_table(tmp_path)))
+    assert rc == 2 and out == "" and "exceeds 65536" in err
+
+
+@pytest.mark.parametrize("q,count", [
+    (4294967311, 4294967310), (2 ** 64, 2 ** 64 - 1)])
+def test_count_takes_a_prime_power_above_the_field_limit(capsys, q, count):
+    assert run(capsys, "count", "-q", str(q), "-n", "1", "-m", "1",
+               "-r", "1") == (0, f"{count}\n", "")
+
+
+@pytest.mark.parametrize("cmd", [["count", "-n", "1", "-m", "1", "-r", "1"],
+                                 ["qtable", "-n", "2"]])
+def test_count_refuses_an_order_it_cannot_certify(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd[0], "-q", str(_BIG_PRIME), *cmd[1:]])
+    assert exc.value.code == 2
+    assert "cannot certify" in capsys.readouterr().err
+
+
 def test_swapped_nm_hint(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["volume", "-q", "2", "-n", "3", "-m", "2", "-k", "1"])

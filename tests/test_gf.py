@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srklab import counting, gf
-from srklab.gf import (BudgetError, FieldError, Matrix, ShapeError,
+from srklab.gf import (BudgetError, FieldError, FieldSpec, Matrix, ShapeError,
                        col_space_intersection_dim,
                        digit_dtype, digit_index, digit_rows, digits_int,
                        enumerate_matrices, field_make, field_from_order,
@@ -87,15 +87,32 @@ def test_field_too_large_rejected():
         field_make(2, 17)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FieldSpec(2, 10 ** 9), lambda: FieldSpec(2, 100000),
+    lambda: FieldSpec(10 ** 18 + 3, 1), lambda: field_from_order(10 ** 18 + 3)])
+def test_a_huge_field_is_refused_before_it_is_factored(make):
+    """The size is checked before any power, primality test or factoring,
+    so these return at once, each with a FieldError."""
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert type(exc.value) is FieldError
+
+
 def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(5) == (5, 1)
     assert factor_prime_power(65536) == (2, 16)
     assert factor_prime_power(65537) == (65537, 1)
-    for bad in (-4, 0, 1, 6, 12, 1000):
-        with pytest.raises(FieldError):
+    assert factor_prime_power(4294967311) == (4294967311, 1)
+    assert factor_prime_power(2 ** 64) == (2, 64)
+    for bad in (-4, 0, 1, 6, 12, 1000, 2 ** 64 * 3):
+        with pytest.raises(FieldError, match="not a prime power"):
             factor_prime_power(bad)
+    # no factor up to 2^20, and above 2^40: refused, even a prime power
+    for big in (10 ** 18 + 3, 1048583 ** 2):
+        with pytest.raises(FieldError, match="cannot certify"):
+            factor_prime_power(big)
     assert [n for n in range(-2, 30) if gf.is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

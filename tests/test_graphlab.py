@@ -4,7 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -56,6 +56,30 @@ def _brute_T(params, k):
                 total += 1
     assert srk_weight(zero) == 0
     return total
+
+def _scalar_gabidulin(params, d):
+    """The Gabidulin code word by word: every coefficient tuple of
+    f = sum_{i < n-d+1} a_i x^(q^i) over GF(q^m), evaluated at g_j =
+    alpha^j with scalar field operations."""
+    (n, m), = params.block_shapes()
+    dim, q = n - d + 1, params.q
+    E = gf.field_make(q, m)
+    frob = []   # frob[j][i] = g_j^(q^i), with g_j = alpha^j encoded as q^j
+    for j in range(n):
+        row = [q ** j]
+        for _ in range(dim - 1):
+            row.append(E.pow(row[-1], q))
+        frob.append(row)
+    out = []
+    for coeffs in product(range(E.q), repeat=dim):
+        digits = []   # row j holds the coefficients of f(g_j)
+        for j in range(n):
+            c = 0
+            for a, g in zip(coeffs, frob[j]):
+                c = E.add(c, E.mul(a, g))
+            digits += gf.int_digits(c, q, m)
+        out.append(gf.digits_int(digits[::-1], q))
+    return out
 
 
 CUBE = make_params(2, (1, 1, 1), (1, 1, 1))
@@ -377,14 +401,17 @@ def test_a_witness_below_the_distance_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("q,n,m,d", [
-    (2, 3, 3, 2), (2, 2, 3, 2), (3, 2, 2, 2), (2, 3, 3, 3)])
+    (2, 3, 3, 2), (2, 2, 3, 2), (3, 2, 2, 2), (2, 3, 3, 3), (5, 2, 2, 2),
+    (3, 2, 3, 2), (7, 2, 2, 2), (7, 1, 2, 1), (2, 3, 3, 1), (3, 2, 2, 1)])
 def test_gabidulin_seed_is_an_independent_set(q, n, m, d):
     params = make_params(q, (n,), (m,))
     indices = gabidulin_indices(params, d)
     assert len(set(indices)) == len(indices) == q ** (m * (n - d + 1))
-    masks = adjacency_masks(PowerGraphSpec(params, d - 1))
-    bits = sum(1 << v for v in indices)
-    assert all(masks[v] & bits == 0 for v in indices)
+    assert set(indices) == set(_scalar_gabidulin(params, d))
+    if d >= 2:   # no power graph at k = 0; every set has distance >= 1
+        masks = adjacency_masks(PowerGraphSpec(params, d - 1))
+        bits = sum(1 << v for v in indices)
+        assert all(masks[v] & bits == 0 for v in indices)
     code = SrkCode(params, tuple(indices))
     assert min_distance(code) >= d
 

@@ -8,7 +8,7 @@ from srklab.ramsey import (ChainConfig, RamseyTable, TableError,
                            ramsey_upper_from_srk, reevaluate,
                            srk_to_ramsey_lb, zero_rate_instance_check)
 from srklab.space import make_params
-from srklab import bounds
+from srklab import bounds, graphlab
 
 
 TABLE_DATA = {
@@ -184,6 +184,18 @@ def test_zero_rate_instance_check():
     rep2 = zero_rate_instance_check(params, k=2, j=2)
     assert not rep2["j_condition_holds"]  # 4 * 1 > 3 * 1
     assert rep2["status"] == "precondition failed"
+
+
+def test_zero_rate_instance_past_the_vertex_budget():
+    # GF(2)^13: 8192 vertices, above the default vertex budget of 4096
+    params = make_params(2, (1,) * 13, (1,) * 13)
+    rep = zero_rate_instance_check(params, k=13, j=12)
+    assert rep["distance_ceiled"] == 1
+    assert rep["exact_A"] == 8192   # d = 1 needs no graph
+    rep = zero_rate_instance_check(params, k=13, j=10)
+    assert rep["distance_ceiled"] == 2
+    assert rep["exact_A"] == ("not computed (|V| = 8192 exceeds vertex "
+                              f"budget {graphlab.DEFAULT_MAX_VERTICES})")
 
 
 def test_zero_rate_instance_exact_alpha():

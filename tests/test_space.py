@@ -454,7 +454,11 @@ _CODE_FILE = {"q": 2, "p": 2, "e": 1, "n": [1], "m": [2],
         {"p": 2.0}, {"e": True}, {"e": 1.0}, {"q": 4}, {"words": 5},
         {"name": "c"})] + [
     {k: v for k, v in _CODE_FILE.items() if k != key} for key in _CODE_FILE
-] + [[_CODE_FILE]])
+] + [[_CODE_FILE]] + [
+    # fields too large: refused before p ** e or a primality test
+    {**_CODE_FILE, **change} for change in (
+        {"e": 10 ** 9}, {"e": 100000}, {"p": 10 ** 18 + 3},
+        {"p": 10 ** 18 + 3, "q": 10 ** 18 + 3})])
 def test_code_json_refuses_a_malformed_header(bad):
     """Integers are ints (bools are not), n and m lists of them, and the
     keys are exactly those ``code_to_json`` writes; a cached GF(2) does
