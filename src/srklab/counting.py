@@ -72,20 +72,26 @@ def rank_distribution(n: int, m: int, q: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def weight_enumerator(params: SrkParams) -> tuple:
-    """coeffs[w] = number of vectors of sum-rank weight w, via convolution
-    of the per-block rank distributions; cached per space, since ball
-    volumes, degrees and GV ratios all read it."""
+def _weight_counts(params: SrkParams, top: int) -> tuple:
+    """coeffs[w] = number of vectors of sum-rank weight w for w <= top: the
+    per-block rank distributions convolved up to degree top, so no rank
+    class above top is counted; cached, as balls, degrees and GV read it."""
     q = params.q
     acc = [1]
     for ni, mi in params.block_shapes():
-        dist = rank_distribution(ni, mi, q)
-        nxt = [0] * (len(acc) + len(dist) - 1)
+        dist = [count_rank_matrices(ni, mi, r, q)
+                for r in range(min(ni, mi, top) + 1)]
+        nxt = [0] * min(len(acc) + len(dist) - 1, top + 1)
         for a, ca in enumerate(acc):
-            for b, cb in enumerate(dist):
+            for b, cb in enumerate(dist[:top + 1 - a]):
                 nxt[a + b] += ca * cb
         acc = nxt
     return tuple(acc)
+
+
+def weight_enumerator(params: SrkParams) -> tuple:
+    """coeffs[w] = number of vectors of sum-rank weight w, for every w."""
+    return _weight_counts(params, params.max_weight)
 
 
 def space_size(params: SrkParams) -> int:
@@ -96,8 +102,7 @@ def ball_volume(params: SrkParams, k: int) -> int:
     """|{X : srk(X) <= k}|; reaches the space size at k = sum min(n_i,m_i)."""
     if k < 0:
         raise ValueError("radius must be nonnegative")
-    coeffs = weight_enumerator(params)
-    return sum(coeffs[: k + 1])
+    return sum(_weight_counts(params, min(k, params.max_weight)))
 
 
 def degree_D(params: SrkParams, k: int) -> int:

@@ -207,13 +207,6 @@ class FieldSpec:
         if q * q <= _TABLE_ENTRY_LIMIT:
             self._build_tables()
 
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        p, e = self.p, self.e
-        return digits_int([(x + y) % p for x, y in
-                           zip(int_digits(a, p, e), int_digits(b, p, e))], p)
-
     def _mul_raw(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
@@ -283,15 +276,12 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]
-        return self._add_raw(a, b)
+        return int(self.add_array(a, b))
 
     def neg(self, a: int) -> int:
         if self._neg is not None:
             return self._neg[a]
-        if self.e == 1:
-            return (-a) % self.p
-        return digits_int([(-c) % self.p for c in
-                           int_digits(a, self.p, self.e)], self.p)
+        return int(self.sub_array(0, a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -35,8 +35,9 @@ every candidate set of the exact search, for its bounds and branch order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -116,12 +117,14 @@ class SpaceTables:
                        for i, (ni, mi) in enumerate(params.block_shapes())]
         self.radius = -1   # no ball yet
 
+    def block_ranks(self, digits: np.ndarray) -> np.ndarray:
+        """(N, t) ranks of the blocks of each row of a (N, L) digit array."""
+        return np.stack([ranks[digit_index(digits[:, off:off + ln], self.q)]
+                         for off, ln, ranks in self.blocks], axis=1)
+
     def weights_of(self, digits: np.ndarray) -> np.ndarray:
         """Sum-rank weights of row vectors of a (N, L) digit array."""
-        w = np.zeros(digits.shape[0], dtype=np.int64)
-        for off, ln, ranks in self.blocks:
-            w += ranks[digit_index(digits[:, off:off + ln], self.q)]
-        return w
+        return self.block_ranks(digits).sum(axis=1, dtype=np.int64)
 
     def ball(self, k: int) -> np.ndarray:
         """The nonzero ball of radius k: the rows of weight <= k of the
@@ -583,9 +586,7 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     X_i -> A_i X_i B_i and the permutations of equal-shape blocks, which
     all fix 0: its rank profile, sorted within each group of equal-shape
     blocks.  Labels are numbered in ascending (weight, profile) order."""
-    tab = _tables(params)
-    R = np.stack([ranks[digit_index(digits[:, off:off + ln], tab.q)]
-                  for off, ln, ranks in tab.blocks], axis=1)
+    R = _tables(params).block_ranks(digits)
     key = np.concatenate([R.sum(axis=1, keepdims=True)]
                          + [np.sort(R[:, list(g)], axis=1)
                             for _, g in params.shape_groups()], axis=1)
@@ -751,13 +752,21 @@ def greedy_partition(spec: PowerGraphSpec,
     codes of minimum distance >= k+1 (singletons allowed); at most D+1
     classes.  Class 0 is the greedy sphere-covering code: a vertex joins
     it iff it is at distance > k from every vertex that joined before it,
-    so it has at least ceil(|V| / ball_volume) words.  The classes grow
-    one at a time (``_greedy_classes``), scanning one layer of all
-    vertices ("lex") or one layer per weight, in ascending weight; the
-    lex partition comes with the spec's adjacency record, built once per
-    spec.  The codes are read from ``greedy_class_masks``."""
-    return [SrkCode(spec.params, tuple(_bits(bits)))
-            for bits in greedy_class_masks(spec, max_vertices, order_policy)]
+    so it has at least ceil(|V| / ball_volume) words.  The codes are read
+    from the class bitmasks (``greedy_class_masks``) and certified before
+    they are returned: the bitmasks must cover V once (bit counts summing
+    to |V|, OR of every vertex), and one ``space.min_distance`` call,
+    which does not read the masks, must find distance >= k+1 in every
+    class; else ArithmeticError."""
+    classes = greedy_class_masks(spec, max_vertices, order_policy)
+    V = spec.params.size()
+    if (sum(b.bit_count() for b in classes) != V
+            or reduce(operator.or_, classes, 0) != (1 << V) - 1):
+        raise ArithmeticError("greedy partition does not cover the space once")
+    codes = [SrkCode(spec.params, tuple(_bits(bits))) for bits in classes]
+    if any(len(c) >= 2 for c in codes) and min_distance(*codes) <= spec.k:
+        raise ArithmeticError("greedy partition violates distance contract")
+    return codes
 
 
 def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,

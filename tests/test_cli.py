@@ -76,6 +76,17 @@ def test_alpha_with_a_refused_witness_writes_no_file(capsys, tmp_path,
     assert not path.exists()
 
 
+def test_partition_with_a_refused_class_writes_no_file(capsys, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(graphlab, "min_distance", lambda *codes: 1)
+    path = tmp_path / "classes.json"
+    rc, out, err = run(capsys, "partition", "-q", "2", "-n", "1,1,1",
+                       "-m", "1,1,1", "-k", "1", "-o", str(path))
+    assert rc == 1 and out == ""
+    assert "distance contract" in err
+    assert not path.exists()
+
+
 def test_partition(capsys):
     rc, out, _ = run(capsys, "partition", "-q", "2", "-n", "1,1,1",
                      "-m", "1,1,1", "-k", "1")

@@ -12,6 +12,7 @@ from srklab.counting import (P_upper, Q_closed, T_upper, ball_volume,
                              weight_enumerator)
 from srklab.gf import enumerate_matrices, field_make, rank
 from srklab.space import make_params
+from srklab import counting
 
 
 # -- independent oracles ----------------------------------------------------
@@ -109,6 +110,22 @@ def test_ball_volume_monotone_and_saturating():
     assert all(a <= b for a, b in zip(vols, vols[1:]))
     assert vols[params.max_weight] == space_size(params)
     assert vols[-1] == space_size(params)
+
+
+def test_ball_volume_counts_only_the_rank_classes_it_reads(monkeypatch):
+    """A ball of radius 1 in GF(2) 300 x 300 needs the rank-0 and rank-1
+    classes only: a count of any higher rank class fails the test."""
+    one = count_rank_matrices(300, 300, 1, 2)
+    real = counting.count_rank_matrices
+
+    def low_ranks_only(n, m, r, q):
+        assert r < 2, f"rank class {r} of {n} x {m} was counted"
+        return real(n, m, r, q)
+
+    monkeypatch.setattr(counting, "count_rank_matrices", low_ranks_only)
+    counting._weight_counts.cache_clear()
+    assert ball_volume(make_params(2, (300,), (300,)), 1) == 1 + one
+    assert ball_volume(make_params(2, (300, 300), (300, 300)), 1) == 1 + 2 * one
 
 
 def test_degree_examples():

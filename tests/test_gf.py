@@ -197,15 +197,43 @@ def test_enumerate_budget():
         list(enumerate_matrices(4, 4, field_make(3)))   # 3^16 > 2^20
 
 
+def _digitwise_add(F, a, b):
+    """a + b in GF(p^e), one base-p coefficient at a time."""
+    p, e = F.p, F.e
+    return digits_int([(x + y) % p for x, y in
+                       zip(int_digits(a, p, e), int_digits(b, p, e))], p)
+
+
+def _digitwise_neg(F, a):
+    """-a in GF(p^e), one base-p coefficient at a time."""
+    return digits_int([-c % F.p for c in int_digits(a, F.p, F.e)], F.p)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27, 32, 49, 64, 81,
                                121, 128, 256])
 def test_vectorised_tables_match_raw_arithmetic(q):
     F = field_from_order(q)
     els = range(q)
-    assert F._add == [[F._add_raw(a, b) for b in els] for a in els]
+    assert F._add == [[_digitwise_add(F, a, b) for b in els] for a in els]
     assert F._mul == [[F._mul_raw(a, b) for b in els] for a in els]
-    assert all(F._add_raw(a, F.neg(a)) == 0 for a in els)
+    assert F._neg == [_digitwise_neg(F, a) for a in els]
+    assert all(_digitwise_add(F, a, F.neg(a)) == 0 for a in els)
     assert all(F._mul_raw(a, F.inv(a)) == 1 for a in els if a)
+
+
+@pytest.mark.parametrize("p,e", [(3, 7), (1031, 1)])
+def test_scalar_ops_without_tables_match_digitwise_arithmetic(p, e):
+    """Fields above q = 1024 keep no add or neg table: their scalar add,
+    neg and sub are the array ops on one element, checked against the
+    coefficient-wise sums on 300 seeded pairs."""
+    F = field_make(p, e)
+    assert F._add is None and F._neg is None
+    rng = np.random.default_rng(F.q)
+    for a, b in rng.integers(0, F.q, size=(300, 2)).tolist():
+        assert type(F.add(a, b)) is type(F.neg(a)) is int
+        assert F.add(a, b) == _digitwise_add(F, a, b)
+        assert F.neg(a) == _digitwise_neg(F, a)
+        assert F.sub(a, b) == _digitwise_add(F, a, _digitwise_neg(F, b))
 
 
 def test_large_fields_build_quickly_without_full_tables():

@@ -971,41 +971,43 @@ def test_greedy_procedures_refuse_past_their_budgets():
     assert any(n.startswith("greedy procedures skipped") for n in rep.notes)
 
 
+def _refused_partition(monkeypatch, corrupt, message):
+    """Corrupt the class bitmasks where they are made: greedy_partition,
+    in both orders, and the gv-chain suite must then raise
+    ArithmeticError."""
+    real = graphlab.greedy_class_masks
+    spec = PowerGraphSpec(make_params(2, (1, 1, 1), (1, 1, 1)), 1)
+    with monkeypatch.context() as m:
+        m.setattr(graphlab, "greedy_class_masks",
+                  lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+        for policy in ("lex", "weight-then-lex"):
+            with pytest.raises(ArithmeticError, match=message):
+                greedy_partition(spec, order_policy=policy)
+        with pytest.raises(ArithmeticError, match=message):
+            verify.suite_gv_chain()
+
+
 def test_gv_chain_refuses_classes_that_overlap(monkeypatch):
-    # vertex 1 (weight 1) is never in class 0, which holds vertex 0; moving
-    # it there keeps the class sizes but covers 0 twice and 1 never
-    real = graphlab.greedy_partition
-
-    def overlapping(spec, *args, **kwargs):
-        return [SrkCode(c.params, [0 if i == 1 else i for i in c.indices])
-                for c in real(spec, *args, **kwargs)]
-
-    monkeypatch.setattr(graphlab, "greedy_partition", overlapping)
-    rep = verify.suite_gv_chain()
-    assert not rep["ok"]
-    assert rep["counterexample"]["reason"] == "classes do not partition"
+    # vertex 1 (weight 1) is never in class 0, which holds vertex 0.  Its
+    # class taking vertex 0 instead keeps the bit counts summing to |V|
+    # but covers 0 twice and 1 never; vertex 1 joining class 0 as well
+    # covers every vertex, 1 twice
+    for corrupt in (lambda classes: tuple(c ^ 3 if c & 2 else c
+                                          for c in classes),
+                    lambda classes: (classes[0] | 2,) + classes[1:]):
+        _refused_partition(monkeypatch, corrupt, "does not cover the space")
 
 
 def test_gv_chain_refuses_a_class_with_a_close_pair(monkeypatch):
-    # first fit put the first vertex of class 2 there because it has a
-    # neighbour in class 1; moving it to class 1 keeps a partition whose
-    # class 1 holds a pair at distance <= k
-    real = graphlab.greedy_partition
+    # first fit left the lowest vertex of class 1 out of class 0 because
+    # it has a neighbour there; moving it to class 0 keeps a partition
+    # whose class 0 holds a pair at distance <= k
+    def moved(classes):
+        low = classes[1] & -classes[1]
+        rest = classes[1] ^ low
+        return (classes[0] | low,) + ((rest,) if rest else ()) + classes[2:]
 
-    def moved(spec, *args, **kwargs):
-        classes = real(spec, *args, **kwargs)
-        if len(classes) < 3:
-            return classes
-        v, *rest = classes[2].indices
-        return (classes[:1]
-                + [SrkCode(spec.params, classes[1].indices + (v,))]
-                + ([SrkCode(spec.params, rest)] if rest else [])
-                + classes[3:])
-
-    monkeypatch.setattr(graphlab, "greedy_partition", moved)
-    rep = verify.suite_gv_chain()
-    assert not rep["ok"]
-    assert rep["counterexample"]["reason"] == "partition class distance"
+    _refused_partition(monkeypatch, moved, "violates distance contract")
 
 
 def test_gv_chain_refuses_classes_that_are_not_the_reports(monkeypatch):
