@@ -9,7 +9,7 @@ from .space import (SrkParams, SrkVector, SrkCode, HammingVector, make_params,
                     code_to_json, code_from_json)
 from .counting import (gaussian_binomial, count_rank_matrices,
                        square_rank_count, rank_distribution, weight_enumerator,
-                       space_size, ball_volume, degree_D, Q_closed,
+                       ball_volume, degree_D, Q_closed,
                        subspace_intersection_count, P_upper, T_upper,
                        epsilon_star)
 from .graphlab import (PowerGraphSpec, GraphStats, exact_T, graph_stats,

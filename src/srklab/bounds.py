@@ -28,8 +28,7 @@ def gv_lower(params: SrkParams, d: int) -> int:
 def gv_exact_ratio(params: SrkParams, d: int) -> Fraction:
     if d < 1:
         raise ValueError("distance must be at least 1")
-    return Fraction(counting.space_size(params),
-                    counting.ball_volume(params, d - 1))
+    return Fraction(params.size(), counting.ball_volume(params, d - 1))
 
 
 def aks_alpha_lower(num_vertices: int, D: int, Delta: int) -> float:
@@ -112,7 +111,7 @@ def bound_report(params: SrkParams, d: int, *,
     greedy partition (``graphlab.greedy_class_masks``): class 0 is the
     greedy code, and the classes count the partition."""
     ratio = gv_exact_ratio(params, d)
-    V = counting.space_size(params)
+    V = params.size()
     ball = counting.ball_volume(params, d - 1)
     rep = BoundReport(params=params, d=d, V=V, ball=ball,
                       gv=math.ceil(ratio), gv_exact_ratio=ratio)

@@ -176,33 +176,31 @@ def _config_instance(inst, default_d):
 
 def _sweep_from_config(args):
     budgets = {name: getattr(args, name) for name in BUDGETS}
-    if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError(f"config must be an object, got {cfg!r}")
-        _check_keys(cfg, ("instances", "budgets", "d"), "config")
-        given = cfg.get("budgets", {})
-        if not isinstance(given, dict):
-            raise ValueError(f"budgets must be an object, got {given!r}")
-        for key, value in given.items():
-            if key not in budgets:
-                raise ValueError(f"unknown budget {key!r}; "
-                                 f"choose from {sorted(budgets)}")
-            if not _is_int(value) or value < 0:
-                raise ValueError(f"budget {key!r} is {value!r}, "
-                                 "not an integer >= 0")
-            budgets[key] = value
-        if not isinstance(cfg["instances"], list):
-            raise ValueError("instances must be a list, "
-                             f"got {cfg['instances']!r}")
-        default_d = _distances(cfg.get("d", "all"))
-        instances = [_config_instance(inst, default_d)
-                     for inst in cfg["instances"]]
-    else:
-        instances = [(p, "all") for p in verify.default_sweep()]
+    if not args.config:
         budgets["max_nodes"] = min(budgets["max_nodes"],
                                    verify.SWEEP_MAX_NODES)
+        return verify.default_walk(), budgets
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config must be an object, got {cfg!r}")
+    _check_keys(cfg, ("instances", "budgets", "d"), "config")
+    given = cfg.get("budgets", {})
+    if not isinstance(given, dict):
+        raise ValueError(f"budgets must be an object, got {given!r}")
+    for key, value in given.items():
+        if key not in budgets:
+            raise ValueError(f"unknown budget {key!r}; "
+                             f"choose from {sorted(budgets)}")
+        if not _is_int(value) or value < 0:
+            raise ValueError(f"budget {key!r} is {value!r}, "
+                             "not an integer >= 0")
+        budgets[key] = value
+    if not isinstance(cfg["instances"], list):
+        raise ValueError(f"instances must be a list, got {cfg['instances']!r}")
+    default_d = _distances(cfg.get("d", "all"))
+    instances = [_config_instance(inst, default_d)
+                 for inst in cfg["instances"]]
     return bounds.sweep_walk(instances), budgets
 
 
@@ -233,7 +231,7 @@ def cmd_verify(args) -> int:
                       f"choose from {sorted(verify.SUITES)} or 'all'")
     failed = False
     for name in names:
-        rep = verify.run_suite(name)
+        rep = verify.SUITES[name]()
         status = "pass" if rep["ok"] else "FAIL"
         print(f"{name}: {status} ({rep['checked']} checks)")
         if not rep["ok"]:

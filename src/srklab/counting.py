@@ -94,10 +94,6 @@ def weight_enumerator(params: SrkParams) -> tuple:
     return _weight_counts(params, params.max_weight)
 
 
-def space_size(params: SrkParams) -> int:
-    return params.size()
-
-
 def ball_volume(params: SrkParams, k: int) -> int:
     """|{X : srk(X) <= k}|; reaches the space size at k = sum min(n_i,m_i)."""
     if k < 0:

@@ -377,21 +377,6 @@ class Matrix:
         d["field"] = field
 
     @classmethod
-    def from_rows(cls, rows_data, field: FieldSpec) -> "Matrix":
-        """Prime-field entries are reduced mod p; extension-field entries
-        are element indices and must lie in [0, q)."""
-        r = len(rows_data)
-        c = len(rows_data[0]) if r else 0
-        flat = []
-        for row in rows_data:
-            if len(row) != c:
-                raise ShapeError("ragged rows")
-            flat.extend(int(x) % field.q if field.e == 1 else int(x) for x in row)
-        if field.e > 1 and not all(0 <= x < field.q for x in flat):
-            raise FieldError(f"entry outside [0, {field.q}) for GF({field.q})")
-        return cls(r, c, tuple(flat), field)
-
-    @classmethod
     def zero(cls, rows: int, cols: int, field: FieldSpec) -> "Matrix":
         return cls(rows, cols, (0,) * (rows * cols), field)
 

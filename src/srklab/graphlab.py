@@ -290,7 +290,7 @@ def exact_T(spec: PowerGraphSpec, max_ball: int = DEFAULT_MAX_BALL) -> int:
 def graph_stats(spec: PowerGraphSpec,
                 max_ball: int = DEFAULT_MAX_BALL) -> GraphStats:
     params, k = spec.params, spec.k
-    V = counting.space_size(params)
+    V = params.size()
     D = counting.degree_D(params, k)
     T = exact_T(spec, max_ball)
     if (spectral := scheme.spectral_T(params, k)) != T:
@@ -769,15 +769,14 @@ def greedy_partition(spec: PowerGraphSpec,
     return codes
 
 
-def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,
-                  seed: int = 0) -> dict:
+def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64) -> dict:
     """Degree-regularity sweep (full, on spaces within
     ``DEFAULT_MAX_VERTICES``) and sampled translation-invariance checks
     of adjacency.  Degrees are read from the weight histogram of the
     space (``SpaceTables.histogram``, one build per space serves every k).
-    The samples x, y, z are drawn as one (sample_size, 3, L) array, which
-    on numpy 2.4 gives the same draws as three ``rng.integers(0, q,
-    size=L)`` calls a sample, and weighed at once."""
+    The samples x, y, z come from ``default_rng(0)`` as one (sample_size,
+    3, L) array, which on numpy 2.4 gives the same draws as three
+    ``rng.integers(0, q, size=L)`` calls a sample, and are weighed at once."""
     params, k = spec.params, spec.k
     tab = _tables(params)
     F = params.field
@@ -791,7 +790,7 @@ def verify_cayley(spec: PowerGraphSpec, sample_size: int = 64,
         report["degree_violations"] = [
             {"vertex": v, "degree": int(degrees[v])}
             for v in np.flatnonzero(degrees != D).tolist()]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     S = max(sample_size, 0)
     x, y, z = rng.integers(0, params.q, size=(S, 3, params.total_dim)
                            ).astype(tab.dtype).transpose(1, 0, 2)

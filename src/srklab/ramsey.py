@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .space import SrkParams, _is_int
-from . import bounds, graphlab
+from . import bounds, counting, graphlab
 
 
 class TableError(KeyError):
@@ -149,27 +149,35 @@ def reevaluate(derived: DerivedBound) -> bool:
     return True
 
 
+def _lower_step(inputs: dict, code_lb: int, cap: int) -> dict:
+    """The code-to-ramsey-lower step from the code bound ``code_lb``;
+    ValueError unless 1 <= code_lb <= cap, an upper bound on the size of
+    every code the chain reads."""
+    if code_lb < 1:
+        raise ValueError(f"code bound {code_lb} is below 1")
+    if code_lb > cap:
+        raise ValueError(f"code bound {code_lb} exceeds the cap {cap}")
+    return {"rule": "code-to-ramsey-lower",
+            "inputs": {**inputs, "code_lb": code_lb}, "output": code_lb + 1}
+
+
 def hamming_to_ramsey_lb(k: int, a: int, b: int, N: int, d: int,
                          table: RamseyTable, code_lb: int) -> DerivedBound:
     """From a size-lower-bound on A_q(N, d) with q = R(k;a,b) - 1, deduce
-    R(k; N*a, d*b) >= code_lb + 1."""
+    R(k; N*a, d*b) >= code_lb + 1; ValueError unless code_lb lies in
+    [1, q^(N-d+1)], the Singleton bound on A_q(N, d)."""
     if not b < a:
         raise ValueError("requires b < a")
     if not 1 <= d <= N:
         raise ValueError("requires 1 <= d <= N")
-    if code_lb < 1:
-        raise ValueError("code lower bound must be at least 1")
     R_ab = table.exact(k, a, b)
     q = R_ab - 1
-    r, s = N * a, d * b
-    step = {
-        "rule": "code-to-ramsey-lower",
-        "inputs": {"k": k, "a": a, "b": b, "N": N, "d": d, "q": q,
-                   "R(k;a,b)": R_ab, "code_lb": code_lb},
-        "output": code_lb + 1,
-    }
-    return DerivedBound(target=(k, r, s), kind="lower", value=code_lb + 1,
-                        derivation=[step])
+    # for q >= 2, q^e > code_lb once e reaches code_lb's bit length
+    cap = q ** min(N - d + 1, code_lb.bit_length())
+    step = _lower_step({"k": k, "a": a, "b": b, "N": N, "d": d, "q": q,
+                        "R(k;a,b)": R_ab}, code_lb, cap)
+    return DerivedBound(target=(k, N * a, d * b), kind="lower",
+                        value=code_lb + 1, derivation=[step])
 
 
 def hamming_gv_code_lb(q: int, N: int, d: int) -> int:
@@ -186,7 +194,8 @@ def srk_to_ramsey_lb(params: SrkParams, d: int, k: int, a: int, b: int,
     """Sum-rank variant: under q^m = R(k;a,b) - 1 with m = max m_i, a
     lower bound on the sum-rank code size pushes up R(k; N*a, d*b); the
     exponential cap on the same Ramsey number is evaluated for the
-    configured c' and reported alongside."""
+    configured c' and reported alongside.  ValueError unless 1 <= srk_lb
+    <= |V| // V((d-1)//2), the sphere-packing bound."""
     if not b < a:
         raise ValueError("requires b < a")
     m = max(params.m)
@@ -201,12 +210,9 @@ def srk_to_ramsey_lb(params: SrkParams, d: int, k: int, a: int, b: int,
     r, s = N * a, d * b
     if not (k >= 3 and r > s >= 1):
         raise ValueError("requires k >= 3 and r > s >= 1")
-    lower_step = {
-        "rule": "code-to-ramsey-lower",
-        "inputs": {"k": k, "a": a, "b": b, "N": N, "d": d, "q^m": qm,
-                   "R(k;a,b)": R_ab, "code_lb": srk_lb},
-        "output": srk_lb + 1,
-    }
+    lower_step = _lower_step(
+        {"k": k, "a": a, "b": b, "N": N, "d": d, "q^m": qm, "R(k;a,b)": R_ab},
+        srk_lb, params.size() // counting.ball_volume(params, (d - 1) // 2))
     cap_inputs = {"k": k, "r": r, "s": s, "c_prime": config.c_prime,
                   "log_base": config.log_base}
     cap = _rule_ramsey_exponential_cap(cap_inputs)

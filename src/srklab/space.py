@@ -441,8 +441,3 @@ def code_from_json(data: dict) -> SrkCode:
 def save_code(code: SrkCode, path) -> None:
     with open(path, "w") as fh:
         json.dump(code_to_json(code), fh, indent=1, sort_keys=True)
-
-
-def load_code(path) -> SrkCode:
-    with open(path) as fh:
-        return code_from_json(json.load(fh))

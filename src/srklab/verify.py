@@ -210,7 +210,7 @@ def suite_bridge_inequality():
                           make_params(2, (2, 1), (2, 2))))
 
 
-def _default_walk():
+def default_walk():
     """The rows of the default report, in the order it evaluates them."""
     return bounds.sweep_walk([(p, "all") for p in default_sweep()])
 
@@ -218,7 +218,7 @@ def _default_walk():
 def suite_cayley():
     """Degree regularity and translation invariance across the sweep."""
     checked = 0
-    for _, params, d in _default_walk():
+    for _, params, d in default_walk():
         spec = graphlab.PowerGraphSpec(params, d - 1)
         rep = graphlab.verify_cayley(spec, sample_size=16)
         checked += rep["degrees_checked"] + rep["translations_checked"]
@@ -231,7 +231,7 @@ def suite_triangles():
     """3*Delta = T*|V| as an exact integer identity, plus T <= T_upper
     for leading-square-block instances."""
     checked = 0
-    for _, params, d in _default_walk():
+    for _, params, d in default_walk():
         k = d - 1
         stats = graphlab.graph_stats(graphlab.PowerGraphSpec(params, k))
         checked += 1
@@ -256,7 +256,7 @@ def suite_gv_chain():
     of ``graphlab.greedy_partition``, which certifies that they cover V
     once each at minimum distance >= d, must be the report's."""
     checked = alpha_solved = 0
-    for _, params, d in _default_walk():
+    for _, params, d in default_walk():
         rep = bounds.bound_report(params, d, max_nodes=SWEEP_MAX_NODES)
         classes = graphlab.greedy_partition(
             graphlab.PowerGraphSpec(params, d - 1))
@@ -295,9 +295,3 @@ SUITES = {
     "triangles": suite_triangles,
     "gv-chain": suite_gv_chain,
 }
-
-
-def run_suite(name: str) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[name]()

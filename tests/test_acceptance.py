@@ -43,7 +43,7 @@ def test_criterion_02_q_identity():
                     total = sum(counting.Q_closed(i, j, c, n, q)
                                 for c in range(j + 1))
                     assert total == counting.square_rank_count(n, j, q)
-    rep = verify.run_suite("q-identity")  # adds the exhaustive fixed-X oracle
+    rep = verify.SUITES["q-identity"]()  # adds the exhaustive fixed-X oracle
     assert rep["ok"], rep
     assert time.monotonic() - start < 30.0
 

@@ -13,7 +13,7 @@ import pytest
 import srklab
 from srklab import graphlab
 from srklab.cli import build_parser, main
-from srklab.space import load_code, min_distance
+from srklab.space import code_from_json, min_distance
 
 
 def run(capsys, *argv):
@@ -60,7 +60,7 @@ def test_alpha_with_witness(capsys, tmp_path):
     rc, out, _ = run(capsys, "alpha", "-q", "2", "-n", "2", "-m", "2",
                      "-k", "1", "-o", str(path))
     assert rc == 0 and out.strip() == "4"
-    code = load_code(path)
+    code = code_from_json(json.loads(path.read_text()))
     assert len(code) == 4
     assert min_distance(code) >= 2
 
@@ -525,6 +525,24 @@ def test_malformed_ramsey_chain_is_usage_error(capsys, tmp_path, chain):
     rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
     assert rc == 2 and out == ""
     assert "bad input file" in err
+
+
+@pytest.mark.parametrize("chain", [
+    # |V| = 125 and d = 2: the sphere-packing bound is 125 words
+    {**_SRK, "srk_lb": 1000},
+    {**_SRK, "srk_lb": -3},
+    # A_5(2, 2) <= 5, the Singleton bound
+    {**_HAMMING, "N": 2, "code_lb": 1000},
+    {**_HAMMING, "N": 2, "code_lb": 0},
+])
+def test_ramsey_chain_refuses_a_code_bound_no_code_reaches(capsys, tmp_path,
+                                                          chain):
+    table_path = _write_table(tmp_path)
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
+    assert rc == 2 and out == ""
+    assert "chain does not apply" in err
 
 
 @pytest.mark.parametrize("table", [

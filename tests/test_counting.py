@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from srklab.counting import (P_upper, Q_closed, T_upper, ball_volume,
                              count_rank_matrices, degree_D, epsilon_star,
-                             gaussian_binomial, rank_distribution, space_size,
+                             gaussian_binomial, rank_distribution,
                              square_rank_count, subspace_intersection_count,
                              weight_enumerator)
 from srklab.gf import enumerate_matrices, field_make, rank
@@ -93,9 +93,9 @@ def test_rank_distribution_against_enumeration():
 
 
 def test_space_size_examples():
-    assert space_size(make_params(2, (1, 1), (1, 1))) == 4
-    assert space_size(make_params(2, (2,), (2,))) == 16
-    assert space_size(make_params(3, (1, 2), (2, 2))) == 729
+    assert make_params(2, (1, 1), (1, 1)).size() == 4
+    assert make_params(2, (2,), (2,)).size() == 16
+    assert make_params(3, (1, 2), (2, 2)).size() == 729
 
 
 def test_ball_volume_examples():
@@ -108,8 +108,8 @@ def test_ball_volume_monotone_and_saturating():
     params = make_params(2, (1, 2), (2, 2))
     vols = [ball_volume(params, k) for k in range(params.max_weight + 2)]
     assert all(a <= b for a, b in zip(vols, vols[1:]))
-    assert vols[params.max_weight] == space_size(params)
-    assert vols[-1] == space_size(params)
+    assert vols[params.max_weight] == params.size()
+    assert vols[-1] == params.size()
 
 
 def test_ball_volume_counts_only_the_rank_classes_it_reads(monkeypatch):
@@ -223,5 +223,5 @@ def test_epsilon_star():
 def test_weight_enumerator_matches_block_product():
     params = make_params(2, (1, 2), (2, 2))
     coeffs = weight_enumerator(params)
-    assert sum(coeffs) == space_size(params)
+    assert sum(coeffs) == params.size()
     assert coeffs[0] == 1

@@ -108,6 +108,30 @@ def test_hamming_to_ramsey_lb_validation(table):
         hamming_to_ramsey_lb(3, 2, 1, N=2, d=3, table=table, code_lb=5)
 
 
+def test_code_bounds_are_capped_where_codes_end(table):
+    # Singleton: A_5(2, 2) <= 5
+    assert hamming_to_ramsey_lb(3, 2, 1, N=2, d=2, table=table,
+                                code_lb=5).value == 6
+    with pytest.raises(ValueError):
+        hamming_to_ramsey_lb(3, 2, 1, N=2, d=2, table=table, code_lb=6)
+    assert hamming_to_ramsey_lb(3, 2, 1, N=40, d=1, table=table,
+                                code_lb=5 ** 40).value == 5 ** 40 + 1
+    with pytest.raises(ValueError):
+        hamming_to_ramsey_lb(3, 2, 1, N=40, d=1, table=table,
+                             code_lb=5 ** 40 + 1)
+    # 5^(10^9) has ~2.3e9 bits; the cap never computes it
+    assert hamming_to_ramsey_lb(3, 2, 1, N=10 ** 9, d=1, table=table,
+                                code_lb=5 ** 40).value == 5 ** 40 + 1
+    # sphere packing at d = 3: 125 // V(1) = 125 // 13 = 9
+    params = make_params(5, (1, 1, 1), (1, 1, 1))
+    assert srk_to_ramsey_lb(params, d=3, k=3, a=2, b=1, table=table,
+                            srk_lb=9).value == 10
+    for srk_lb in (0, 10):
+        with pytest.raises(ValueError):
+            srk_to_ramsey_lb(params, d=3, k=3, a=2, b=1, table=table,
+                             srk_lb=srk_lb)
+
+
 def test_reevaluate_detects_tampering(table):
     db = hamming_to_ramsey_lb(3, 2, 1, N=3, d=2, table=table, code_lb=3)
     assert reevaluate(db)
@@ -138,7 +162,7 @@ def test_srk_to_ramsey_inconsistency_flag(table):
     params = make_params(5, (1, 1, 1), (1, 1, 1))
     cfg = ChainConfig(c_prime=1e-6)
     db = srk_to_ramsey_lb(params, d=2, k=3, a=2, b=1, table=table,
-                          srk_lb=10 ** 6, config=cfg)
+                          srk_lb=25, config=cfg)
     assert any("inconsistent" in f for f in db.flags)
 
 

@@ -17,8 +17,9 @@ from srklab.space import (HammingVector, SrkCode, SrkParams, SrkVector,
 
 def _vec(params, *block_rows):
     F = params.field
-    return SrkVector(params, tuple(Matrix.from_rows(rows, F)
-                                   for rows in block_rows))
+    return SrkVector(params, tuple(
+        Matrix(len(rows), len(rows[0]), tuple(x for r in rows for x in r), F)
+        for rows in block_rows))
 
 
 def test_params_validation():
