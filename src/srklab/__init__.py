@@ -4,7 +4,7 @@ from .gf import (FieldSpec, Matrix, field_make, field_from_order, rank,
                  col_space_intersection_dim, row_space_intersection_dim,
                  enumerate_matrices, BudgetError, FieldError, ShapeError)
 from .space import (SrkParams, SrkVector, SrkCode, HammingVector, make_params,
-                    srk_weight, srk_distance, enumerate_space, enumerate_sphere,
+                    srk_weight, srk_distance, enumerate_space,
                     f_map, wt_preservation_check, min_distance,
                     code_to_json, code_from_json)
 from .counting import (gaussian_binomial, count_rank_matrices,

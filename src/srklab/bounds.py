@@ -10,6 +10,7 @@ GV and are reported without adjudication.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -121,7 +122,7 @@ def bound_report(params: SrkParams, d: int, *,
         rep.exact_alpha = V
         rep.greedy_code_size = V
         rep.num_classes = 1
-        rep.avg_class_size = float(V)
+        rep.avg_class_size = V if V > sys.float_info.max else float(V)
         return rep
 
     spec = graphlab.PowerGraphSpec(params, k)
@@ -130,10 +131,9 @@ def bound_report(params: SrkParams, d: int, *,
         rep.D, rep.T, rep.Delta = stats.D, stats.T, stats.Delta
         rep.eps_star = "inf" if math.isinf(stats.eps_star) else stats.eps_star
         rep.triangle_free = stats.T == 0
-        if stats.D >= 1:
-            rep.aks_lower = aks_alpha_lower(V, stats.D, stats.Delta)
-            if improved_eps is not None:
-                rep.improved_gv = improved_gv_value(improved_eps, V, stats.D)
+        rep.aks_lower = aks_alpha_lower(V, stats.D, stats.Delta)
+        if improved_eps is not None:
+            rep.improved_gv = improved_gv_value(improved_eps, V, stats.D)
     except BudgetError as exc:
         rep.notes.append(f"graph stats skipped: {exc}")
 

@@ -375,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # print exact ints whole
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         rc = args.func(args)
-    except SystemExit:
-        raise
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

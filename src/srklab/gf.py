@@ -308,9 +308,6 @@ class FieldSpec:
             n >>= 1
         return r
 
-    def elements(self):
-        return range(self.q)
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
 
@@ -375,17 +372,6 @@ class Matrix:
         d["cols"] = cols
         d["entries"] = entries
         d["field"] = field
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: FieldSpec) -> "Matrix":
-        return cls(rows, cols, (0,) * (rows * cols), field)
-
-    @classmethod
-    def identity(cls, n: int, field: FieldSpec) -> "Matrix":
-        ent = [0] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = 1
-        return cls(n, n, tuple(ent), field)
 
     def __getitem__(self, rc):
         r, c = rc

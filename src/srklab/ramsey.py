@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .space import SrkParams, _is_int
+from .space import SrkParams, _is_int, make_params
 from . import bounds, counting, graphlab
 
 
@@ -119,17 +119,23 @@ def _rule_code_to_ramsey_lower(inp: dict):
     return inp["code_lb"] + 1
 
 
-def _rule_ramsey_exponential_cap(inp: dict):
+def _cap_exponent(inp: dict) -> float:
     r, s = inp["r"], inp["s"]
-    log_arg = r / min(s, r - s)
-    exponent = (inp["c_prime"] * inp["k"] * (r - s) ** 2 / r
-                * math.log(log_arg) / math.log(inp["log_base"]))
-    return 2.0 ** exponent
+    return (inp["c_prime"] * inp["k"] * (r - s) ** 2 / r
+            * math.log(r / min(s, r - s)) / math.log(inp["log_base"]))
+
+
+def _rule_ramsey_exponential_cap(inp: dict):
+    exponent = _cap_exponent(inp)  # floats end below 2^1024
+    return 2.0 ** exponent if exponent < 1024 else math.inf
 
 
 def _rule_zero_rate_upper(inp: dict):
-    return max((1.0 + inp["eps"]) * inp["code_value"],
-               inp["eps"] * inp["d"])
+    try:
+        code_term = (1.0 + inp["eps"]) * inp["code_value"]
+    except OverflowError:  # math.inf past the float range
+        code_term = math.inf
+    return max(code_term, inp["eps"] * inp["d"])
 
 
 _RULES = {
@@ -183,7 +189,6 @@ def hamming_to_ramsey_lb(k: int, a: int, b: int, N: int, d: int,
 def hamming_gv_code_lb(q: int, N: int, d: int) -> int:
     """GV lower bound on A_q(N, d) via the all-1x1 sum-rank instance;
     q must be a prime power."""
-    from .space import make_params
     params = make_params(q, (1,) * N, (1,) * N)
     return bounds.gv_lower(params, d)
 
@@ -221,7 +226,8 @@ def srk_to_ramsey_lb(params: SrkParams, d: int, k: int, a: int, b: int,
     out = DerivedBound(target=(k, r, s), kind="lower", value=srk_lb + 1,
                        derivation=[lower_step, cap_step])
     out.flags.append(f"exponential cap for c'={config.c_prime}: {cap}")
-    if cap < srk_lb:
+    if (cap < srk_lb if cap < math.inf
+            else math.log2(srk_lb) > _cap_exponent(cap_inputs)):
         out.flags.append("inconsistent: configured cap below the code bound")
     return out
 

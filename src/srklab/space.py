@@ -133,11 +133,6 @@ class SrkVector:
                 raise ShapeError(f"block shape {blk.rows}x{blk.cols}, "
                                  f"expected {ni}x{mi}")
 
-    @classmethod
-    def zero(cls, params: SrkParams) -> "SrkVector":
-        return cls(params, tuple(Matrix.zero(ni, mi, params.field)
-                                 for ni, mi in params.block_shapes()))
-
     def sub(self, other: "SrkVector") -> "SrkVector":
         if self.params != other.params:
             raise ShapeError("vectors from different spaces")
@@ -193,13 +188,6 @@ def enumerate_space(params: SrkParams):
         yield vector_from_digits(params, digits)
 
 
-def enumerate_sphere(params: SrkParams, w: int):
-    """Every vector of sum-rank weight exactly w, canonical order."""
-    for x in enumerate_space(params):
-        if srk_weight(x) == w:
-            yield x
-
-
 @dataclass(frozen=True)
 class HammingVector:
     """Vector over the extension field GF(q^m); entries are integers in
@@ -209,22 +197,8 @@ class HammingVector:
     ext_degree: int
     entries: tuple
 
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
     def hamming_weight(self) -> int:
         return sum(1 for e in self.entries if e != 0)
-
-    def sub(self, other: "HammingVector") -> "HammingVector":
-        if (self.base_field, self.ext_degree) != (other.base_field, other.ext_degree):
-            raise ShapeError("extension fields differ")
-        F, m = self.base_field, self.ext_degree
-        q = F.q
-        return HammingVector(F, m, tuple(
-            digits_int([F.sub(x, y) for x, y in
-                        zip(int_digits(a, q, m), int_digits(b, q, m))], q)
-            for a, b in zip(self.entries, other.entries)))
 
 
 def f_map(x: SrkVector) -> HammingVector:

@@ -63,6 +63,13 @@ def test_bound_report_distance_one():
     assert rep.greedy_code_size == 16
     assert rep.num_classes == 1
     assert rep.gv == 16
+    assert rep.avg_class_size == 16.0 and isinstance(rep.avg_class_size, float)
+
+
+def test_bound_report_distance_one_past_the_float_range():
+    # the one class is the whole space, 2^1100 words: kept exact
+    rep = bound_report(make_params(2, (1,) * 1100, (1,) * 1100), 1)
+    assert rep.avg_class_size == 2 ** 1100
 
 
 def test_bound_report_cube():

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import random
@@ -11,9 +12,9 @@ import sys
 import pytest
 
 import srklab
-from srklab import graphlab
+from srklab import bounds, counting, graphlab, ramsey
 from srklab.cli import build_parser, main
-from srklab.space import code_from_json, min_distance
+from srklab.space import code_from_json, make_params, min_distance
 
 
 def run(capsys, *argv):
@@ -583,6 +584,67 @@ def test_ramsey_zero_rate_upper_reads_the_code_size(capsys, tmp_path, chain,
     payload = json.loads(out)
     assert payload["derivation"][0]["inputs"]["code_value"] == code_value
     assert payload["value"] == 1.5 * code_value
+
+
+# every answer below has more than the 4,300 digits that CPython prints
+# by default; exact integers are printed whole
+def test_volume_prints_an_answer_past_the_digit_limit(capsys):
+    rc, out, err = run(capsys, "volume", "-q", "2", "-n", "8000",
+                       "-m", "8000", "-k", "1")
+    assert (rc, err) == (0, "")
+    want = counting.ball_volume(make_params(2, (8000,), (8000,)), 1)
+    assert out == f"{want}\n" and len(out) > 4301
+
+
+def test_count_prints_an_answer_past_the_digit_limit(capsys):
+    rc, out, err = run(capsys, "count", "-q", "2", "-n", "200", "-m", "200",
+                       "-r", "200")
+    assert (rc, err) == (0, "")
+    assert out == f"{counting.count_rank_matrices(200, 200, 200, 2)}\n"
+
+
+def test_qtable_prints_answers_past_the_digit_limit(capsys):
+    rc, out, err = run(capsys, "qtable", "-q", "2", "-n", "300")
+    assert (rc, err) == (0, "")
+    assert out == "".join(f"{k} {counting.gaussian_binomial(300, k, 2)}\n"
+                          for k in range(301))
+
+
+def test_report_prints_a_row_past_the_digit_limit(capsys, tmp_path):
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(
+        {"instances": [{"q": 2, "n": [1], "m": [15000], "d": [2]}]}))
+    rc, out, err = run(capsys, "report", "--config", str(cfg_path))
+    assert (rc, err) == (0, "")
+    p = make_params(2, (1,), (15000,))
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert (row["V"], row["ball"], row["gv"]) == (
+        str(p.size()), str(counting.ball_volume(p, 1)),
+        str(bounds.gv_lower(p, 2)))
+
+
+@pytest.mark.parametrize("chain,value", [
+    # 60 blocks: the cap's exponent is ~2,056, past the float range
+    ({**_SRK, "n": [1] * 60, "m": [1] * 60},
+     bounds.gv_lower(make_params(5, (1,) * 60, (1,) * 60), 2) + 1),
+    # d - c*j = 4 - 3 * 1 = 1: the whole space, 2^1100, past the float range
+    ({"chain": "zero-rate-upper", "q": 2, "n": [1] * 1100, "m": [1] * 1100,
+      "t": 8, "d": 4, "config": {"c": 3.0}}, math.inf),
+], ids=["srk", "zero-rate-upper"])
+def test_ramsey_float_rules_yield_inf_past_the_float_range(capsys, tmp_path,
+                                                           chain, value):
+    table_path = _write_table(tmp_path)
+    chain_path = tmp_path / "chain.json"
+    chain_path.write_text(json.dumps(chain))
+    rc, out, err = run(capsys, "ramsey", str(chain_path), str(table_path))
+    assert (rc, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["value"] == value
+    assert math.inf in [step["output"] for step in payload["derivation"]]
+    assert not any("inconsistent" in f for f in payload["flags"])
+    assert ramsey.reevaluate(ramsey.DerivedBound(
+        tuple(payload["target"]), payload["kind"], payload["value"],
+        payload["derivation"]))
 
 
 @pytest.mark.parametrize("budgets", [

@@ -120,7 +120,7 @@ def test_factor_prime_power():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_field_axioms_exhaustive(q):
     F = field_from_order(q)
-    els = list(F.elements())
+    els = range(F.q)
     for a in els:
         assert F.add(a, 0) == a
         assert F.mul(a, 1) == a
@@ -138,8 +138,8 @@ def test_field_axioms_exhaustive(q):
 
 def test_rank_examples():
     F2, F3 = field_make(2), field_make(3)
-    assert rank(Matrix.zero(2, 2, F2)) == 0
-    assert rank(Matrix.identity(3, F3)) == 3
+    assert rank(Matrix(2, 2, (0,) * 4, F2)) == 0
+    assert rank(Matrix(3, 3, (1, 0, 0, 0, 1, 0, 0, 0, 1), F3)) == 3
     assert rank(Matrix(2, 2, (1, 1, 1, 1), F2)) == 1
 
 
@@ -164,7 +164,7 @@ def test_col_space_intersection_examples():
     Y = Matrix(2, 2, (0, 0, 0, 1), F)
     assert col_space_intersection_dim(X, Y) == 0
     assert col_space_intersection_dim(X, X) == rank(X)
-    assert col_space_intersection_dim(X, Matrix.zero(2, 2, F)) == 0
+    assert col_space_intersection_dim(X, Matrix(2, 2, (0,) * 4, F)) == 0
 
 
 def test_col_space_intersection_symmetric():

@@ -166,6 +166,21 @@ def test_srk_to_ramsey_inconsistency_flag(table):
     assert any("inconsistent" in f for f in db.flags)
 
 
+@pytest.mark.parametrize("c_prime,inconsistent", [(0.04, True),
+                                                  (0.045, False)])
+def test_inconsistency_flag_past_the_float_range(table, c_prime,
+                                                 inconsistent):
+    # r = 1000, s = 2: the cap is 2^1071.6 at c' = 0.04 and 2^1205.5 at
+    # c' = 0.045, both past the float range, around the code bound 2^1100
+    params = make_params(5, (1,) * 500, (1,) * 500)
+    db = srk_to_ramsey_lb(params, d=2, k=3, a=2, b=1, table=table,
+                          srk_lb=2 ** 1100,
+                          config=ChainConfig(c_prime=c_prime))
+    assert db.derivation[1]["output"] == math.inf
+    assert reevaluate(db)
+    assert any("inconsistent" in f for f in db.flags) == inconsistent
+
+
 def test_exponential_cap_value(table):
     params = make_params(5, (1, 1, 1), (1, 1, 1))
     db = srk_to_ramsey_lb(params, d=2, k=3, a=2, b=1, table=table, srk_lb=3)
