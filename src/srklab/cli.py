@@ -113,8 +113,8 @@ def cmd_qtable(args) -> int:
     _check_field_order(args.q)
     if args.n < 0:
         return _usage("n must be nonnegative")
-    for k in range(args.n + 1):
-        print(k, counting.gaussian_binomial(args.n, k, args.q))
+    for k, value in enumerate(counting.gaussian_column(args.n, args.q)):
+        print(k, value)
     return 0
 
 

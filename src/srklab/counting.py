@@ -40,6 +40,20 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return _exact_div(num, den)
 
 
+def gaussian_column(n: int, q: int) -> list:
+    """[n, k]_q for k = 0..n by the recurrence [n, k+1] = [n, k] *
+    (q^(n-k) - 1) / (q^(k+1) - 1), each division checked exact."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    column = [1]
+    for k in range(n):
+        column.append(_exact_div(column[-1] * (q ** (n - k) - 1),
+                                 q ** (k + 1) - 1))
+    return column
+
+
 @lru_cache(maxsize=None)
 def count_rank_matrices(n: int, m: int, r: int, q: int) -> int:
     """Number of n x m matrices over GF(q) of rank exactly r."""

@@ -7,7 +7,7 @@ run over numpy digit tables with per-block rank lookup tables, so no
 explicit edge list is ever built.  Three caches hold every build: the
 rank table of each block shape (``_block_rank_table``), one record per
 space (``_tables``, a ``SpaceTables``) and one adjacency record per spec
-(``_adjacency``: packed rows, their bitmask ints and the lex first-fit
+(``_adjacency``: the neighbour bitmask ints and the lex first-fit
 partition), which the MIS solver and the greedy partition read.  One
 first-fit routine (``_greedy_classes``) colours both partition orders and
 every candidate set of the exact search, for its bounds and branch order.
@@ -307,21 +307,19 @@ def graph_stats(spec: PowerGraphSpec,
 def adjacency_masks(spec: PowerGraphSpec,
                     max_vertices: int = DEFAULT_MAX_VERTICES) -> tuple:
     """Per-vertex neighbour bitmasks over the whole (budgeted) space: the
-    masks of the spec's adjacency record (``_adjacency``), which is built
-    once whatever budget admitted it; BudgetError when |V| exceeds
-    max_vertices."""
+    masks of the spec's adjacency record (``_adjacency``), its one copy of
+    the graph, built once whatever budget admitted it; BudgetError when
+    |V| exceeds max_vertices."""
     if (V := spec.params.size()) > max_vertices:
         raise BudgetError(f"|V| = {V} exceeds vertex budget {max_vertices}")
     return _adjacency(spec).masks
 
 
 class _Adjacency(NamedTuple):
-    """The adjacency of one spec: ``rows`` packs row v of the adjacency
-    matrix (bit u, little bit order, is set iff u is a neighbour of v;
-    read-only), ``masks`` holds the same rows as bitmask ints and ``lex``
+    """The adjacency of one spec: ``masks[v]`` is the bitmask int of v's
+    neighbours (bit u is set iff u is a neighbour of v) and ``lex`` holds
     the class bitmasks of the lex first-fit partition."""
 
-    rows: np.ndarray
     masks: tuple
     lex: tuple
 
@@ -370,12 +368,13 @@ def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
     chunk at a time (``_translates``), and no difference is ranked.  As a
     check, each row must have exactly |B*| bits and no loop; a wrong sum
     or index encoding breaks one of these and raises ArithmeticError.
-    The lex classes grow one class at a time (``_greedy_classes``)."""
+    Each checked chunk of rows becomes mask ints at once.  The lex
+    classes grow one class at a time (``_greedy_classes``)."""
     params = spec.params
     V = params.size()
     ball = _tables(params).ball(spec.k)  # |B*| < |V|, in the vertex budget
     D = len(ball)
-    packed = np.empty((V, (V + 7) // 8), dtype=np.uint8)
+    masks = []
     for start, nbr in _translates(params, ball):
         rows = np.arange(len(nbr))
         adj = np.zeros((len(nbr), V), dtype=bool)
@@ -385,12 +384,9 @@ def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
             raise ArithmeticError(
                 f"a translate of the ball at vertices {start}.."
                 f"{start + len(nbr) - 1} does not have {D} neighbours")
-        packed[start:start + len(nbr)] = np.packbits(adj, axis=1,
-                                                    bitorder="little")
-    packed.flags.writeable = False
-    masks = tuple(_row_masks(packed))
-    return _Adjacency(packed, masks, tuple(_greedy_classes(masks,
-                                                           [(1 << V) - 1])))
+        masks += _row_masks(adj)
+    masks = tuple(masks)
+    return _Adjacency(masks, tuple(_greedy_classes(masks, [(1 << V) - 1])))
 
 
 def _weight_rows(params: SrkParams, digits: np.ndarray):
@@ -419,7 +415,7 @@ class SolverBudgetError(BudgetError):
     """The exact solver exceeded its node budget; no answer is reported.
     ``nodes``, ``lb`` and ``ub`` record where the search stopped: it had
     an independent set of size lb and a proof that alpha <= ub, which
-    ``ub_source`` names ("anticode", "lp" or "colouring")."""
+    ``ub_source`` names ("lp" or "colouring")."""
 
     def __init__(self, message: str, nodes=None, lb=None, ub=None,
                  ub_source=None):
@@ -439,10 +435,9 @@ class MisResult:
     ``nodes`` counts the search nodes charged to the budget (the root is
     node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
     seed codes: the largest class of the lex greedy partition and, where
-    it applies, the Gabidulin code; the clique-coclique, Delsarte LP and
-    colouring bounds), so
-    ``lb == ub`` means the answer needed no branching; ``ub_source`` names
-    the bound that gave ub ("anticode", "lp" or "colouring").  Unpacks as
+    it applies, the Gabidulin code; the Delsarte LP and colouring bounds),
+    so ``lb == ub`` means the answer needed no branching; ``ub_source``
+    names the bound that gave ub ("lp" or "colouring").  Unpacks as
     ``alpha, witness``."""
 
     alpha: int
@@ -528,29 +523,9 @@ class _Search:
 
 
 def _row_masks(mat: np.ndarray) -> list:
-    """Bitmask ints of the rows of a boolean matrix, or of the same rows
-    packed (uint8, little bit order)."""
-    if mat.dtype == bool:
-        mat = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in mat]
-
-
-def _anticode(params: SrkParams, k: int) -> list:
-    """Canonical indices of a sum-rank anticode of diameter k: every vector
-    supported on a fixed set of min(k, sum n_i) rows, taken from the
-    widest blocks.  Any two of its vectors differ on those rows only, so
-    they are at distance <= k: a clique of the power graph."""
-    offsets = params.block_offsets()
-    positions = []
-    left = k
-    for i in sorted(range(params.t), key=lambda i: -params.m[i]):
-        rows = min(left, params.n[i])
-        left -= rows
-        positions.extend(range(offsets[i], offsets[i] + rows * params.m[i]))
-    digits = np.zeros((params.q ** len(positions), params.total_dim),
-                      dtype=digit_dtype(params.q))
-    digits[:, positions] = digit_rows(params.q, len(positions))
-    return digit_index(digits, params.q).tolist()
+    """Bitmask ints of a boolean matrix's rows: bit j of int i is mat[i, j]."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def gabidulin_indices(params: SrkParams, d: int):
@@ -622,26 +597,22 @@ def max_independent_set(spec: PowerGraphSpec,
     the lex greedy partition (``greedy_partition``; class 0, the lex
     greedy code, is never larger) and, for one block over a prime field,
     the Gabidulin code, each checked independent on the masks; it stops
-    as soon as lb meets ub = min(|V| // |anticode| (clique-coclique bound
-    of a vertex-transitive graph), the Delsarte LP bound with its dual
+    as soon as lb meets ub = min(the Delsarte LP bound with its dual
     re-checked (``scheme.delsarte_lp``), the colouring bounds of the
-    classes).  All sub-searches share one budget of ``max_nodes`` nodes.
+    classes).  Delsarte's clique-coclique inequality keeps the LP bound
+    at or below |V| // |A| for every anticode A of diameter k, so no
+    clique bound is needed besides it.  The complement matrix is unpacked
+    from the masks; all sub-searches share one budget of ``max_nodes``.
     The alpha returned is certified: the witness's minimum distance is
     recomputed by ``space.min_distance``, which does not read the masks,
     and one below k+1 raises ArithmeticError."""
     params, k = spec.params, spec.k
     masks = adjacency_masks(spec, max_vertices)
-    adj = _adjacency(spec)   # the record behind the masks
     V = len(masks)
     search = _Search(max_nodes, V)
     search.tick()   # the root, before any bound is consulted
 
-    anticode = _anticode(params, k)
-    clique = _index_bits(anticode)
-    if any((masks[v] | 1 << v) & clique != clique for v in anticode):
-        raise ArithmeticError("anticode is not a clique")
-    search.bound(V // len(anticode), "anticode")
-    largest = max(adj.lex, key=int.bit_count)
+    largest = max(_adjacency(spec).lex, key=int.bit_count)
     _independent(masks, largest, "greedy partition class")
     search.offer(largest.bit_count(), largest)
     seed = gabidulin_indices(params, k + 1)
@@ -649,13 +620,13 @@ def max_independent_set(spec: PowerGraphSpec,
         seed_bits = _index_bits(seed)
         _independent(masks, seed_bits, "Gabidulin code")
         search.offer(len(seed), seed_bits)
-    if search.lb < search.ub:
-        search.bound(math.floor(scheme.delsarte_lp(params, k + 1).value), "lp")
+    search.bound(math.floor(scheme.delsarte_lp(params, k + 1).value), "lp")
 
     subs = []
     if search.lb < search.ub:
-        comp = np.unpackbits(adj.rows, axis=1, count=V,
-                             bitorder="little") == 0
+        rows = b"".join(m.to_bytes((V + 7) // 8, "little") for m in masks)
+        comp = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(V, -1),
+                             axis=1, count=V, bitorder="little") == 0
         np.fill_diagonal(comp, False)
         label = _tables(params).labels
         outside = np.flatnonzero(comp[0])

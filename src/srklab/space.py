@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -72,13 +73,17 @@ class SrkParams:
                     f"m_i >= n_i required for every block (got {ni}x{mi})")
             offsets.append(offsets[-1] + ni * mi)
             groups.setdefault((ni, mi), []).append(i)
-        # The block layout and |V| once per (frozen) space, outside the
-        # fields, so equality and hashing see (field, n, m) only; every
-        # SrkCode checks its indices against |V|.
+        # The block layout once per (frozen) space, outside the fields, so
+        # equality and hashing see (field, n, m) only.
         object.__setattr__(self, "_offsets", tuple(offsets))
         object.__setattr__(self, "_groups", tuple(
             (shape, tuple(blocks)) for shape, blocks in groups.items()))
-        object.__setattr__(self, "_size", self.q ** offsets[-1])
+
+    @cached_property
+    def _size(self) -> int:
+        """|V|, computed when first asked, not when the space is built: a
+        ball volume of a huge space never needs it."""
+        return self.q ** self.total_dim
 
     @property
     def t(self) -> int:

@@ -589,10 +589,10 @@ def test_ramsey_zero_rate_upper_reads_the_code_size(capsys, tmp_path, chain,
 # every answer below has more than the 4,300 digits that CPython prints
 # by default; exact integers are printed whole
 def test_volume_prints_an_answer_past_the_digit_limit(capsys):
-    rc, out, err = run(capsys, "volume", "-q", "2", "-n", "8000",
-                       "-m", "8000", "-k", "1")
+    rc, out, err = run(capsys, "volume", "-q", "2", "-n", "30000",
+                       "-m", "30000", "-k", "1")
     assert (rc, err) == (0, "")
-    want = counting.ball_volume(make_params(2, (8000,), (8000,)), 1)
+    want = counting.ball_volume(make_params(2, (30000,), (30000,)), 1)
     assert out == f"{want}\n" and len(out) > 4301
 
 

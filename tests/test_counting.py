@@ -53,6 +53,17 @@ def test_gaussian_binomial_against_brute_force():
     assert gaussian_binomial(3, 2, 3) == _brute_subspace_count(3, 2, 3)
 
 
+def test_gaussian_column_matches_gaussian_binomial():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(41):
+            assert counting.gaussian_column(n, q) == \
+                [gaussian_binomial(n, k, q) for k in range(n + 1)]
+    with pytest.raises(ValueError):
+        counting.gaussian_column(-1, 2)
+    with pytest.raises(ValueError):
+        counting.gaussian_column(3, 1)
+
+
 @given(st.integers(0, 12), st.integers(0, 12), st.sampled_from([2, 3, 4, 5]))
 def test_gaussian_binomial_symmetry(n, k, q):
     if k <= n:

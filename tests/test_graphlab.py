@@ -262,7 +262,7 @@ def test_gf257_stats_use_wide_digits():
 
 
 @pytest.mark.parametrize("q,n,m,k,alpha", [
-    (2, (3,), (3,), 1, 64),          # MRD size, met by the anticode bound
+    (2, (3,), (3,), 1, 64),          # MRD size, met by the LP bound
     (3, (1,) * 5, (1,) * 5, 2, 18),  # A_3(5, 3)
 ])
 def test_mis_closes_formerly_budget_stopped_rows(q, n, m, k, alpha):
@@ -278,7 +278,7 @@ def test_mis_result_unpacks_and_reports_the_search():
     result = max_independent_set(PowerGraphSpec(make_params(2, (3,), (3,)), 1))
     size, code = result
     assert (size, code) == (result.alpha, result.witness)
-    # the Gabidulin seed meets the clique-coclique bound 512 / 8
+    # the Gabidulin seed meets the LP bound 64
     assert (result.nodes, result.lb, result.ub) == (1, 64, 64)
 
 
@@ -324,12 +324,12 @@ _BRANCHING_SEARCHES = [
     # (q, n, m, k, alpha, nodes, lb, ub, ub_source, witness)
     (2, (2, 2), (2, 2), 2, 9, 31, 4, 10, "lp",
      [0, 22, 93, 100, 115, 142, 184, 201, 239]),
-    (3, (1,) * 3, (1,) * 3, 1, 9, 9, 7, 9, "anticode",
+    (3, (1,) * 3, (1,) * 3, 1, 9, 9, 7, 9, "lp",
      [0, 4, 8, 10, 14, 15, 20, 21, 25]),
-    (3, (1,) * 4, (1,) * 4, 1, 27, 126, 21, 27, "anticode",
+    (3, (1,) * 4, (1,) * 4, 1, 27, 126, 21, 27, "lp",
      [0, 4, 8, 10, 14, 15, 20, 21, 25, 29, 30, 34, 36, 40, 44, 46, 50, 51,
       55, 59, 60, 65, 66, 70, 72, 76, 80]),
-    (3, (1,) * 5, (1,) * 5, 1, 81, 81, 61, 81, "anticode",
+    (3, (1,) * 5, (1,) * 5, 1, 81, 81, 61, 81, "lp",
      [0, 4, 8, 10, 14, 15, 20, 21, 25, 28, 32, 33, 38, 39, 43, 45, 49, 53,
       56, 57, 61, 63, 67, 71, 73, 77, 78, 82, 86, 87, 92, 93, 97, 99, 103,
       107, 110, 111, 115, 117, 121, 125, 127, 131, 132, 135, 139, 143, 145,
@@ -360,7 +360,7 @@ def test_a_budget_stop_after_branching_is_pinned():
         max_independent_set(spec, max_nodes=500)
     exc = info.value
     assert (exc.nodes, exc.lb, exc.ub, exc.ub_source) \
-        == (501, 355, 512, "anticode")
+        == (501, 355, 512, "lp")
 
 
 def test_largest_lex_class_seeds_the_search():
@@ -605,10 +605,8 @@ def test_adjacency_masks_built_once_per_spec():
     info = graphlab._adjacency.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
     adj = graphlab._adjacency(spec)
-    assert adj.masks is masks and not adj.rows.flags.writeable
-    assert adj.rows.shape == (64, 8)
-    assert [int.from_bytes(row.tobytes(), "little") for row in adj.rows] \
-        == list(masks)
+    assert graphlab._Adjacency._fields == ("masks", "lex")
+    assert adj.masks is masks
     assert [sum(1 << i for i in c.indices)
             for c in greedy_partition(spec)] == list(adj.lex)
     graphlab._adjacency.cache_clear()

@@ -195,6 +195,49 @@ def test_delsarte_lp_bounds_every_reference_alpha():
         assert scheme.check_dual(params, d, lp.dual) == lp.value
 
 
+def _small_spaces(max_size: int):
+    """Every space over q in {2, 3, 4, 5, 7} with |V| <= max_size, one per
+    multiset of block shapes n_i x m_i (n_i <= m_i)."""
+    out = []
+    for q in (2, 3, 4, 5, 7):
+        L = 0   # the largest total dimension with q^L <= max_size
+        while q ** (L + 1) <= max_size:
+            L += 1
+        shapes = [(n, m) for n in range(1, L + 1) for m in range(n, L + 1)
+                  if n * m <= L]
+
+        def grow(start, left, blocks):
+            if blocks:
+                out.append(make_params(q, [n for n, _ in blocks],
+                                       [m for _, m in blocks]))
+            for i in range(start, len(shapes)):
+                if shapes[i][0] * shapes[i][1] <= left:
+                    grow(i, left - shapes[i][0] * shapes[i][1],
+                         blocks + [shapes[i]])
+        grow(0, L, [])
+    return out
+
+
+def test_lp_bound_never_exceeds_the_anticode_bound():
+    """Delsarte's clique-coclique inequality: floor(LP) <= |V| // |A| for
+    the anticode A of diameter k = d - 1 that holds every vector supported
+    on min(k, sum n_i) rows of the widest blocks, q^e vectors.  This is
+    why the exact search needs no clique bound besides the LP."""
+    rows = 0
+    for params in _small_spaces(1024):
+        widest = sorted(zip(params.m, params.n), reverse=True)
+        for d in range(2, params.max_weight + 2):
+            left, e = d - 1, 0
+            for m, n in widest:
+                e += min(left, n) * m
+                left -= min(left, n)
+            lp = scheme.delsarte_lp(params, d).value
+            assert math.floor(lp) <= params.size() // params.q ** e, \
+                (params.describe(), d)
+            rows += 1
+    assert rows == 937
+
+
 @pytest.mark.parametrize("tamper", ["shrink", "truncate"])
 def test_tampered_dual_is_rejected(tamper):
     params = make_params(3, (1,) * 5, (1,) * 5)
@@ -285,7 +328,7 @@ def test_budget_stop_reports_the_lp_bound():
 
 
 @pytest.mark.parametrize("q,n,m,k,source", [
-    (2, (3,), (3,), 1, "anticode"),
+    (2, (3,), (3,), 1, "lp"),
     (2, (1,) * 6, (1,) * 6, 2, "lp"),
     (2, (1,) * 7, (1,) * 7, 4, "colouring"),
 ])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srklab.counting import weight_enumerator
+from srklab.counting import ball_volume, weight_enumerator
 from srklab import space
 from srklab.gf import BudgetError, Matrix, ShapeError, field_make
 from srklab.space import (SrkCode, SrkParams, SrkVector,
@@ -32,6 +32,18 @@ def test_params_validation():
     assert p.t == 2 and p.total_dim == 6 and p.max_weight == 3
     with pytest.raises(TypeError):
         SrkParams(field_make(2), (1.9,), (2,))
+
+
+def test_a_space_computes_its_size_when_first_asked():
+    """|V| = 2^900000000 here: building the space and reading a ball
+    volume must not form it, only size() does."""
+    p = make_params(2, (30000,), (30000,))
+    assert ball_volume(p, 1) == 1 + (2 ** 30000 - 1) ** 2
+    assert "_size" not in vars(p)
+    small = make_params(2, (1, 2), (2, 2))
+    assert small.size() == 64 and vars(small)["_size"] == 64
+    assert small == make_params(2, (1, 2), (2, 2))
+    assert hash(small) == hash(make_params(2, (1, 2), (2, 2)))
 
 
 def test_srk_weight_examples():
