@@ -24,6 +24,9 @@ every candidate set of the exact search, for its bounds and branch order.
   the space's record: the ball at the largest radius asked so far, built
   block by block with numpy index arithmetic, with each row's weight; the
   ball of a smaller radius is its rows of weight <= k.
+- ``_adjacency`` translates the nonzero ball B* by every vertex, or the
+  co-ball (the vectors of weight > k) where that is smaller, and then
+  takes each row's complement.
 - ``exact_T`` counts neighbours for one ball vector per rank-profile orbit
   of the maps fixing 0, the orbits the MIS search branches on; a second
   member of each orbit is counted as a check.  One labelling of the ball
@@ -104,6 +107,8 @@ class SpaceTables:
       its digit rows in canonical order and the weight of each, both
       read-only, replaced only when a larger radius is asked; the rows of
       weight <= k (``ball``) and T_k (``triangles``) for every k <= radius;
+    - the weight of every vertex (``weights``), which gives the co-ball
+      (``coball``) and the weight layers of the greedy partition;
     - the orbit labels of the whole space (``labels``);
     - the weight histogram of the whole space (``histogram``)."""
 
@@ -190,6 +195,25 @@ class SpaceTables:
             raise ArithmeticError(f"odd neighbour sum over a ball: {total}")
         self._triangles = [t // 2 for t in total]
         return self._triangles[k]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The weight of every vertex, by index, read-only (the caller
+        checks the vertex budget)."""
+        weight = self.weights_of(digit_rows(self.q, self.params.total_dim))
+        weight.flags.writeable = False
+        return weight
+
+    def coball(self, k: int) -> np.ndarray:
+        """The digit rows of the co-ball of radius k, the vectors of
+        weight > k, in canonical order; a count other than |V| minus the
+        ball volume raises ArithmeticError."""
+        idx = np.flatnonzero(self.weights > k)
+        vol = counting.ball_volume(self.params, k)
+        if len(idx) != self.params.size() - vol:
+            raise ArithmeticError(f"{len(idx)} vectors have weight > {k}, "
+                                  f"the ball volume is {vol}")
+        return index_digits(idx, self.q, self.params.total_dim)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -324,19 +348,20 @@ class _Adjacency(NamedTuple):
     lex: tuple
 
 
-def _translates(params: SrkParams, ball: np.ndarray):
-    """Indices of the translates v + b of the ball rows b, a chunk of
-    vertices at a time: yields (start, nbr) with nbr[i, j] the index of
-    (start + i) + ball[j].  Split each vertex index at digit h as
-    v = v_hi q^h + v_lo; then index(v + b) = high[v_hi, b] + low[v_lo, b],
-    where ``low`` (q^h, |B*|) indexes the sums of the low prefixes and the
-    ball's last h digits, and ``high`` indexes those of the chunk's high
-    prefixes and the ball's first L - h digits, times q^h.  h starts at
-    L // 2 and drops until q^h |B*| <= ``_ROW_CHUNK``, and a chunk is a
-    run of whole high prefixes, so no array holds more than
-    max(``_ROW_CHUNK``, |B*|) (vertex, ball row) pairs."""
+def _translates(params: SrkParams, rows: np.ndarray):
+    """Indices of the translates v + b of the rows b of ``rows`` (the
+    nonzero ball or the co-ball, R), a chunk of vertices at a time: yields
+    (start, nbr) with nbr[i, j] the index of (start + i) + rows[j].  Split
+    each vertex index at digit h as v = v_hi q^h + v_lo; then
+    index(v + b) = high[v_hi, b] + low[v_lo, b], where ``low`` (q^h, |R|)
+    indexes the sums of the low prefixes and the rows' last h digits, and
+    ``high`` indexes those of the chunk's high prefixes and the rows'
+    first L - h digits, times q^h.  h starts at L // 2 and drops until
+    q^h |R| <= ``_ROW_CHUNK``, and a chunk is a run of whole high
+    prefixes, so no array holds more than max(``_ROW_CHUNK``, |R|)
+    (vertex, row) pairs."""
     q, L = params.q, params.total_dim
-    D = len(ball)
+    D = len(rows)
     add = params.field.add_array
     h = L // 2
     while h and q ** h * D > _ROW_CHUNK:
@@ -344,11 +369,11 @@ def _translates(params: SrkParams, ball: np.ndarray):
     split, lo = L - h, q ** h
 
     def table(first: int, stop: int, cols: slice) -> np.ndarray:
-        """Indices of the prefixes first..stop-1 plus each ball row's
-        digits in ``cols``: a (stop - first, |B*|) array."""
+        """Indices of the prefixes first..stop-1 plus each row's digits
+        in ``cols``: a (stop - first, |R|) array."""
         width = cols.stop - cols.start
         prefixes = index_digits(np.arange(first, stop), q, width)
-        return digit_index(add(prefixes[:, None, :], ball[None, :, cols]), q)
+        return digit_index(add(prefixes[:, None, :], rows[None, :, cols]), q)
 
     low = table(0, lo, slice(split, L))
     step = max(1, _ROW_CHUNK // (lo * D))   # high prefixes a chunk
@@ -363,30 +388,48 @@ def _adjacency(spec: PowerGraphSpec) -> _Adjacency:
     """The latest spec's adjacency record, so the greedy partition, its
     lex classes and the MIS share one build; callers check the vertex
     budget first (``adjacency_masks``).  The graph is a Cayley graph, so
-    the neighbours of v are v + B*, B* the nonzero ball of radius k: each
-    row is a translate of the ball, read from two half-digit tables a
-    chunk at a time (``_translates``), and no difference is ranked.  As a
-    check, each row must have exactly |B*| bits and no loop; a wrong sum
-    or index encoding breaks one of these and raises ArithmeticError.
-    Each checked chunk of rows becomes mask ints at once.  The lex
-    classes grow one class at a time (``_greedy_classes``)."""
+    the neighbours of v are v + B*, B* the nonzero ball of radius k.  A
+    dense graph (2|B*| > |V| - 1) translates the co-ball C instead, the
+    nonzero vectors of weight > k, and takes each row's complement without
+    v itself; the complete graph has an empty co-ball and translates
+    nothing.  The lex classes grow one class at a time
+    (``_greedy_classes``)."""
     params = spec.params
     V = params.size()
-    ball = _tables(params).ball(spec.k)  # |B*| < |V|, in the vertex budget
-    D = len(ball)
+    tab = _tables(params)
+    ball = tab.ball(spec.k)  # |B*| < |V|, in the vertex budget
+    full = (1 << V) - 1
+    if 2 * len(ball) <= V - 1:
+        masks = tuple(_translated_masks(params, ball))
+    else:
+        masks = tuple(full ^ m ^ (1 << v) for v, m in
+                      enumerate(_translated_masks(params, tab.coball(spec.k))))
+    return _Adjacency(masks, tuple(_greedy_classes(masks, [full])))
+
+
+def _translated_masks(params: SrkParams, rows: np.ndarray) -> list:
+    """The bitmask ints of v + ``rows`` for every vertex v, read from two
+    half-digit tables a chunk at a time (``_translates``), so no
+    difference is ranked.  As a check, each mask must have exactly
+    len(rows) bits and no loop; a wrong sum or index encoding breaks one
+    of these and raises ArithmeticError.  Each checked chunk becomes mask
+    ints at once."""
+    V = params.size()
+    if not len(rows):
+        return [0] * V
     masks = []
-    for start, nbr in _translates(params, ball):
-        rows = np.arange(len(nbr))
+    for start, nbr in _translates(params, rows):
+        idx = np.arange(len(nbr))
         adj = np.zeros((len(nbr), V), dtype=bool)
-        adj[rows[:, None], nbr] = True
+        adj[idx[:, None], nbr] = True
         if (np.count_nonzero(adj) != nbr.size
-                or adj[rows, start + rows].any()):
+                or adj[idx, start + idx].any()):
             raise ArithmeticError(
-                f"a translate of the ball at vertices {start}.."
-                f"{start + len(nbr) - 1} does not have {D} neighbours")
+                f"a translate at vertices {start}..{start + len(nbr) - 1} "
+                f"does not have {len(rows)} distinct vertices other than "
+                f"its own")
         masks += _row_masks(adj)
-    masks = tuple(masks)
-    return _Adjacency(masks, tuple(_greedy_classes(masks, [(1 << V) - 1])))
+    return masks
 
 
 def _weight_rows(params: SrkParams, digits: np.ndarray):
@@ -435,10 +478,10 @@ class MisResult:
     ``nodes`` counts the search nodes charged to the budget (the root is
     node 1); ``lb`` and ``ub`` are the bounds proven before branching (the
     seed codes: the largest class of the lex greedy partition and, where
-    it applies, the Gabidulin code; the Delsarte LP and colouring bounds),
-    so ``lb == ub`` means the answer needed no branching; ``ub_source``
-    names the bound that gave ub ("lp" or "colouring").  Unpacks as
-    ``alpha, witness``."""
+    they apply, the Gabidulin code and the d = 2 kernel code; the Delsarte
+    LP and colouring bounds), so ``lb == ub`` means the answer needed no
+    branching; ``ub_source`` names the bound that gave ub ("lp" or
+    "colouring").  Unpacks as ``alpha, witness``."""
 
     alpha: int
     witness: SrkCode
@@ -556,6 +599,39 @@ def gabidulin_indices(params: SrkParams, d: int):
     return digit_index(words, q).tolist()
 
 
+def kernel_indices(params: SrkParams, d: int):
+    """Canonical indices of a linear code of minimum distance 2 and
+    |V| / q^M words, M = max m_i, over a prime field GF(q), or None where
+    it does not apply (d != 2, q not prime).
+
+    Row j of block i is read as r_ij(x) in GF(q)[x]/(f) = GF(q^M), f the
+    modulus of ``field_make(q, M)``, and the code is the kernel of
+    H(X) = sum_i sum_j x^j r_ij(x).  A rank-1 block u v^T maps to
+    u(x) v(x), a product of two nonzero polynomials of degree < M (since
+    n_i <= m_i <= M), so no vector of weight 1 is in the kernel; H is
+    onto (row 0 of a block with m_i = M alone reaches every residue).
+    The kernel is read from one product of the digit rows of the space
+    with H; a count other than |V| / q^M raises ArithmeticError."""
+    if params.field.e != 1 or d != 2:
+        return None
+    q, M = params.q, max(params.m)
+    E = field_make(q, M)
+    xpow = [1]   # x^s mod f for s <= 2M - 2, with x encoded as q
+    for _ in range(2 * M - 2):
+        xpow.append(E.mul(xpow[-1], q))
+    # row (i, j, c) of H^T: the coefficients of x^(j + c), the image of
+    # the unit vector at entry (j, c) of block i
+    Ht = np.array([int_digits(xpow[j + c], q, M)
+                   for ni, mi in params.block_shapes()
+                   for j in range(ni) for c in range(mi)], dtype=np.int64)
+    syndromes = digit_rows(q, params.total_dim).astype(np.int64) @ Ht % q
+    words = np.flatnonzero(~syndromes.any(axis=1))
+    if len(words) * q ** M != params.size():
+        raise ArithmeticError(f"the kernel has {len(words)} words, not "
+                              f"|V| / {q}^{M}")
+    return words.tolist()
+
+
 def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     """Orbit label of every row of a digit array under the block maps
     X_i -> A_i X_i B_i and the permutations of equal-shape blocks, which
@@ -595,14 +671,16 @@ def max_independent_set(spec: PowerGraphSpec,
     rep(c) in classes >= c), each found by a colouring branch and bound
     in the complement graph.  The search starts from the largest class of
     the lex greedy partition (``greedy_partition``; class 0, the lex
-    greedy code, is never larger) and, for one block over a prime field,
-    the Gabidulin code, each checked independent on the masks; it stops
-    as soon as lb meets ub = min(the Delsarte LP bound with its dual
-    re-checked (``scheme.delsarte_lp``), the colouring bounds of the
-    classes).  Delsarte's clique-coclique inequality keeps the LP bound
-    at or below |V| // |A| for every anticode A of diameter k, so no
-    clique bound is needed besides it.  The complement matrix is unpacked
-    from the masks; all sub-searches share one budget of ``max_nodes``.
+    greedy code, is never larger), for one block over a prime field the
+    Gabidulin code (``gabidulin_indices``) and, at k = 1 over a prime
+    field, the kernel code of |V| / q^M words (``kernel_indices``), each
+    checked independent on the masks; it stops as soon as lb meets
+    ub = min(the Delsarte LP bound with its dual re-checked
+    (``scheme.delsarte_lp``), the colouring bounds of the classes).
+    Delsarte's clique-coclique inequality keeps the LP bound at or below
+    |V| // |A| for every anticode A of diameter k, so no clique bound is
+    needed besides it.  The complement matrix is unpacked from the masks;
+    all sub-searches share one budget of ``max_nodes``.
     The alpha returned is certified: the witness's minimum distance is
     recomputed by ``space.min_distance``, which does not read the masks,
     and one below k+1 raises ArithmeticError."""
@@ -615,11 +693,12 @@ def max_independent_set(spec: PowerGraphSpec,
     largest = max(_adjacency(spec).lex, key=int.bit_count)
     _independent(masks, largest, "greedy partition class")
     search.offer(largest.bit_count(), largest)
-    seed = gabidulin_indices(params, k + 1)
-    if seed is not None:
-        seed_bits = _index_bits(seed)
-        _independent(masks, seed_bits, "Gabidulin code")
-        search.offer(len(seed), seed_bits)
+    for seed, what in ((gabidulin_indices(params, k + 1), "Gabidulin code"),
+                       (kernel_indices(params, k + 1), "kernel code")):
+        if seed is not None:
+            seed_bits = _index_bits(seed)
+            _independent(masks, seed_bits, what)
+            search.offer(len(seed), seed_bits)
     search.bound(math.floor(scheme.delsarte_lp(params, k + 1).value), "lp")
 
     subs = []
@@ -709,7 +788,7 @@ def greedy_class_masks(spec: PowerGraphSpec,
         return _adjacency(spec).lex
     if order_policy == "weight-then-lex":
         params = spec.params
-        w = _tables(params).weights_of(digit_rows(params.q, params.total_dim))
+        w = _tables(params).weights
         layers = _row_masks(w == np.arange(params.max_weight + 1)[:, None])
         return tuple(_greedy_classes(masks, layers))
     raise ValueError(f"unknown order policy {order_policy!r}")

@@ -301,6 +301,17 @@ def _pair_chunks(sizes):
         yield i, k - start[i] + i + 1
 
 
+def _index_rows(indices: list, params: SrkParams) -> np.ndarray:
+    """The digit rows of vector indices: one ``index_digits`` call where
+    every index of the space fits an int64, one ``int_digits`` per index
+    where q^L is larger."""
+    q, L = params.q, params.total_dim
+    if L < 64 and q ** L <= 1 << 63:   # q >= 2, so L >= 64 never fits
+        return index_digits(np.array(indices, dtype=np.int64), q, L)
+    return np.array([int_digits(i, q, L)[::-1] for i in indices],
+                    dtype=digit_dtype(q)).reshape(len(indices), L)
+
+
 def min_distance(*codes: SrkCode) -> int:
     """Smallest sum-rank distance between two words of one code, over all
     the codes given: the classes of a partition are certified in one call,
@@ -323,16 +334,14 @@ def min_distance(*codes: SrkCode) -> int:
     params = codes[0].params
     if any(c.params != params for c in codes):
         raise ShapeError("codes from different spaces")
-    F, q, L = params.field, params.q, params.total_dim
-    digits = np.array([int_digits(i, q, L)[::-1]
-                       for c in codes for i in c.indices],
-                      dtype=digit_dtype(q))
+    F = params.field
+    digits = _index_rows([i for c in codes for i in c.indices], params)
     off = params.block_offsets()
     # per block shape: the digit columns of its blocks and one rank memo
     groups = [(ni, mi, np.array([c for b in blocks
                                  for c in range(off[b], off[b + 1])]), {})
               for (ni, mi), blocks in params.shape_groups()]
-    best = params.max_weight
+    q, best = params.q, params.max_weight
     for i, j in _pair_chunks([len(c) for c in codes]):
         P = len(i)
         diff = F.sub_array(digits[i], digits[j])

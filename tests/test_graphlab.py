@@ -13,7 +13,7 @@ from srklab.gf import (BudgetError, FieldSpec, enumerate_matrices,
                        field_from_order, rank)
 from srklab.graphlab import (PowerGraphSpec, SolverBudgetError,
                              adjacency_masks, exact_T, gabidulin_indices,
-                             graph_stats, greedy_partition,
+                             graph_stats, greedy_partition, kernel_indices,
                              max_independent_set, verify_cayley)
 from srklab.space import (SrkCode, enumerate_space, make_params, min_distance,
                           srk_distance, srk_weight)
@@ -287,7 +287,7 @@ import sys
 import numpy
 before = "numpy.ma" in sys.modules
 from srklab import graphlab, make_params
-spec = graphlab.PowerGraphSpec(make_params(3, (1, 1, 1), (1, 1, 1)), 1)
+spec = graphlab.PowerGraphSpec(make_params(2, (2, 2), (2, 2)), 2)
 result = graphlab.max_independent_set(spec)
 print(before, result.alpha, result.lb < result.ub, "numpy.ma" in sys.modules)
 """
@@ -295,7 +295,7 @@ print(before, result.alpha, result.lb < result.ub, "numpy.ma" in sys.modules)
 
 def test_mis_does_not_import_numpy_ma():
     """A plain np.unique imports numpy.ma on numpy 2.x, ~30 ms once per
-    process; the search's per-class loop (reached here: lb 7 < ub 9)
+    process; the search's per-class loop (reached here: lb 4 < ub 10)
     must not pay it.  Skipped where ``import numpy`` loads numpy.ma."""
     src = str(pathlib.Path(graphlab.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -320,31 +320,14 @@ def test_solver_budget_error_carries_bounds():
     assert (exc.lb, exc.ub, exc.ub_source) == (82, 145, "lp")
 
 
-_BRANCHING_SEARCHES = [
+@pytest.mark.parametrize("q,n,m,k,alpha,nodes,lb,ub,source,witness", [
     # (q, n, m, k, alpha, nodes, lb, ub, ub_source, witness)
     (2, (2, 2), (2, 2), 2, 9, 31, 4, 10, "lp",
-     [0, 22, 93, 100, 115, 142, 184, 201, 239]),
-    (3, (1,) * 3, (1,) * 3, 1, 9, 9, 7, 9, "lp",
-     [0, 4, 8, 10, 14, 15, 20, 21, 25]),
-    (3, (1,) * 4, (1,) * 4, 1, 27, 126, 21, 27, "lp",
-     [0, 4, 8, 10, 14, 15, 20, 21, 25, 29, 30, 34, 36, 40, 44, 46, 50, 51,
-      55, 59, 60, 65, 66, 70, 72, 76, 80]),
-    (3, (1,) * 5, (1,) * 5, 1, 81, 81, 61, 81, "lp",
-     [0, 4, 8, 10, 14, 15, 20, 21, 25, 28, 32, 33, 38, 39, 43, 45, 49, 53,
-      56, 57, 61, 63, 67, 71, 73, 77, 78, 82, 86, 87, 92, 93, 97, 99, 103,
-      107, 110, 111, 115, 117, 121, 125, 127, 131, 132, 135, 139, 143, 145,
-      149, 150, 155, 156, 160, 164, 165, 169, 171, 175, 179, 181, 185, 186,
-      189, 193, 197, 199, 203, 204, 209, 210, 214, 217, 221, 222, 227, 228,
-      232, 234, 238, 242]),
-]
-
-
-@pytest.mark.parametrize("q,n,m,k,alpha,nodes,lb,ub,source,witness",
-                         _BRANCHING_SEARCHES)
+     [0, 22, 93, 100, 115, 142, 184, 201, 239])])
 def test_branching_searches_are_pinned(q, n, m, k, alpha, nodes, lb, ub,
                                        source, witness):
-    """The four default-sweep specs whose search branches: the node count
-    and the witness follow the colouring's branch order and bounds, so a
+    """The default-sweep spec whose search branches: the node count and
+    the witness follow the colouring's branch order and bounds, so a
     change to either shows here."""
     result = max_independent_set(PowerGraphSpec(make_params(q, n, m), k))
     assert (result.alpha, result.nodes, result.lb, result.ub,
@@ -352,15 +335,60 @@ def test_branching_searches_are_pinned(q, n, m, k, alpha, nodes, lb, ub,
     assert list(result.witness.indices) == witness
 
 
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_kernel_seed_closes_the_sweeps_d2_rows_at_the_root(N):
+    """GF(3)^N at k = 1: the kernel seed, here the code of the words whose
+    entries sum to 0, meets the LP's 3^(N-1) at the root, where the
+    greedy classes fall short."""
+    alpha = 3 ** (N - 1)
+    result = max_independent_set(
+        PowerGraphSpec(make_params(3, (1,) * N, (1,) * N), 1))
+    assert (result.alpha, result.nodes, result.lb, result.ub,
+            result.ub_source) == (alpha, 1, alpha, alpha, "lp")
+    assert list(result.witness.indices) == [
+        v for v in range(3 ** N) if sum(gf.int_digits(v, 3, N)) % 3 == 0]
+
+
 def test_a_budget_stop_after_branching_is_pinned():
-    """GF(2) (2,2) x (3,3) at k = 1 stops after 500 nodes; by then the
-    branching has raised lb from the seed's 256 to 355."""
-    spec = PowerGraphSpec(make_params(2, (2, 2), (3, 3)), 1)
+    """GF(2)^8 at k = 2 stops after 500 nodes; by then the branching has
+    raised lb from the seed's 16 to 19, below the LP's 25."""
+    spec = PowerGraphSpec(make_params(2, (1,) * 8, (1,) * 8), 2)
     with pytest.raises(SolverBudgetError) as info:
         max_independent_set(spec, max_nodes=500)
     exc = info.value
-    assert (exc.nodes, exc.lb, exc.ub, exc.ub_source) \
-        == (501, 355, 512, "lp")
+    assert (exc.nodes, exc.lb, exc.ub, exc.ub_source) == (501, 19, 25, "lp")
+
+
+@pytest.mark.parametrize("q,n,m,alpha", [
+    (7, (1, 1, 1), (1, 1, 1), 49), (3, (1, 2), (2, 2), 81),
+    (2, (2, 2), (3, 3), 512)])
+def test_kernel_seed_has_distance_2_and_closes_the_search(q, n, m, alpha):
+    """|V| / q^M words at distance 2, M = max m_i, which meet the LP: the
+    search ends at the root.  GF(2) (2,2) x (3,3) used to stop at
+    356 <= alpha <= 512 after 20,000 nodes."""
+    params = make_params(q, n, m)
+    indices = kernel_indices(params, 2)
+    assert len(set(indices)) == len(indices) == params.size() // q ** max(m)
+    assert min_distance(SrkCode(params, tuple(indices))) == 2
+    result = max_independent_set(PowerGraphSpec(params, 1))
+    assert (result.alpha, result.nodes, result.lb, result.ub) \
+        == (alpha, 1, alpha, alpha)
+    assert list(result.witness.indices) == indices
+
+
+def test_kernel_seed_scope():
+    assert kernel_indices(make_params(4, (2,), (2,)), 2) is None
+    assert kernel_indices(make_params(9, (1, 1), (1, 2)), 2) is None
+    assert kernel_indices(make_params(2, (1, 1, 1), (1, 1, 1)), 3) is None
+    assert kernel_indices(make_params(3, (2,), (2,)), 1) is None
+
+
+def test_a_dependent_kernel_seed_is_refused(monkeypatch):
+    # vertices 0 and 1 differ in one entry: adjacent at k = 1
+    spec = PowerGraphSpec(make_params(3, (1, 1), (1, 2)), 1)
+    monkeypatch.setattr(graphlab, "kernel_indices", lambda params, d: [0, 1])
+    with pytest.raises(ArithmeticError, match="kernel code"):
+        max_independent_set(spec)
 
 
 def test_largest_lex_class_seeds_the_search():
@@ -822,6 +850,34 @@ def test_translated_masks_match_the_distance_path_at_4096_vertices():
     graphlab._adjacency.cache_clear()
 
 
+def test_dense_masks_from_the_coball_match_the_per_vertex_oracle(
+        monkeypatch):
+    """Each of the 50 sweep specs with 2|B*| > |V| - 1 translates its
+    co-ball, the vectors of weight > k, and takes the complements: its
+    masks equal the masks found one vertex at a time.  The 26 complete
+    graphs (k = max_weight) have an empty co-ball and translate nothing."""
+    translated = []
+    real = graphlab._translates
+    monkeypatch.setattr(graphlab, "_translates", lambda params, rows: (
+        translated.append(len(rows)), real(params, rows))[1])
+    dense = complete = 0
+    for params in default_sweep():
+        V = params.size()
+        for k in range(1, params.max_weight + 1):
+            spec = PowerGraphSpec(params, k)
+            B = counting.ball_volume(params, k) - 1
+            if 2 * B <= V - 1:
+                continue
+            dense += 1
+            complete += B == V - 1
+            translated.clear()
+            graphlab._adjacency.cache_clear()
+            assert adjacency_masks(spec) == _per_vertex_masks(spec)
+            assert translated == ([V - 1 - B] if B < V - 1 else [])
+    assert (dense, complete) == (50, 26)
+    graphlab._adjacency.cache_clear()
+
+
 def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
     """Every ``add_array`` output and every chunk's neighbour indices hold
     at most max(chunk, |B*|) (vertex, ball row) pairs, and the chunks
@@ -862,14 +918,16 @@ def test_translated_chunks_stay_within_the_row_budget(monkeypatch):
 @pytest.mark.parametrize("q,n,m,k,cols", [
     (3, (1, 1, 1), (1, 1, 1), 1, slice(None)),
     (2, (1,) * 4, (1,) * 4, 1, slice(None)),
-    (2, (2,), (3,), 2, slice(None)),
+    (2, (3,), (3,), 2, slice(None)),
     (2, (1,) * 4, (1,) * 4, 1, slice(-1, None))])
 def test_a_wrong_sum_breaks_the_translated_masks(monkeypatch, q, n, m, k,
                                                  cols):
     """1 + 1 miscomputed in the coordinates ``cols`` (as 0 over GF(3), as
     1 over GF(2)) makes two translates of the ball collide or a vertex
     its own neighbour; broken in the last coordinate of GF(2)^4 alone,
-    only the loop shows (v + e_4 = v, the other rows stay distinct)."""
+    only the loop shows (v + e_4 = v, the other rows stay distinct).
+    GF(2) 3 x 3 at k = 2 is dense: its 168-row co-ball (the rank-3
+    matrices) is what is translated."""
     real = FieldSpec.add_array
 
     def broken(self, a, b):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srklab.counting import ball_volume, weight_enumerator
-from srklab import space
+from srklab import gf, space
 from srklab.gf import BudgetError, Matrix, ShapeError, field_make
 from srklab.space import (SrkCode, SrkParams, SrkVector,
                           code_from_json,
@@ -303,6 +303,33 @@ def test_min_distance_without_an_int64_block_key():
                                vector_from_digits(params, zero[:-1] + [1]),
                                vector_from_digits(params, [1] * 8 + zero[8:])))
     assert min_distance(code) == _pairwise_min_distance(code) == 1
+
+
+@pytest.mark.parametrize("q,n,m,vectorised", [
+    (2, (7,), (9,), True),     # 2^63 words: the largest int64 codec
+    (2, (8,), (8,), False),    # 2^64
+    (3, (3, 2), (10, 2), True),   # 3^34
+    (3, (4,), (10,), False),   # 3^40 > 2^63 > 3^39
+    (5, (1, 2), (2, 2), True)])
+def test_min_distance_decodes_indices_on_both_sides_of_int64(
+        monkeypatch, q, n, m, vectorised):
+    """One ``index_digits`` call where q^L fits an int64, one scalar
+    ``int_digits`` per index otherwise; both give the rows whose digits
+    read back (``digits_int``) as the indices, and min_distance equals
+    the pairwise oracle on either path."""
+    params = make_params(q, n, m)
+    L, size = params.total_dim, params.size()
+    indices = [0, 1, size // 5, size // 3 + 1, size - 2, size - 1]
+    calls = []
+    real = space.index_digits
+    monkeypatch.setattr(space, "index_digits", lambda idx, *args: (
+        calls.append(args), real(idx, *args))[1])
+    rows = space._index_rows(indices, params)
+    assert bool(calls) == vectorised
+    assert rows.shape == (len(indices), L) and rows.dtype == np.uint8
+    assert [gf.digits_int(r[::-1], q) for r in rows.tolist()] == indices
+    code = SrkCode(params, tuple(indices))
+    assert min_distance(code) == _pairwise_min_distance(code)
 
 
 def test_min_distance_ranks_each_distinct_block_difference_once(monkeypatch):
