@@ -364,8 +364,7 @@ def test_a_budget_stop_after_branching_is_pinned():
     (2, (2, 2), (3, 3), 512)])
 def test_kernel_seed_has_distance_2_and_closes_the_search(q, n, m, alpha):
     """|V| / q^M words at distance 2, M = max m_i, which meet the LP: the
-    search ends at the root.  GF(2) (2,2) x (3,3) used to stop at
-    356 <= alpha <= 512 after 20,000 nodes."""
+    search ends at the root."""
     params = make_params(q, n, m)
     indices = kernel_indices(params, 2)
     assert len(set(indices)) == len(indices) == params.size() // q ** max(m)
