@@ -309,7 +309,7 @@ def _index_rows(indices: list, params: SrkParams) -> np.ndarray:
     if L < 64 and q ** L <= 1 << 63:   # q >= 2, so L >= 64 never fits
         return index_digits(np.array(indices, dtype=np.int64), q, L)
     return np.array([int_digits(i, q, L)[::-1] for i in indices],
-                    dtype=digit_dtype(q)).reshape(len(indices), L)
+                    dtype=digit_dtype(q))
 
 
 def min_distance(*codes: SrkCode) -> int:
