@@ -31,8 +31,8 @@ every candidate set of the exact search, for its bounds and branch order.
   of the maps fixing 0, the orbits the MIS search branches on; a second
   member of each orbit is counted as a check.  One labelling of the ball
   and one distance pass per orbit member give T for every radius up to
-  the ball's.  The MIS search reads the orbit labels of the whole space,
-  and ``verify_cayley`` its weight histogram, from the same record.
+  the ball's.  ``verify_cayley`` reads the weight histogram of the whole
+  space from the same record.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class SpaceTables:
       weight <= k (``ball``) and T_k (``triangles``) for every k <= radius;
     - the weight of every vertex (``weights``), which gives the co-ball
       (``coball``) and the weight layers of the greedy partition;
-    - the orbit labels of the whole space (``labels``);
     - the weight histogram of the whole space (``histogram``)."""
 
     def __init__(self, params: SrkParams):
@@ -214,15 +213,6 @@ class SpaceTables:
             raise ArithmeticError(f"{len(idx)} vectors have weight > {k}, "
                                   f"the ball volume is {vol}")
         return index_digits(idx, self.q, self.params.total_dim)
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """The orbit label (``_profile_classes``) of every vertex, by
-        index, read-only (the caller checks the vertex budget)."""
-        label = _profile_classes(self.params,
-                                 digit_rows(self.q, self.params.total_dim))
-        label.flags.writeable = False
-        return label
 
     @cached_property
     def histogram(self) -> np.ndarray:
@@ -707,11 +697,12 @@ def max_independent_set(spec: PowerGraphSpec,
         comp = np.unpackbits(np.frombuffer(rows, np.uint8).reshape(V, -1),
                              axis=1, count=V, bitorder="little") == 0
         np.fill_diagonal(comp, False)
-        label = _tables(params).labels
         outside = np.flatnonzero(comp[0])
-        for c in np.flatnonzero(np.bincount(label[outside])):
-            later = outside[label[outside] >= c]
-            rep = later[label[later] == c][0]
+        label = _profile_classes(params, index_digits(outside, params.q,
+                                                      params.total_dim))
+        for c in np.flatnonzero(np.bincount(label)):
+            later = outside[label >= c]
+            rep = outside[label == c][0]
             cand = later[comp[rep, later]].tolist()
             # by descending degree in the complement: ascending number of
             # neighbours among the candidates (the masks hold no loop)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .space import SrkParams, _is_int, make_params
 from . import bounds, counting, graphlab
@@ -278,7 +279,6 @@ def zero_rate_instance_check(params: SrkParams, k: int, j: int,
     # exact comparison: j <= sqrt(N (k-1) / (qm-1))  <=>  j^2 (qm-1) <= N (k-1)
     cond = j * j * (qm - 1) <= N * (k - 1)
     report["j_condition_holds"] = cond
-    from fractions import Fraction
     dist = Fraction(qm - 1, qm) * (N - j)
     report["distance"] = float(dist)
     report["distance_below_N"] = dist < N

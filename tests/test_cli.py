@@ -391,24 +391,26 @@ def test_a_report_builds_one_ball_per_space(capsys, monkeypatch, tmp_path):
     graphlab._tables.cache_clear()
 
 
-def test_a_report_labels_each_space_at_most_once(capsys, monkeypatch):
-    """The exact search branches on the orbit labels of the whole space,
-    read from the space's record: a default report labels each space whose
-    search branches once, and a second report labels none."""
+def test_a_report_labels_only_the_coballs_it_branches_on(capsys,
+                                                         monkeypatch):
+    """Outside the balls, the exact search labels only the co-ball of 0 of
+    a space whose search branches: a default report labels two, the 29
+    vectors of weight >= 5 in GF(2)^7 and the 144 of weight >= 3 in GF(2)
+    (2,2)x(2,2)."""
     labelled = []
     profile_classes = graphlab._profile_classes
 
     def counted(params, digits):
-        if len(digits) == params.size():   # a nonzero ball has fewer rows
-            labelled.append(params)
+        if digits is not getattr(graphlab._tables(params), "rows", None):
+            labelled.append((params.describe(), len(digits)))
         return profile_classes(params, digits)
 
     monkeypatch.setattr(graphlab, "_profile_classes", counted)
     graphlab._tables.cache_clear()
-    for _ in range(2):
-        rc, out, _ = run(capsys, "report", "--format", "json")
-        assert rc == 0 and len(json.loads(out)) == 76
-        assert labelled and len(set(labelled)) == len(labelled)
+    rc, out, _ = run(capsys, "report", "--format", "json")
+    assert rc == 0 and len(json.loads(out)) == 76
+    assert labelled == [("q=2 n=(1,1,1,1,1,1,1) m=(1,1,1,1,1,1,1)", 29),
+                        ("q=2 n=(2,2) m=(2,2)", 144)]
     graphlab._tables.cache_clear()
 
 

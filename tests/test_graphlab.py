@@ -452,6 +452,17 @@ def test_gabidulin_seed_scope():
     assert gabidulin_indices(make_params(2, (2,), (2,)), 3) is None
 
 
+def test_the_gabidulin_seed_ends_a_search_at_the_root():
+    """GF(2) 3x5 at d = 3: the Gabidulin code's 32 words meet the LP bound
+    at the root.  Without it the search spends its whole default budget of
+    2,000,000 nodes and stops at 20 <= alpha <= 32."""
+    spec = PowerGraphSpec(make_params(2, (3,), (5,)), 2)
+    result = max_independent_set(spec, max_vertices=1 << 15)
+    assert (result.alpha, result.nodes, result.lb, result.ub,
+            result.ub_source) == (32, 1, 32, 32, "lp")
+    graphlab._tables.cache_clear()
+
+
 def _reference_sweep_rows():
     path = (pathlib.Path(__file__).resolve().parent.parent
             / "perfbench" / "reference" / "sweep.json")
@@ -767,9 +778,9 @@ def test_a_smaller_radius_reads_the_larger_record():
 
 def test_clearing_the_space_records_drops_every_per_space_build(
         monkeypatch):
-    """After ``_tables.cache_clear()`` the next ball, T, orbit labels and
-    weight histogram of a space each rerun their build once; repeat calls
-    rerun none.  T_1, counted first on the ball of radius 2, is T_1."""
+    """After ``_tables.cache_clear()`` the next ball, T and weight
+    histogram of a space each rerun their build once; repeat calls rerun
+    none.  T_1, counted first on the ball of radius 2, is T_1."""
     calls = []
     for name in ("_enumerate_ball", "_profile_classes", "_weight_rows"):
         monkeypatch.setattr(graphlab, name, lambda *args, _name=name,
@@ -779,7 +790,6 @@ def test_clearing_the_space_records_drops_every_per_space_build(
     spec, spec1 = PowerGraphSpec(params, 2), PowerGraphSpec(params, 1)
     steps = [("_enumerate_ball", lambda: graphlab.ball_digits(spec)),
              ("_profile_classes", lambda: exact_T(spec1)),
-             ("_profile_classes", lambda: graphlab._tables(params).labels),
              ("_weight_rows", lambda: graphlab._tables(params).histogram)]
     for _ in range(2):
         graphlab._tables.cache_clear()
