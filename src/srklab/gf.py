@@ -434,8 +434,8 @@ def rank(M: Matrix) -> int:
 # tabulated block shape (q^(k*k) <= 2^20) and the 4x4 GF(3) Marsaglia
 # stacks (81) fit.
 MAX_ORTH_SPACE = 1 << 10
-# Kernel bitset words (and row digits) held at once by rank_stack, 2 MB
-# each: a stack is ranked in chunks, whatever q^k and its shape are.
+# Kernel bitset words (and row digits) held at once by rank_stack and
+# rank_table, 2 MB each: a stack or table is ranked in chunks.
 _KERNEL_WORDS = 1 << 18
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # Bit counts of every uint16, read-only: entry (hi << 8) | lo is the count
@@ -544,6 +544,35 @@ def rank_stack(A, F: FieldSpec):
     return np.concatenate([
         kernel_rank(kernel_stack(A[s:s + step], F), F, ncols)
         for s in range(0, max(N, 1), step)])
+
+
+def rank_table(rows: int, cols: int, F: FieldSpec) -> np.ndarray:
+    """Ranks of every rows x cols matrix over F, as a uint8 array indexed
+    by canonical digit index.  A matrix is a tuple of lines of GF(q)^k,
+    k = min(rows, cols) (its columns when cols > rows, as ``rank_stack``
+    transposes), and its kernel is the AND of their orthogonality-table
+    rows: the product over the lines after the first is built once, then
+    ANDed with chunks of the first line's codes, each of at most
+    ``_KERNEL_WORDS`` words for any table of up to 2^20 matrices and
+    ranked by ``kernel_rank``."""
+    q = F.q
+    if min(rows, cols) <= 1:
+        return (np.arange(q ** (rows * cols)) > 0).astype(np.uint8)
+    k, lines = min(rows, cols), max(rows, cols)
+    orth = _orthogonality_table(F.p, F.e, k)
+    words = orth.shape[1]
+    tail = orth
+    for _ in range(lines - 2):
+        tail = (tail[:, None] & orth).reshape(-1, words)
+    step = max(1, _KERNEL_WORDS // tail.size)
+    ranks = np.concatenate([
+        kernel_rank((orth[s:s + step, None] & tail).reshape(-1, words), F, k)
+        for s in range(0, len(orth), step)])
+    if cols > rows:
+        # axis j*rows + i of the digit grid holds entry (i, j)
+        ranks = ranks.reshape((q,) * (rows * cols)).transpose(
+            np.arange(rows * cols).reshape(cols, rows).T.ravel()).ravel()
+    return ranks
 
 
 def col_space_intersection_dim(X: Matrix, Y: Matrix) -> int:

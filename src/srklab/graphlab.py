@@ -12,8 +12,9 @@ partition), which the MIS solver and the greedy partition read.  One
 first-fit routine (``_greedy_classes``) colours both partition orders and
 every candidate set of the exact search, for its bounds and branch order.
 
-- The rank table of a block shape comes from one kernel count over the
-  stack of all its matrices (``gf.rank_stack``).
+- The rank table of a block shape (``gf.rank_table``) ranks the kernels
+  of all its matrices, ANDs of orthogonality-table rows made in chunks
+  of at most ``gf._KERNEL_WORDS`` words.
 - Field addition and subtraction act on the base-p coefficients of the
   digits (XOR for p = 2), so no q x q table is built and the graph layer
   works for every field up to GF(2^16).
@@ -46,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import (BudgetError, digit_dtype, digit_index, digit_rows,
-                 field_make, index_digits, int_digits, rank_stack)
+                 field_make, index_digits, int_digits, rank_table)
 from .space import SrkCode, SrkParams, min_distance
 from . import counting, scheme
 
@@ -89,12 +90,15 @@ class GraphStats:
 
 @lru_cache(maxsize=None)
 def _block_rank_table(ni: int, mi: int, p: int, e: int):
-    """ranks[idx] for every block matrix, idx = canonical digit index."""
+    """ranks[idx] for every block matrix, idx = canonical digit index,
+    read-only: every record of the process shares it."""
     F = field_make(p, e)
     size = F.q ** (ni * mi)
     if size > MAX_BLOCK_SPACE:
         raise BudgetError(f"block space of size {size} too large to tabulate")
-    return rank_stack(digit_rows(F.q, ni * mi).reshape(size, ni, mi), F)
+    ranks = rank_table(ni, mi, F)
+    ranks.flags.writeable = False
+    return ranks
 
 
 class SpaceTables:
@@ -626,12 +630,20 @@ def _profile_classes(params: SrkParams, digits: np.ndarray) -> np.ndarray:
     """Orbit label of every row of a digit array under the block maps
     X_i -> A_i X_i B_i and the permutations of equal-shape blocks, which
     all fix 0: its rank profile, sorted within each group of equal-shape
-    blocks.  Labels are numbered in ascending (weight, profile) order."""
+    blocks.  Labels are numbered 0, 1, ... in ascending (weight, profile)
+    order, a new one wherever a row of one lexsort of the keys differs
+    from the row before it."""
     R = _tables(params).block_ranks(digits)
     key = np.concatenate([R.sum(axis=1, keepdims=True)]
                          + [np.sort(R[:, list(g)], axis=1)
                             for _, g in params.shape_groups()], axis=1)
-    return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    new = np.zeros(len(key), dtype=np.int64)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    label = np.empty_like(new)
+    label[order] = np.cumsum(new)
+    return label
 
 
 def _independent(masks, bits: int, what: str):

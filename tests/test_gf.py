@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from srklab.gf import (BudgetError, FieldError, FieldSpec, Matrix, ShapeError,
                        enumerate_matrices, field_make, field_from_order,
                        factor_prime_power, index_digits, int_digits,
                        kernel_rank, kernel_stack, rank, rank_stack,
-                       row_space_intersection_dim)
+                       rank_table, row_space_intersection_dim)
 
 
 def test_prime_field_modulus():
@@ -385,6 +386,42 @@ def test_rank_stack_on_every_block_shape_up_to_2_16(q):
         assert np.array_equal(rank_stack(A.transpose(0, 2, 1), F), got)
         sample = rng.choice(len(A), size=min(len(A), 64), replace=False)
         assert got[sample].tolist() == _scalar_ranks(A[sample], F)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+def test_rank_table_is_the_stack_of_every_matrix_up_to_2_16(q):
+    """The kernel-product table of every shape with q^(n*m) <= 2^16, each
+    of n x m and m x n, equals rank_stack over all matrices in index
+    order, and its rank histogram is the closed-form count."""
+    F = field_from_order(q)
+    shapes = [(n, m) for n in range(1, 17) for m in range(1, 17)
+              if q ** (n * m) <= 1 << 16]
+    for n, m in shapes:
+        got = rank_table(n, m, F)
+        assert got.dtype == np.uint8
+        want = rank_stack(digit_rows(q, n * m).reshape(-1, n, m), F)
+        assert np.array_equal(got, want), (n, m)
+        assert np.bincount(got, minlength=min(n, m) + 1).tolist() == [
+            counting.count_rank_matrices(n, m, r, q)
+            for r in range(min(n, m) + 1)]
+
+
+@pytest.mark.parametrize("n,m", [(2, 10), (10, 2)])
+def test_rank_table_of_2_20_matrices_is_built_in_chunks(n, m):
+    """GF(2) 2x10, the largest tabulated block: the closed-form rank
+    histogram, at a traced peak that only chunks of _KERNEL_WORDS words
+    keep low (13.8 MB; one chunk of 2^19 words peaks at 24.5 MB)."""
+    F = field_make(2)
+    tracemalloc.start()
+    try:
+        got = rank_table(n, m, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 1 << 20
+    assert np.bincount(got).tolist() == [
+        counting.count_rank_matrices(n, m, r, 2) for r in range(3)]
+    assert peak < 16 << 20
 
 
 def test_rank_stack_empty_stacks_and_index_dtypes():

@@ -607,6 +607,44 @@ def test_batched_rank_table_matches_scalar_rank(q):
         assert table.tolist() == scalar, (q, n, m)
 
 
+def test_cached_rank_tables_are_read_only():
+    """Every record of the process shares a cached table."""
+    for n, m in [(1, 3), (2, 2), (2, 3), (3, 2)]:
+        table = graphlab._block_rank_table(n, m, 2, 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def _unique_profile_classes(params, digits):
+    """The orbit labels numbered by np.unique over the key rows."""
+    R = graphlab._tables(params).block_ranks(digits)
+    key = np.concatenate([R.sum(axis=1, keepdims=True)]
+                         + [np.sort(R[:, list(g)], axis=1)
+                            for _, g in params.shape_groups()], axis=1)
+    return np.unique(key, axis=0, return_inverse=True)[1].ravel()
+
+
+def test_profile_classes_number_the_orbits_as_unique_does():
+    """The lexsort numbering equals np.unique's on the ball and co-ball
+    rows of every radius of every default-sweep space, and of a space
+    whose two shape groups interleave; no rows give no labels."""
+    spaces = default_sweep() + [make_params(2, (1, 2, 1), (2, 2, 2))]
+    assert len(spaces[-1].shape_groups()) == 2
+    for params in spaces:
+        tab = graphlab._tables(params)
+        for k in range(1, params.max_weight):
+            for rows in (tab.ball(k), tab.coball(k)):
+                got = graphlab._profile_classes(params, rows)
+                want = _unique_profile_classes(params, rows)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (params, k)
+    params = make_params(3, (2, 1), (2, 2))
+    empty = np.zeros((0, params.total_dim), dtype=np.uint8)
+    got = graphlab._profile_classes(params, empty)
+    assert got.dtype == np.int64 and got.shape == (0,)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 257])
 def test_table_free_add_and_diff_match_the_field(q):
     F = field_from_order(q)
