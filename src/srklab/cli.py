@@ -1,6 +1,9 @@
 """Command-line surface: parameter parsing, sweeps, report emission, and
 the verification-suite runner.
 
+The parser is built once per process; ``main`` runs ``cmd_<subcommand>``
+("-" read as "_"), looked up at call time, and may be called repeatedly.
+
 Exit codes: 0 success, 1 computational failure, 2 usage or parse error.
 """
 
@@ -10,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import sys
 
@@ -308,7 +312,10 @@ def cmd_ramsey(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; its budget defaults
+    are the ``graphlab.DEFAULT_*`` values read then."""
     ap = argparse.ArgumentParser(
         prog="srklab",
         description="Exact workbench for sum-rank-metric codes, their Cayley "
@@ -317,59 +324,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("volume", help="ball volume V(k)")
     _add_params_args(sp)
-    sp.set_defaults(func=cmd_volume)
 
     sp = sub.add_parser("count", help="number of rank-r matrices")
     sp.add_argument("-q", type=int, required=True)
     sp.add_argument("-n", dest="rows", type=int, required=True)
     sp.add_argument("-m", dest="cols", type=int, required=True)
     sp.add_argument("-r", type=int, required=True)
-    sp.set_defaults(func=cmd_count)
 
     sp = sub.add_parser("qtable", help="Gaussian binomial column")
     sp.add_argument("-q", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(func=cmd_qtable)
 
     sp = sub.add_parser("graph-stats", help="exact |V|, D, T, Delta, eps*")
     _add_params_args(sp)
     _add_budget_args(sp, "max_ball")
-    sp.set_defaults(func=cmd_graph_stats)
 
     sp = sub.add_parser("alpha", help="exact independence number + witness")
     _add_params_args(sp)
     _add_budget_args(sp, "max_vertices", "max_nodes")
     sp.add_argument("-o", "--out", help="write witness code JSON here")
-    sp.set_defaults(func=cmd_alpha)
 
     sp = sub.add_parser("partition", help="greedy partition into codes")
     _add_params_args(sp)
     _add_budget_args(sp, "max_vertices")
     sp.add_argument("--order", choices=["lex", "weight-then-lex"], default="lex")
     sp.add_argument("-o", "--out", help="write classes JSON here")
-    sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("gv", help="Gilbert-Varshamov lower bound")
     _add_params_args(sp, with_k=False)
     sp.add_argument("-d", type=int, required=True)
-    sp.set_defaults(func=cmd_gv)
 
     sp = sub.add_parser("report", help="bound comparison table over a sweep")
     _add_budget_args(sp, *BUDGETS)
     sp.add_argument("--config", help="sweep config JSON (default: built-in sweep)")
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.set_defaults(func=cmd_report)
 
     sp = sub.add_parser("verify", help="run a named verification suite")
     sp.add_argument("suite", help="suite name or 'all'")
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("ramsey", help="evaluate a Ramsey inequality chain")
     sp.add_argument("chain_file")
     sp.add_argument("table_file")
     _add_budget_args(sp, "max_vertices", "max_nodes")
-    sp.set_defaults(func=cmd_ramsey)
 
     return ap
 
@@ -379,7 +376,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        rc = args.func(args)
+        rc = globals()["cmd_" + args.command.replace("-", "_")](args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return COMPUTE_ERROR

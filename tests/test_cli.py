@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -12,7 +13,7 @@ import sys
 import pytest
 
 import srklab
-from srklab import bounds, counting, graphlab, ramsey
+from srklab import bounds, cli, counting, graphlab, ramsey
 from srklab.cli import build_parser, main
 from srklab.space import code_from_json, make_params, min_distance
 
@@ -311,6 +312,39 @@ def test_budget_flags_still_bound_graph_stats_and_partition(capsys):
     assert rc == 1 and "budget exceeded" in err
     rc, out, _ = run(capsys, "partition", *_CUBE, "--max-vertices", "8")
     assert rc == 0 and json.loads(out)["num_classes"] == 2
+
+
+def test_one_parser_dispatches_each_subcommand_by_name(capsys, monkeypatch):
+    """The parser is built once per process; each subcommand names a
+    callable ``cmd_<name>`` ("-" read as "_"), which ``main`` looks up at
+    call time, so a handler rebound after a first call is the one run."""
+    parser = build_parser()
+    assert parser is build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 10
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+    gv = ["gv", "-q", "2", "-n", "2", "-m", "2", "-d", "2"]
+    assert run(capsys, *gv)[:2] == (0, "2\n")
+    monkeypatch.setattr(cli, "cmd_gv", lambda args: print("stand-in", args.d) or 7)
+    assert run(capsys, *gv)[:2] == (7, "stand-in 2\n")
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys):
+    count = ["count", "-q", "2", "-n", "2", "-m", "2", "-r", "1"]
+    assert run(capsys, *count) == (0, "9\n", "")
+    for argv in ([], ["bogus"], ["alpha"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+    rc, _, err = run(capsys, "graph-stats", *_CUBE, "--max-ball", "3")
+    assert rc == 1 and "budget exceeded" in err
+    # a budget given once is not the next call's default
+    rc, out, _ = run(capsys, "graph-stats", *_CUBE)
+    assert rc == 0 and json.loads(out)["D"] == 3
+    assert run(capsys, *count) == (0, "9\n", "")
 
 
 def test_report_with_config_csv(capsys, tmp_path):
