@@ -430,12 +430,12 @@ def rank(M: Matrix) -> int:
 
 
 # Largest space GF(q)^k whose orthogonality table kernel_stack builds, k
-# the column count (rank_stack transposes, so k = min(rows, cols)): every
-# tabulated block shape (q^(k*k) <= 2^20) and the 4x4 GF(3) Marsaglia
-# stacks (81) fit.
+# the column count: every tabulated block shape (rank_table reads its
+# lines of length k = min(rows, cols), q^(k*k) <= 2^20) and the 4x4 GF(3)
+# Marsaglia stacks (81) fit.
 MAX_ORTH_SPACE = 1 << 10
-# Kernel bitset words (and row digits) held at once by rank_stack and
-# rank_table, 2 MB each: a stack or table is ranked in chunks.
+# Kernel bitset words held at once by rank_table, 2 MB: a table is ranked
+# in chunks.
 _KERNEL_WORDS = 1 << 18
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # Bit counts of every uint16, read-only: entry (hi << 8) | lo is the count
@@ -521,40 +521,14 @@ def kernel_rank(ker: np.ndarray, F: FieldSpec, k: int) -> np.ndarray:
     return (k - j).astype(np.uint8)
 
 
-def rank_stack(A, F: FieldSpec):
-    """Ranks of a stack of matrices: A is an (N, rows, cols) array of
-    field indices.  Returns an (N,) uint8 array.
-
-    The stack is transposed when cols > rows, so that with
-    k = min(rows, cols) every kernel lies in GF(q)^k; then it is ranked in
-    chunks, each by ``kernel_stack`` and ``kernel_rank``
-    (rank = k - log_q |kernel|, every kernel size certified a power of
-    q).  An entry outside [0, q) raises FieldError, and q^k >
-    ``MAX_ORTH_SPACE`` raises BudgetError."""
-    A = np.asarray(A)
-    N, nrows, ncols = A.shape
-    if min(nrows, ncols) <= 1:
-        return _field_index_stack(A, F).any(axis=(1, 2)).astype(np.uint8)
-    if ncols > nrows:
-        A = A.transpose(0, 2, 1)
-        nrows, ncols = ncols, nrows
-    words = -(-F.q ** ncols // 64)
-    step = max(1, _KERNEL_WORDS // max(words, nrows * ncols))
-    # kernel_stack checks each chunk; an empty stack is one empty chunk
-    return np.concatenate([
-        kernel_rank(kernel_stack(A[s:s + step], F), F, ncols)
-        for s in range(0, max(N, 1), step)])
-
-
 def rank_table(rows: int, cols: int, F: FieldSpec) -> np.ndarray:
     """Ranks of every rows x cols matrix over F, as a uint8 array indexed
     by canonical digit index.  A matrix is a tuple of lines of GF(q)^k,
-    k = min(rows, cols) (its columns when cols > rows, as ``rank_stack``
-    transposes), and its kernel is the AND of their orthogonality-table
-    rows: the product over the lines after the first is built once, then
-    ANDed with chunks of the first line's codes, each of at most
-    ``_KERNEL_WORDS`` words for any table of up to 2^20 matrices and
-    ranked by ``kernel_rank``."""
+    k = min(rows, cols) (its columns when cols > rows), and its kernel is
+    the AND of their orthogonality-table rows: the product over the lines
+    after the first is built once, then ANDed with chunks of the first
+    line's codes, each of at most ``_KERNEL_WORDS`` words for any table of
+    up to 2^20 matrices and ranked by ``kernel_rank``."""
     q = F.q
     if min(rows, cols) <= 1:
         return (np.arange(q ** (rows * cols)) > 0).astype(np.uint8)

@@ -107,10 +107,11 @@ class SpaceTables:
     both act on the base-p coefficients of the field indices one by one).
     Built when first asked, each kept until ``_tables.cache_clear()``:
 
-    - the nonzero ball at the largest radius asked so far (``radius``):
-      its digit rows in canonical order and the weight of each, both
-      read-only, replaced only when a larger radius is asked; the rows of
-      weight <= k (``ball``) and T_k (``triangles``) for every k <= radius;
+    - the nonzero ball at the largest radius asked so far, at most the
+      largest weight (``radius``): its digit rows in canonical order and
+      the weight of each, both read-only, replaced only when a larger
+      radius is asked; the rows of weight <= k (``ball``) and T_k
+      (``triangles``) for every k <= radius;
     - the weight of every vertex (``weights``), which gives the co-ball
       (``coball``) and the weight layers of the greedy partition;
     - the weight histogram of the whole space (``histogram``)."""
@@ -138,7 +139,9 @@ class SpaceTables:
         """The nonzero ball of radius k: the rows of weight <= k of the
         space's ball, read-only; a count other than the nonzero ball
         volume raises ArithmeticError.  A report that asks each space's
-        largest radius first enumerates one ball per space."""
+        largest radius first enumerates one ball per space.  A radius past
+        the largest weight is that weight: the ball is then all of V."""
+        k = min(k, self.params.max_weight)
         if k > self.radius:
             self.rows, self.weight = _enumerate_ball(self.params, k)
             self.radius, self._within = k, {k: self.rows}
@@ -164,7 +167,9 @@ class SpaceTables:
         once, as the rows of weight <= k at distance <= k.  As a
         certificate, c_k is also computed on a second member of each
         orbit that has one; a disagreement or an odd sum, at any k,
-        raises ArithmeticError."""
+        raises ArithmeticError.  T_k is constant from the largest weight
+        on, which bounds the radius counted."""
+        k = min(k, self.params.max_weight)
         self.ball(k)
         if self._triangles is not None:
             return self._triangles[k]

@@ -10,7 +10,7 @@ from srklab.gf import (BudgetError, FieldError, FieldSpec, Matrix, ShapeError,
                        digit_dtype, digit_index, digit_rows, digits_int,
                        enumerate_matrices, field_make, field_from_order,
                        factor_prime_power, index_digits, int_digits,
-                       kernel_rank, kernel_stack, rank, rank_stack,
+                       kernel_rank, kernel_stack, rank,
                        rank_table, row_space_intersection_dim)
 
 
@@ -265,7 +265,7 @@ def test_fields_without_tables_on_seeded_samples(p, e):
     assert F.pow(0, F.q) == 0 and F.pow(0, 0) == 1
 
 
-def test_rank_stack_matches_scalar_rank():
+def test_kernel_rank_matches_scalar_rank():
     rng = np.random.default_rng(3)
     for q, rows, cols in [(3, 4, 4), (4, 3, 5), (9, 3, 3), (5, 1, 4),
                           (7, 4, 1), (2, 5, 3)]:
@@ -273,18 +273,18 @@ def test_rank_stack_matches_scalar_rank():
         A = rng.integers(0, q, size=(300, rows, cols))
         A[:40] = 0
         A[40:80, 1:] = A[40:80, :1]      # rank <= 1
-        got = rank_stack(A, F)
+        got = kernel_rank(kernel_stack(A, F), F, cols)
         assert got.dtype == np.uint8
-        want = [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
-                for a in A]
-        assert got.tolist() == want
+        assert got.tolist() == _scalar_ranks(A, F)
 
 
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("rows,cols", [(4, 4), (4, 8)])
-def test_rank_stack_matches_scalar_rank_on_marsaglia_shapes(q, rows, cols):
-    """The 4x4 and 4x8 stacks of the Marsaglia suite, which are too large
-    for the exhaustive block-table test, with low-rank members mixed in."""
+def test_kernel_rank_matches_scalar_rank_on_marsaglia_shapes(q, rows, cols):
+    """The 4x4 X and 4x8 [X | Y] of the Marsaglia suite, which are too
+    large for the exhaustive block-table test, with low-rank members mixed
+    in, ranked as that suite ranks them: from the AND of the kernels of
+    the transposed 4x4 halves, which lie in GF(q)^4."""
     rng = np.random.default_rng(17 + q + cols)
     F = field_from_order(q)
     A = rng.integers(0, q, size=(600, rows, cols))
@@ -292,9 +292,10 @@ def test_rank_stack_matches_scalar_rank_on_marsaglia_shapes(q, rows, cols):
     A[100:250, 2:] = A[100:250, :2]             # rank <= 2
     A[250:350, 1:] = A[250:350, :1]             # rank <= 1
     A[350:450, :, 3:] = A[350:450, :, 2:3]      # columns 2.. repeat
-    got = rank_stack(A, F)
-    want = [rank(Matrix(rows, cols, tuple(int(x) for x in a.ravel()), F))
-            for a in A]
+    halves = [kernel_stack(A[:, :, j:j + rows].transpose(0, 2, 1), F)
+              for j in range(0, cols, rows)]
+    got = kernel_rank(np.bitwise_and.reduce(halves), F, rows)
+    want = _scalar_ranks(A, F)
     assert got.tolist() == want
     assert set(want) == set(range(5))
 
@@ -329,7 +330,7 @@ def _scalar_ranks(A, F):
             for a in A]
 
 
-def _low_rank_stack(F, rng, count, rows, cols):
+def _stack_of_each_rank(F, rng, count, rows, cols):
     """count members of each rank 0..min(rows, cols) (with high
     probability): products U V of random rows x r and r x cols factors,
     summed with the field tables."""
@@ -345,65 +346,27 @@ def _low_rank_stack(F, rng, count, rows, cols):
     return np.concatenate(out)
 
 
-@pytest.mark.parametrize("q,shapes", [
-    (2, [(3, 7), (7, 3), (5, 9), (9, 5), (2, 10)]),
-    (3, [(2, 6), (6, 2), (4, 5), (5, 4)]),
-    (4, [(3, 5), (5, 3), (2, 7)]),
-    (5, [(3, 4), (4, 3), (2, 5)]),
-    (8, [(2, 3), (3, 2), (3, 4)]),
-    (9, [(2, 3), (3, 2), (3, 5)]),
-    (16, [(2, 3), (3, 2), (2, 2)]),
-])
-def test_rank_stack_wide_and_tall_match_scalar_rank(q, shapes):
-    """Wide stacks are ranked transposed (rows of length min(rows, cols));
-    every rank 0..min(rows, cols) occurs in each stack."""
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+def test_rank_table_on_every_block_shape_up_to_2_16(q):
+    """The table of every block shape with q^(n*m) <= 2^16 (GF(16) 2x2
+    included): its rank histogram is the closed-form count, the m x n
+    table read at the transposed indices is the same, and a seeded sample
+    agrees with the scalar rank."""
     F = field_from_order(q)
     rng = np.random.default_rng(q)
-    for rows, cols in shapes:
-        A = _low_rank_stack(F, rng, 25, rows, cols)
-        want = _scalar_ranks(A, F)
-        assert set(want) == set(range(min(rows, cols) + 1))
-        assert rank_stack(A, F).tolist() == want
-        assert rank_stack(A.transpose(0, 2, 1), F).tolist() == want
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
-def test_rank_stack_on_every_block_shape_up_to_2_16(q):
-    """Every block shape with q^(rows*cols) <= 2^16 (GF(16) 2x2 included),
-    all of its matrices in index order as the rank tables stack them: the
-    rank histogram is the closed-form count, the transposed stack has the
-    same ranks, and a sample agrees with the scalar rank."""
-    F = field_from_order(q)
-    rng = np.random.default_rng(q)
-    shapes = [(n, m) for n in range(1, 17) for m in range(1, 17)
-              if q ** (n * m) <= 1 << 16]
-    for n, m in shapes:
-        A = digit_rows(q, n * m).reshape(-1, n, m)
-        got = rank_stack(A, F)
-        assert np.bincount(got, minlength=min(n, m) + 1).tolist() == [
-            counting.count_rank_matrices(n, m, r, q)
-            for r in range(min(n, m) + 1)]
-        assert np.array_equal(rank_stack(A.transpose(0, 2, 1), F), got)
-        sample = rng.choice(len(A), size=min(len(A), 64), replace=False)
-        assert got[sample].tolist() == _scalar_ranks(A[sample], F)
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
-def test_rank_table_is_the_stack_of_every_matrix_up_to_2_16(q):
-    """The kernel-product table of every shape with q^(n*m) <= 2^16, each
-    of n x m and m x n, equals rank_stack over all matrices in index
-    order, and its rank histogram is the closed-form count."""
-    F = field_from_order(q)
     shapes = [(n, m) for n in range(1, 17) for m in range(1, 17)
               if q ** (n * m) <= 1 << 16]
     for n, m in shapes:
         got = rank_table(n, m, F)
         assert got.dtype == np.uint8
-        want = rank_stack(digit_rows(q, n * m).reshape(-1, n, m), F)
-        assert np.array_equal(got, want), (n, m)
         assert np.bincount(got, minlength=min(n, m) + 1).tolist() == [
             counting.count_rank_matrices(n, m, r, q)
-            for r in range(min(n, m) + 1)]
+            for r in range(min(n, m) + 1)], (n, m)
+        A = digit_rows(q, n * m).reshape(-1, n, m)
+        At = A.transpose(0, 2, 1).reshape(len(A), -1)
+        assert np.array_equal(rank_table(m, n, F)[digit_index(At, q)], got)
+        sample = rng.choice(len(A), size=min(len(A), 64), replace=False)
+        assert got[sample].tolist() == _scalar_ranks(A[sample], F), (n, m)
 
 
 @pytest.mark.parametrize("n,m", [(2, 10), (10, 2)])
@@ -424,49 +387,42 @@ def test_rank_table_of_2_20_matrices_is_built_in_chunks(n, m):
     assert peak < 16 << 20
 
 
-def test_rank_stack_empty_stacks_and_index_dtypes():
+def test_kernel_stack_index_dtypes():
     F2, F9 = field_make(2), field_make(3, 2)
-    for shape in [(0, 3, 4), (0, 4, 3), (0, 1, 5), (0, 0, 0), (0, 10, 10)]:
-        got = rank_stack(np.zeros(shape, dtype=np.uint8), F2)
-        assert got.dtype == np.uint8 and got.shape == (0,)
-    assert rank_stack(np.zeros((3, 0, 4), dtype=np.int64), F2).tolist() == [
-        0, 0, 0]
     rng = np.random.default_rng(5)
     # GF(2) 10x10 has row codes up to 1023, beyond uint8
     for F, rows, cols in [(F2, 10, 10), (F2, 10, 6), (F9, 3, 3)]:
-        A = _low_rank_stack(F, rng, 6, rows, cols)
+        A = _stack_of_each_rank(F, rng, 6, rows, cols)
         want = _scalar_ranks(A, F)
         for dtype in (np.uint8, np.uint16, np.int64):
-            got = rank_stack(A.astype(dtype), F)
+            got = kernel_rank(kernel_stack(A.astype(dtype), F), F, cols)
             assert got.dtype == np.uint8 and got.tolist() == want
 
 
-def test_rank_stack_rejects_entries_outside_the_field():
+def test_kernel_stack_rejects_entries_outside_the_field():
     """A 3 in GF(3) would give the row (0, 3) the code of (1, 0)."""
     F3, F4 = field_make(3), field_make(2, 2)
     for A, F in [([[[0, 3], [0, 0]]], F3), ([[[1, -1], [0, 1]]], F3),
                  ([[[0, 0, 3]]], F3), ([[[4, 0], [0, 1]]], F4)]:
-        for fn in (rank_stack, kernel_stack):
-            with pytest.raises(FieldError):
-                fn(np.array(A), F)
-    for fn in (rank_stack, kernel_stack):
         with pytest.raises(FieldError):
-            fn(np.ones((2, 2, 2)), F3)   # floats are not field indices
+            kernel_stack(np.array(A), F)
+    with pytest.raises(FieldError):
+        kernel_stack(np.ones((2, 2, 2)), F3)   # floats are not field indices
 
 
-def test_rank_stack_refuses_an_orthogonality_table_beyond_its_budget():
+def test_kernel_stack_refuses_an_orthogonality_table_beyond_its_budget():
+    """kernel_stack never transposes: its kernels lie in GF(q)^cols."""
     assert gf.MAX_ORTH_SPACE == 1 << 10
+    F2, F3 = field_make(2), field_make(3)
     with pytest.raises(BudgetError):
-        rank_stack(np.zeros((1, 11, 11), dtype=np.uint8), field_make(2))
+        kernel_stack(np.zeros((1, 11, 11), dtype=np.uint8), F2)
     with pytest.raises(BudgetError):
-        rank_stack(np.zeros((1, 3, 2), dtype=np.uint8), field_make(2, 6))
-    # q^k = 2^10 is still tabulated
-    assert rank_stack(np.eye(10, dtype=np.uint8)[None], field_make(2)
-                      ).tolist() == [10]
-    # kernel_stack never transposes: its kernels lie in GF(q)^cols
-    F3 = field_make(3)
+        kernel_stack(np.zeros((1, 3, 2), dtype=np.uint8), field_make(2, 6))
     with pytest.raises(BudgetError):
         kernel_stack(np.zeros((1, 1, 7), dtype=np.uint8), F3)   # 3^7
+    # q^cols = 2^10 is still tabulated
+    ker = kernel_stack(np.eye(10, dtype=np.uint8)[None], F2)
+    assert kernel_rank(ker, F2, 10).tolist() == [10]
     assert kernel_stack(np.zeros((1, 1, 6), dtype=np.uint8), F3).shape == (
         1, 12)
 
@@ -496,7 +452,7 @@ def test_kernel_rank_counts_every_word_of_a_kernel():
             kernel_rank(bad, F3, 4)
 
 
-def test_rank_stack_certifies_every_kernel_size(monkeypatch):
+def test_rank_table_certifies_every_kernel_size(monkeypatch):
     """A corrupted orthogonality table, or a patched kernel, gives a
     kernel whose size is no power of q: ArithmeticError, not a rank."""
     F3 = field_make(3)
@@ -509,7 +465,7 @@ def test_rank_stack_certifies_every_kernel_size(monkeypatch):
     table[0, 0] ^= np.uint64(1 << 4)    # the zero row loses one vector
     monkeypatch.setattr(gf, "_orthogonality_table", lambda p, e, k: table)
     with pytest.raises(ArithmeticError):
-        rank_stack(np.zeros((4, 2, 2), dtype=np.uint8), F3)
+        rank_table(2, 2, F3)
 
 
 def _brute_kernel_bits(A, F):
@@ -542,7 +498,7 @@ def test_kernel_stack_is_the_brute_force_nullspace(q, shapes):
     F = field_from_order(q)
     rng = np.random.default_rng(30 + q)
     for rows, cols in shapes:
-        A = _low_rank_stack(F, rng, 4, rows, cols)
+        A = _stack_of_each_rank(F, rng, 4, rows, cols)
         ker = kernel_stack(A, F)
         assert ker.dtype == np.uint64 and ker.shape == (len(A),
                                                         -(-q ** cols // 64))
@@ -558,18 +514,18 @@ def test_kernel_stack_is_the_brute_force_nullspace(q, shapes):
 @pytest.mark.parametrize("q,rows,other,cols", [
     (2, 3, 4, 5), (3, 2, 3, 4), (4, 2, 2, 3), (9, 1, 2, 3)])
 def test_anded_kernels_rank_the_stacked_matrices(q, rows, other, cols):
-    """ker X & ker Y is the kernel of [X ; Y]: its rank is rank_stack's
-    on the stacked matrices, which transposes when they are wide."""
+    """ker X & ker Y is the kernel of [X ; Y]: its rank is the scalar
+    rank of the stacked matrices."""
     F = field_from_order(q)
     rng = np.random.default_rng(40 + q)
-    X = _low_rank_stack(F, rng, 8, rows, cols)
-    Y = rng.permutation(_low_rank_stack(F, rng, 8, other, cols))
+    X = _stack_of_each_rank(F, rng, 8, rows, cols)
+    Y = rng.permutation(_stack_of_each_rank(F, rng, 8, other, cols))
     n = min(len(X), len(Y))
     X, Y = X[:n], Y[:n]
     got = kernel_rank(kernel_stack(X, F) & kernel_stack(Y, F), F, cols)
-    want = rank_stack(np.concatenate((X, Y), axis=1), F)
-    assert got.tolist() == want.tolist()
-    assert len(set(want.tolist())) > 1
+    want = _scalar_ranks(np.concatenate((X, Y), axis=1), F)
+    assert got.tolist() == want
+    assert len(set(want)) > 1
 
 
 def test_matrix_stays_a_frozen_dataclass():

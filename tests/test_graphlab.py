@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -120,6 +121,25 @@ def test_cube_stats():
     assert stats2.to_json()["eps_star"] == pytest.approx(
         2 - math.log(12) / math.log(6))
     assert graph_stats(PowerGraphSpec(CUBE, 1)).to_json()["eps_star"] == "inf"
+
+
+def test_a_radius_past_the_largest_weight_counts_the_whole_space_once():
+    """GF(2) 2x2 has largest weight 2: at k = 3000 the record counts the
+    ball of radius 2, so the stats are those of k = 2, at the same small
+    traced peak: T counted at radius 3000 would bincount 3001^2 slots."""
+    params = make_params(2, (2,), (2,))
+    want = graph_stats(PowerGraphSpec(params, 2))
+    assert (want.D, want.T) == (15, 105)
+    graphlab._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        got = graph_stats(PowerGraphSpec(params, 3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert graphlab._tables(params).radius == 2
+    assert peak < 1 << 20
 
 
 def test_stats_identity_3Delta_eq_TV():
@@ -598,8 +618,10 @@ def _small_shapes(q):
             if q ** (n * m) <= 4096]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
 def test_batched_rank_table_matches_scalar_rank(q):
+    """Every matrix of every block shape with q^(n*m) <= 2^12, against
+    Gaussian elimination, which shares no code with the kernel tables."""
     F = field_from_order(q)
     for n, m in _small_shapes(q):
         table = graphlab._block_rank_table(n, m, F.p, F.e)
