@@ -346,17 +346,18 @@ def _stack_of_each_rank(F, rng, count, rows, cols):
     return np.concatenate(out)
 
 
+def _block_shapes_up_to_2_16(q):
+    return [(n, m) for n in range(1, 17) for m in range(1, 17)
+            if q ** (n * m) <= 1 << 16]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
 def test_rank_table_on_every_block_shape_up_to_2_16(q):
     """The table of every block shape with q^(n*m) <= 2^16 (GF(16) 2x2
-    included): its rank histogram is the closed-form count, the m x n
-    table read at the transposed indices is the same, and a seeded sample
-    agrees with the scalar rank."""
+    included): its rank histogram is the closed-form count, and the m x n
+    table read at the transposed indices is the same."""
     F = field_from_order(q)
-    rng = np.random.default_rng(q)
-    shapes = [(n, m) for n in range(1, 17) for m in range(1, 17)
-              if q ** (n * m) <= 1 << 16]
-    for n, m in shapes:
+    for n, m in _block_shapes_up_to_2_16(q):
         got = rank_table(n, m, F)
         assert got.dtype == np.uint8
         assert np.bincount(got, minlength=min(n, m) + 1).tolist() == [
@@ -365,6 +366,19 @@ def test_rank_table_on_every_block_shape_up_to_2_16(q):
         A = digit_rows(q, n * m).reshape(-1, n, m)
         At = A.transpose(0, 2, 1).reshape(len(A), -1)
         assert np.array_equal(rank_table(m, n, F)[digit_index(At, q)], got)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 256])
+def test_rank_table_matches_scalar_rank_on_a_sample_up_to_2_16(q):
+    """A seeded sample of every block shape with q^(n*m) <= 2^16, read from
+    its table at the sample's indices, agrees with the scalar rank, which
+    shares no kernel code with the table (every matrix up to 2^12 is
+    compared in test_graphlab)."""
+    F = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for n, m in _block_shapes_up_to_2_16(q):
+        got = rank_table(n, m, F)
+        A = digit_rows(q, n * m).reshape(-1, n, m)
         sample = rng.choice(len(A), size=min(len(A), 64), replace=False)
         assert got[sample].tolist() == _scalar_ranks(A[sample], F), (n, m)
 
